@@ -5,7 +5,7 @@ ideal Whitehead graphs."""
 __version__ = "0.1.0"
 
 from .rose import bar, format_direction, format_word, parse_word, tighten, turn, turns_of
-from .whitehead import WhiteheadGraph, are_isomorphic, index_list
+from .whitehead import WhiteheadGraph, find_isomorphism, index_list
 from .maps import (
     FoldDecomposition,
     Generator,
@@ -15,7 +15,6 @@ from .maps import (
     compose,
     direction_map,
     gates,
-    ideal_whitehead_graph,
     is_train_track,
     local_whitehead_graph,
     periodic_and_fixed_directions,
@@ -33,15 +32,7 @@ from .ltt import (
     pi_graph,
     validate_ltt,
 )
-from .moves import (
-    GeneratingTriple,
-    check_am,
-    determining_edges,
-    extension,
-    induced_colored_map,
-    is_admissible,
-    switch,
-)
+from .moves import GeneratingTriple, determining_edges, extension, switch
 from .diagram import (
     IdDiagram,
     build_preliminary,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .whitehead import WhiteheadGraph, are_isomorphic, canonical_edge_tuple
+from .whitehead import WhiteheadGraph, canonical_edge_tuple, find_isomorphism
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def connected_simplicial_graphs(n: int) -> list[GraphCatalogEntry]:
         key = _invariant(n, edges)
         bucket = buckets.setdefault(key, [])
         graph = WhiteheadGraph.build(range(n), edges)
-        if any(are_isomorphic(graph, rep) for _, rep in bucket):
+        if any(find_isomorphism(graph, rep) is not None for _, rep in bucket):
             continue
         bucket.append((edges, graph))
     reps = [edges for bucket in buckets.values() for edges, _ in bucket]

@@ -51,7 +51,7 @@ from .maps import (
     stable_whitehead_graph,
     stallings_fold_decomposition,
 )
-from .rose import format_direction
+from .rose import check_rank, format_direction
 from .whitehead import WhiteheadGraph, index_list
 
 
@@ -84,16 +84,20 @@ def _load_map(source: str) -> RoseMap:
     data = _load_json(source)
     try:
         return RoseMap.from_strings(int(data["rank"]), data["images"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: bad rose map input: {exc}")
 
 
 def _load_target(args) -> WhiteheadGraph:
+    """The validated target; InvalidTargetGraph reaches main as exit code 2."""
     if getattr(args, "star", False):
-        return star_target(args.rank)
-    if not args.input:
+        target = star_target(args.rank)
+    elif not args.input:
         raise SystemExit("error: provide a target graph JSON file or --star")
-    return target_from_json(_load_json(args.input))
+    else:
+        target = target_from_json(_load_json(args.input))
+    validate_target(target, args.rank)
+    return target
 
 
 def _fmt_turn(t) -> str:
@@ -163,11 +167,6 @@ def _artifact(args, diagram, stem: str) -> None:
 
 def cmd_check_graph(args) -> int:
     target = _load_target(args)
-    try:
-        validate_target(target, args.rank)
-    except InvalidTargetGraph as exc:
-        print(f"invalid target graph: {exc}", file=sys.stderr)
-        return 2
     result = target_verdict(target, args.rank)
     print(f"target: {len(target.vertices)} vertices, {len(target.edges)} edges")
     print(f"structures: {result.num_structures} total, {result.num_admissible} birecurrent")
@@ -232,7 +231,7 @@ def cmd_sweep(args) -> int:
             "components": len(result.diagram.components) if result.diagram else 0,
             "verdict": result.verdict,
         })
-    width = max(len(r["id"]) for r in rows)
+    width = max((len(r["id"]) for r in rows), default=len("id"))
     print(f"{'id':<{width}}  edges  structures  admissible  components  verdict")
     for r in rows:
         print(f"{r['id']:<{width}}  {r['edges']:>5}  {r['structures']:>10}  "
@@ -261,11 +260,6 @@ def cmd_export(args) -> int:
         return 0
     if args.what == "structures":
         target = _load_target(args)
-        try:
-            validate_target(target, args.rank)
-        except InvalidTargetGraph as exc:
-            print(f"invalid target graph: {exc}", file=sys.stderr)
-            return 2
         structures = enumerate_structures(target, args.rank,
                                           admissible_only=args.admissible_only)
         stem = f"structures_r{args.rank}" + ("_admissible" if args.admissible_only else "")
@@ -278,11 +272,6 @@ def cmd_export(args) -> int:
         return 0
     if args.what == "diagram":
         target = _load_target(args)
-        try:
-            validate_target(target, args.rank)
-        except InvalidTargetGraph as exc:
-            print(f"invalid target graph: {exc}", file=sys.stderr)
-            return 2
         diagram = id_diagram(target, args.rank)
         stem = f"diagram_r{args.rank}"
         if args.format == "json":
@@ -292,8 +281,12 @@ def cmd_export(args) -> int:
             _write(out / f"{stem}.dot", diagram_to_dot(diagram, stem))
         return 0
     if args.what == "map-ltt":
-        m = _load_map(args.input)
-        G = ltt_of_map(m)
+        if not args.input:
+            raise SystemExit("error: provide a rose map JSON file")
+        try:
+            G = ltt_of_map(_load_map(args.input))
+        except LttRegimeError as exc:
+            raise SystemExit(f"error: {exc}")
         if args.format == "json":
             _write(out / "ltt.json", json.dumps(G.to_json(), indent=2, sort_keys=True) + "\n")
         else:
@@ -350,7 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if getattr(args, "rank", None) is not None:
+        try:
+            check_rank(args.rank)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}")
+    try:
+        return args.func(args)
+    except InvalidTargetGraph as exc:
+        print(f"invalid target graph: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

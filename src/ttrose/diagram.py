@@ -18,16 +18,18 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map
+from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
     FoldDecomposition,
+    Generator,
     IdealDecompositionReport,
     identity_permutation,
     is_train_track,
     validate_ideal_decomposition,
 )
 from .moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
-from .rose import Turn, all_directions, bar, check_rank, edge_index, format_direction, turn
+from .rose import (Turn, all_directions, bar, check_rank, edge_index, format_direction,
+                   parse_direction, turn)
 from .whitehead import WhiteheadGraph
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
@@ -50,11 +52,22 @@ def validate_target(target: WhiteheadGraph, rank: int) -> None:
 
 
 def target_from_json(data: dict) -> WhiteheadGraph:
+    """The graph of {"edges": [[u, v], ...]} with optional "vertices";
+    InvalidTargetGraph when the data does not describe a simple graph."""
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise InvalidTargetGraph('expected a JSON object with an "edges" list')
+    if not isinstance(data.get("vertices", []), list):
+        raise InvalidTargetGraph('"vertices" must be a list')
+    if not all(isinstance(e, list) and len(e) == 2 for e in data["edges"]):
+        raise InvalidTargetGraph("every edge must be a list of two vertices")
     edges = [tuple(e) for e in data["edges"]]
-    vertices = set(data.get("vertices", ()))
-    for e in edges:
-        vertices.update(e)
-    return WhiteheadGraph.build(vertices, edges)
+    try:
+        vertices = set(data.get("vertices", ()))
+        for e in edges:
+            vertices.update(e)
+        return WhiteheadGraph.build(vertices, edges)
+    except (TypeError, ValueError) as exc:  # unhashable vertex, loop edge
+        raise InvalidTargetGraph(str(exc)) from None
 
 
 def target_to_json(target: WhiteheadGraph) -> dict:
@@ -70,37 +83,52 @@ def star_target(rank: int) -> WhiteheadGraph:
     return WhiteheadGraph.build(range(n), [(0, i) for i in range(1, n)])
 
 
-def _is_star(target: WhiteheadGraph) -> bool:
-    n = len(target.vertices)
-    if n < 3 or len(target.edges) != n - 1:
-        return False
-    degrees = sorted(target.degree(v) for v in target.vertices)
-    return degrees == [1] * (n - 1) + [n - 1]
-
-
 # --- structure enumeration ------------------------------------------------
 
 
-def _iter_structures(target: WhiteheadGraph, rank: int) -> Iterator[LttStructure]:
-    dirs = list(all_directions(rank))
-    if _is_star(target):
-        # a labeled star is determined by its center label
-        for red in dirs:
-            labels = [d for d in dirs if d != red]
-            for center in labels:
-                purple = [turn(center, leaf) for leaf in labels if leaf != center]
-                for attach in labels:
-                    if attach == bar(red):
-                        continue
-                    yield LttStructure.make(rank, red, turn(red, attach), purple)
+def _twin_classes(target: WhiteheadGraph) -> list[list]:
+    """The target's vertices in twin classes, largest first.  Twins u, v
+    have N(u) - {v} == N(v) - {u}, so swapping them is an automorphism.
+    Twinship is an equivalence relation: if a were a non-adjacent twin of
+    b and b an adjacent twin of c, c would neighbor a, hence a neighbor b."""
+    nbrs = {v: target.neighbors(v) for v in target.vertices}
+    classes: list[list] = []
+    for v in sorted(target.vertices, key=repr):
+        for cls in classes:
+            if nbrs[cls[0]] - {v} == nbrs[v] - {cls[0]}:
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return sorted(classes, key=len, reverse=True)
+
+
+def _class_labelings(sizes: Sequence[int], labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Label sequences for consecutive twin classes of the given sizes,
+    largest first: each class takes a set of labels, and once only
+    singleton classes remain, every ordering of the remaining labels."""
+    if not sizes or sizes[0] == 1:
+        yield from itertools.permutations(labels)
         return
-    tverts = sorted(target.vertices, key=repr)
-    tedges = [(tverts.index(u), tverts.index(v)) for u, v in target.sorted_edges()]
+    for chosen in itertools.combinations(labels, sizes[0]):
+        rest = [d for d in labels if d not in chosen]
+        for tail in _class_labelings(sizes[1:], rest):
+            yield chosen + tail
+
+
+def _iter_structures(target: WhiteheadGraph, rank: int) -> Iterator[LttStructure]:
+    classes = _twin_classes(target)
+    position = {v: i for i, v in enumerate(v for cls in classes for v in cls)}
+    tedges = [(position[u], position[v]) for u, v in target.sorted_edges()]
+    sizes = [len(cls) for cls in classes]
+    dirs = list(all_directions(rank))
     for red in dirs:
         labels = [d for d in dirs if d != red]
+        # labelings that differ by an automorphism beyond twin swaps give
+        # the same purple graph
         seen_purple: set[tuple] = set()
-        for perm in itertools.permutations(labels):
-            purple = tuple(sorted(turn(perm[i], perm[j]) for i, j in tedges))
+        for seq in _class_labelings(sizes, labels):
+            purple = tuple(sorted(turn(seq[i], seq[j]) for i, j in tedges))
             if purple in seen_purple:
                 continue
             seen_purple.add(purple)
@@ -215,8 +243,8 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
                 if t.source not in node_set:
                     # construction preserves the purple graph up to labels,
                     # so exclusion can only mean a non-birecurrent source
-                    assert not is_birecurrent(t.source), \
-                        "admissible source missing from the enumeration"
+                    if is_birecurrent(t.source):
+                        raise RuntimeError("admissible source missing from the enumeration")
                     continue
                 edges.append(DiagramEdge(t, kind, det))
     edges.sort(key=DiagramEdge.sort_key)
@@ -247,11 +275,6 @@ class IdDiagram:
     components: tuple[DiagramComponent, ...]
 
 
-def _scc_indices(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
-    from .ltt import _tarjan_scc
-    return _tarjan_scc(num_nodes, arcs)
-
-
 def id_diagram(target: WhiteheadGraph, rank: int,
                preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
@@ -263,7 +286,7 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     for e in preliminary.edges:
         arcs[index[e.source]].append(index[e.dest])
     components = []
-    for comp in _scc_indices(len(preliminary.nodes), arcs):
+    for comp in tarjan_scc(len(preliminary.nodes), arcs):
         comp_set = set(comp)
         comp_edges = tuple(e for e in preliminary.edges
                            if index[e.source] in comp_set and index[e.dest] in comp_set)
@@ -292,7 +315,6 @@ def irreducibility_potential_test(diagram: IdDiagram) -> IpTestResult:
 
 
 def _epp_edge(sigma: Sequence[int], e: DiagramEdge) -> DiagramEdge:
-    from .maps import Generator
     gen = Generator(e.triple.gen.rank, a=sigma[e.triple.gen.a - 1], u=sigma[e.triple.gen.u - 1])
     t = GeneratingTriple(gen, epp_structure(sigma, e.source), epp_structure(sigma, e.dest))
     return DiagramEdge(t, e.kind, epp_turn(sigma, e.det))
@@ -460,9 +482,6 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> IdDiagram:
-    from .maps import Generator
-    from .rose import parse_direction
-
     rank = int(data["rank"])
     target = target_from_json(data["target"])
     nodes = tuple(LttStructure.from_json(d) for d in data["nodes"])

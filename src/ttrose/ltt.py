@@ -27,7 +27,7 @@ from .rose import (
     parse_direction,
     turn,
 )
-from .whitehead import WhiteheadGraph, are_isomorphic
+from .whitehead import WhiteheadGraph, find_isomorphism
 
 PURPLE = "purple"
 RED = "red"
@@ -275,7 +275,7 @@ def transition_digraph(G: LttStructure) -> TransitionDigraph:
     return TransitionDigraph(edges, nodes, tuple(arcs))
 
 
-def _tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
+def tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
     """Iterative Tarjan; components in reverse topological order."""
     index_of = [-1] * num_nodes
     lowlink = [0] * num_nodes
@@ -338,7 +338,7 @@ def birecurrency(G: LttStructure) -> BirecurrencyResult:
     the transition digraph (with at least one arc) covers every edge."""
     td = transition_digraph(G)
     num_edges = len(td.edges)
-    for comp in _tarjan_scc(len(td.nodes), td.arcs):
+    for comp in tarjan_scc(len(td.nodes), td.arcs):
         if len(comp) < 2:
             continue  # a lone directed edge supports no biinfinite line
         covered = {td.nodes[k][0] for k in comp}
@@ -446,7 +446,7 @@ def pi_graph(G: LttStructure) -> WhiteheadGraph:
 
 def matches_target(G: LttStructure, target: WhiteheadGraph) -> bool:
     """Does the purple subgraph realize the target graph, forgetting labels?"""
-    return are_isomorphic(pi_graph(G), target)
+    return find_isomorphism(pi_graph(G), target) is not None
 
 
 def realize_edge_path_smooth(G: LttStructure, word: Sequence[int]) -> list[tuple[int, int, str]]:

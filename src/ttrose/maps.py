@@ -231,15 +231,6 @@ def stable_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
     return WhiteheadGraph.build(vertices, edges)
 
 
-def ideal_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
-    """The stable Whitehead graph, read as the ideal Whitehead graph.
-
-    Valid only for pNp-free maps on the rose; pNp-freeness is assumed,
-    not verified.
-    """
-    return stable_whitehead_graph(m)
-
-
 # --- generators and fold decompositions --------------------------------
 
 
@@ -367,28 +358,23 @@ def _common_prefix_len(w1: Sequence[int], w2: Sequence[int]) -> int:
     return n
 
 
-def _word_of(images: tuple[Word, ...], d: Direction) -> Word:
-    word = images[edge_index(d) - 1]
-    return word if is_forward(d) else reverse_word(word)
-
-
-def _fold_candidates(rank: int, images: tuple[Word, ...]):
+def _fold_candidates(residual: RoseMap):
     """Foldable turns of the residual map, classified.
 
     Yields (turn, kind, data) in canonical turn order, where kind is
-    'proper' (data is the Generator plus folded images), 'partial' or
-    'improper'.
+    'proper' (data is the Generator plus the folded residual map),
+    'partial' or 'improper'.
     """
     first: dict[int, list[int]] = {}
-    for d in all_directions(rank):
-        first.setdefault(_word_of(images, d)[0], []).append(d)
+    for d in all_directions(residual.rank):
+        first.setdefault(residual.word_of(d)[0], []).append(d)
     turns = []
     for group in first.values():
         for d1, d2 in itertools.combinations(sorted(group), 2):
             turns.append(turn(d1, d2))
     for t in sorted(turns):
         d1, d2 = t
-        w1, w2 = _word_of(images, d1), _word_of(images, d2)
+        w1, w2 = residual.word_of(d1), residual.word_of(d2)
         p = _common_prefix_len(w1, w2)
         if p == len(w1) and p == len(w2):
             yield t, "improper", None
@@ -396,13 +382,12 @@ def _fold_candidates(rank: int, images: tuple[Word, ...]):
             yield t, "partial", None
         else:
             full, part = (d1, d2) if p == len(w1) else (d2, d1)
-            w_part = _word_of(images, part)
-            remainder = w_part[p:]
-            new_images = list(images)
+            remainder = residual.word_of(part)[p:]
+            new_images = list(residual.images)
             j = edge_index(part)
             new_images[j - 1] = remainder if is_forward(part) else reverse_word(remainder)
-            gen = Generator(rank, a=full, u=part)
-            yield t, "proper", (gen, tuple(new_images))
+            gen = Generator(residual.rank, a=full, u=part)
+            yield t, "proper", (gen, RoseMap(residual.rank, tuple(new_images)))
 
 
 def _finish_permutation(rank: int, images: tuple[Word, ...]) -> tuple[int, ...] | None:
@@ -431,10 +416,10 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
         if not failure:
             failure.append((step, description))
 
-    def search(images: tuple[Word, ...], gens: list[Generator], step: int) -> FoldDecomposition | None:
-        candidates = list(_fold_candidates(m.rank, images))
+    def search(residual: RoseMap, gens: list[Generator], step: int) -> FoldDecomposition | None:
+        candidates = list(_fold_candidates(residual))
         if not candidates:
-            perm = _finish_permutation(m.rank, images)
+            perm = _finish_permutation(residual.rank, residual.images)
             if perm is None:
                 note_failure(step, "residual map has no foldable turn but is not a homeomorphism; "
                                    "input is not a homotopy equivalence")
@@ -446,9 +431,9 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
             note_failure(step, f"maximal fold of turn {t} is {kind}; quotient would not be a rose")
             return None
         for _, _, data in proper:
-            gen, new_images = data
+            gen, folded = data
             gens.append(gen)
-            result = search(new_images, gens, step + 1)
+            result = search(folded, gens, step + 1)
             if result is not None:
                 return result
             gens.pop()
@@ -456,7 +441,7 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
         note_failure(step, f"every proper full fold from turn {t} onwards dead-ends")
         return None
 
-    result = search(m.images, [], 0)
+    result = search(m, [], 0)
     if result is None:
         step, description = failure[0] if failure else (0, "no decomposition found")
         raise NotProperFullFolds(step, description)
@@ -481,12 +466,6 @@ class IdealDecompositionReport:
         return (self.nonempty and self.generator_shapes and self.trivial_permutation
                 and self.composite_fixes_all_but_last_u and self.rotationless_proxy
                 and self.am_viii_a and self.am_viii_b)
-
-    def violated(self) -> list[str]:
-        names = ["nonempty", "generator_shapes", "trivial_permutation",
-                 "composite_fixes_all_but_last_u", "rotationless_proxy",
-                 "am_viii_a", "am_viii_b"]
-        return [n for n in names if not getattr(self, n)]
 
 
 def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionReport:

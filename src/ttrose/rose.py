@@ -9,7 +9,7 @@ edge path is just a sequence of direction letters.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Direction = int
 Turn = tuple[int, int]
@@ -25,10 +25,6 @@ def check_rank(rank: int) -> int:
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")
     return rank
-
-
-def num_directions(rank: int) -> int:
-    return 2 * rank
 
 
 def all_directions(rank: int) -> range:
@@ -69,10 +65,6 @@ def turn(d1: Direction, d2: Direction) -> Turn:
     if d1 == d2:
         raise ValueError(f"degenerate turn {{{d1},{d2}}}")
     return (d1, d2) if d1 < d2 else (d2, d1)
-
-
-def is_degenerate(d1: Direction, d2: Direction) -> bool:
-    return d1 == d2
 
 
 def reverse_word(word: Sequence[int]) -> Word:
@@ -184,10 +176,3 @@ def word_from_signed_ints(values: Iterable[int], rank: int) -> Word:
         out.append(d if v > 0 else bar(d))
     return tuple(out)
 
-
-def iter_turns(rank: int) -> Iterator[Turn]:
-    """All nondegenerate turns, in canonical order."""
-    n = 2 * rank
-    for d1 in range(1, n + 1):
-        for d2 in range(d1 + 1, n + 1):
-            yield (d1, d2)

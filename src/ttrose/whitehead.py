@@ -47,12 +47,6 @@ class WhiteheadGraph:
             es.add(ne)
         return WhiteheadGraph(vs, frozenset(es))
 
-    @staticmethod
-    def from_edges(edges: Iterable[Sequence[Vertex]]) -> "WhiteheadGraph":
-        es = [tuple(e) for e in edges]
-        vs = {u for e in es for u in e}
-        return WhiteheadGraph.build(vs, es)
-
     def degree(self, v: Vertex) -> int:
         return sum(1 for e in self.edges if v in e)
 
@@ -64,10 +58,6 @@ class WhiteheadGraph:
             elif b == v:
                 out.add(a)
         return out
-
-    def is_simplicial(self) -> bool:
-        # by construction: no loops, no multi-edges
-        return True
 
     def components(self) -> list[frozenset]:
         """Connected components, sorted for determinism."""
@@ -116,48 +106,6 @@ def _degree_profile(graph: WhiteheadGraph) -> dict:
         nd = tuple(sorted(degs[w] for w in graph.neighbors(v)))
         profile[v] = (degs[v], nd)
     return profile
-
-
-def are_isomorphic(g1: WhiteheadGraph, g2: WhiteheadGraph) -> bool:
-    """Label-forgetting graph isomorphism by pruned exhaustive search."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    p1, p2 = _degree_profile(g1), _degree_profile(g2)
-    if sorted(p1.values()) != sorted(p2.values()):
-        return False
-
-    # group target vertices by invariant; map source vertices in a fixed order
-    order = sorted(g1.vertices, key=lambda v: (p1[v], repr(v)))
-    candidates = {v: [w for w in g2.vertices if p2[w] == p1[v]] for v in order}
-    adj1 = {v: g1.neighbors(v) for v in g1.vertices}
-    adj2 = {v: g2.neighbors(v) for v in g2.vertices}
-
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in sorted(candidates[v], key=repr):
-            if w in used:
-                continue
-            ok = True
-            for v2, w2 in mapping.items():
-                if (v2 in adj1[v]) != (w2 in adj2[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return extend(0)
 
 
 def find_isomorphism(g1: WhiteheadGraph, g2: WhiteheadGraph) -> dict | None:

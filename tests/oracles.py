@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 
-from ttrose.ltt import LttStructure
+from ttrose.ltt import LttStructure, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
-from ttrose.rose import all_directions, bar, turn, turns_of
+from ttrose.moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
+from ttrose.rose import Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -94,6 +96,155 @@ def trapped_direction(G: LttStructure) -> int | None:
         if at[x] == {bar(x)}:
             return x
     return None
+
+
+# --- the admissible map checklist I-VII ------------------------------------
+#
+# The library decides admissibility by the moves alone (build_preliminary);
+# this is the property-by-property checklist that A7 holds them against.
+
+
+class InducedMapError(ValueError):
+    """No induced map of colored subgraphs exists for the triple."""
+
+
+class MissingImageEdge(InducedMapError):
+    def __init__(self, edge: Turn):
+        self.edge = edge
+        super().__init__(f"image edge {edge} does not exist in the destination")
+
+
+@dataclass(frozen=True)
+class InducedColoredMap:
+    vertex_map: tuple[int, ...]  # image of direction d at index d-1
+    edge_map: tuple[tuple[Turn, Turn], ...]
+
+    def vertex_image(self, d: int) -> int:
+        return self.vertex_map[d - 1]
+
+
+def induced_colored_map(t: GeneratingTriple) -> InducedColoredMap:
+    """The map of colored subgraphs induced by the triple's generator.
+
+    Vertices map by the direction map (u to a, everything else fixed);
+    every colored edge of the source must land on a colored edge of the
+    destination, and the purple parts must correspond isomorphically.
+    """
+    n = 2 * t.gen.rank
+    vm = list(range(1, n + 1))
+    vm[t.gen.u - 1] = t.gen.a
+
+    dest_pairs = t.dest.colored_pairs()
+    dest_purple = t.dest.purple_edges
+    edge_map: list[tuple[Turn, Turn]] = []
+    purple_images: list[Turn] = []
+    for x, y, color in sorted(t.source.colored):
+        ix, iy = vm[x - 1], vm[y - 1]
+        if ix == iy:
+            raise InducedMapError(f"colored edge ({x},{y}) maps degenerately")
+        image = turn(ix, iy)
+        if image not in dest_pairs:
+            raise MissingImageEdge(image)
+        edge_map.append(((x, y), image))
+        if color == "purple":
+            purple_images.append(image)
+
+    src_purple_vertices = t.source.purple_vertices
+    image_vertices = {vm[d - 1] for d in src_purple_vertices}
+    if image_vertices != t.dest.purple_vertices:
+        raise InducedMapError("purple vertices do not map onto the destination's")
+    if len(purple_images) != len(set(purple_images)):
+        raise InducedMapError("purple edges do not map injectively")
+    if set(purple_images) != set(dest_purple):
+        raise InducedMapError("purple edges do not map onto the destination's")
+    return InducedColoredMap(tuple(vm), tuple(edge_map))
+
+
+def _purple_maps_isomorphically(t: GeneratingTriple) -> bool:
+    try:
+        induced_colored_map(t)
+    except InducedMapError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class AmChecklist:
+    """Admissible map properties I-VII for a single triple.
+
+    Property VIII concerns a whole ideal decomposition loop and lives in
+    validate_ideal_decomposition.
+    """
+
+    i_birecurrent: bool
+    ii_unachieved_in_illegal_turn: bool
+    iii_red_placement: bool
+    iv_images_purple: bool
+    v_red_edge_unique_at_red_vertex: bool
+    vi_generator_shape: bool
+    vii_purple_isomorphism: bool
+
+    def all_pass(self) -> bool:
+        return all((self.i_birecurrent, self.ii_unachieved_in_illegal_turn,
+                    self.iii_red_placement, self.iv_images_purple,
+                    self.v_red_edge_unique_at_red_vertex, self.vi_generator_shape,
+                    self.vii_purple_isomorphism))
+
+
+def _red_edge_unique_at_red_vertex(G: LttStructure) -> bool:
+    reds = G.red_edges
+    if len(reds) != 1:
+        return False
+    at_red = [(u, v) for u, v, _ in G.colored if G.red_vertex in (u, v)]
+    return at_red == [reds[0]]
+
+
+def check_am(t: GeneratingTriple) -> AmChecklist:
+    gen, src, dst = t.gen, t.source, t.dest
+    i = is_birecurrent(src) and is_birecurrent(dst)
+    ii = src.red_vertex in (gen.u, gen.a)
+
+    try:
+        red_edge_dst = dst.red_edge
+    except ValueError:
+        red_edge_dst = None
+    placement = red_edge_dst == turn(gen.u, bar(gen.a)) if gen.a != bar(gen.u) else False
+    iii = dst.red_vertex == gen.u and placement
+
+    n = 2 * gen.rank
+    vm = list(range(1, n + 1))
+    vm[gen.u - 1] = gen.a
+    iv = True
+    for x, y, _ in src.colored:
+        ix, iy = vm[x - 1], vm[y - 1]
+        if ix == iy or turn(ix, iy) not in dst.purple_edges:
+            iv = False
+            break
+
+    v = _red_edge_unique_at_red_vertex(src) and _red_edge_unique_at_red_vertex(dst)
+    vi = gen.a not in (gen.u, bar(gen.u)) and iii
+    vii = _purple_maps_isomorphically(t)
+    return AmChecklist(i, ii, iii, iv, v, vi, vii)
+
+
+def is_admissible(t: GeneratingTriple) -> bool:
+    """True iff both structures are birecurrent and the triple is the
+    extension or switch determined by some purple edge of the destination."""
+    if not (is_birecurrent(t.source) and is_birecurrent(t.dest)):
+        return False
+    try:
+        dets = determining_edges(t.dest)
+    except ValueError:
+        return False
+    for det in dets:
+        for move in (extension, switch):
+            try:
+                candidate = move(t.dest, det)
+            except MoveRejected:
+                continue
+            if candidate == t:
+                return True
+    return False
 
 
 def naive_isomorphic(g1: WhiteheadGraph, g2: WhiteheadGraph) -> bool:

@@ -20,6 +20,8 @@ import pytest
 
 from oracles import (
     EXAMPLE_MAP,
+    check_am,
+    is_admissible,
     random_clean_composite,
     random_connected_graph,
     random_structure,
@@ -50,7 +52,7 @@ from ttrose.maps import (
     stable_whitehead_graph,
     stallings_fold_decomposition,
 )
-from ttrose.moves import MoveRejected, check_am, determining_edges, extension, is_admissible, switch
+from ttrose.moves import MoveRejected, determining_edges, extension, switch
 from ttrose.rose import bar, edge_index, turn
 
 A, A_, B, B_, C, C_ = 1, 2, 3, 4, 5, 6

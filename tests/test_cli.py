@@ -1,8 +1,14 @@
 """Command line behavior: reports, exit codes, artifact determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttrose.cli import main
 
@@ -61,6 +67,10 @@ def test_analyze_map_parse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze-map", str(path)])
     assert "line 1" in str(exc.value)
+    path.write_text('[3]')
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze-map", str(path)])
+    assert str(exc.value).startswith("error: bad rose map input")
 
 
 def test_check_graph_star(capsys):
@@ -81,8 +91,77 @@ def test_check_graph_flagged(tmp_path, capsys):
 
 def test_check_graph_invalid_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"edges": [[0, 1], [1, 2]]}))
-    assert main(["check-graph", str(path), "--rank", "3"]) == 2
+    for payload in ({"edges": [[0, 1], [1, 2]]}, {"edges": [[0, 1], [1, 1]]}, {"edges": 5},
+                    {"edges": [[0, 1, 2]]}, {"vertices": [0, 1]}, [[0, 1]]):
+        path.write_text(json.dumps(payload))
+        assert main(["check-graph", str(path), "--rank", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid target graph: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
+    for rank in ("0", "27"):
+        for argv in (["check-graph", "--star"], ["sweep"],
+                     ["export", "structures", "--star", "--out", str(tmp_path)],
+                     ["export", "catalog", "--out", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--rank", rank])
+            assert str(exc.value).startswith("error: rank ")
+            assert "\n" not in str(exc.value)
+    assert not list(tmp_path.iterdir())
+
+
+def test_map_ltt_without_structure_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps({"rank": 2, "images": {"a": "a", "b": "b"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "map-ltt", str(path), "--out", str(tmp_path)])
+    assert str(exc.value).startswith("error: expected exactly 1 nonperiodic direction")
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "map-ltt", "--out", str(tmp_path)])
+    assert str(exc.value) == "error: provide a rose map JSON file"
+
+
+_VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
+_EDGE = st.lists(_VERTEX, min_size=2, max_size=2) | st.lists(_VERTEX, max_size=3)
+_JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.sampled_from(["edges", "vertices", "x"]), inner,
+                                       max_size=2),
+                     max_leaves=6)
+_TARGET = (st.fixed_dictionaries({"edges": st.lists(st.sampled_from([[0, 1], [0, 2], [1, 2]]),
+                                                   min_size=1, max_size=3)})
+           | st.fixed_dictionaries({"edges": st.lists(_EDGE, max_size=5)},
+                                   optional={"vertices": st.lists(_VERTEX, max_size=4)})
+           | _JSON)
+
+
+@settings(max_examples=60, deadline=None)
+@given(target=_TARGET, rank=st.just(2) | st.sampled_from([-1, 0, 1, 3, 27]),
+       command=st.sampled_from([["check-graph"], ["export", "structures"],
+                                ["export", "diagram"], ["sweep"]]))
+def test_cli_fails_cleanly_on_random_input(target, rank, command):
+    # rank 2 targets run the whole pipeline; rank 3 only sweeps or rejects
+    # a target that is not on 5 vertices, so each call stays fast
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "target.json"
+        path.write_text(json.dumps(target))
+        argv = command + ([] if command == ["sweep"] else [str(path)])
+        argv += ["--rank", str(rank), "--out", str(Path(tmp) / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert isinstance(exc.code, str) and "\n" not in exc.code
+                code = 1
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("invalid target graph: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_check_graph_oracle_samples(capsys):

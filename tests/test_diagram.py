@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import assignment_oracle_structures
+from oracles import assignment_oracle_structures, check_am, is_admissible
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import (
     INCONCLUSIVE,
@@ -30,7 +30,6 @@ from ttrose.diagram import (
     verify_loop,
 )
 from ttrose.ltt import is_birecurrent
-from ttrose.moves import check_am, is_admissible
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -67,10 +66,14 @@ def test_star_enumeration_matches_assignment_oracle():
 
 
 def test_generic_enumeration_matches_assignment_oracle(catalog5):
-    for entry in (catalog5[1], catalog5[13], catalog5[6]):
+    for entry in catalog5:
         target = entry.graph()
         oracle = assignment_oracle_structures(target, 3)
         assert set(enumerate_structures(target, 3)) == oracle
+    # K5 with two pendants on one vertex: adjacent and non-adjacent twins
+    k5_2pend = WhiteheadGraph.build(
+        range(7), [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)])
+    assert set(enumerate_structures(k5_2pend, 4)) == assignment_oracle_structures(k5_2pend, 4)
 
 
 def test_star_raw_epp_classes():
@@ -96,6 +99,14 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
         assert e.source in node_set and e.dest in node_set
         assert is_admissible(e.triple)
         assert check_am(e.triple).all_pass()
+
+
+def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
+    nodes = enumerate_structures(catalog5[1].graph(), 3, admissible_only=True)
+    edge = next(e for e in build_preliminary(catalog5[1].graph(), 3, nodes=nodes).edges
+                if e.source != e.dest)
+    with pytest.raises(RuntimeError, match="admissible source missing"):
+        build_preliminary(catalog5[1].graph(), 3, nodes=[G for G in nodes if G != edge.source])
 
 
 def test_components_are_strongly_connected(squeeze):

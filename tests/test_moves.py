@@ -2,20 +2,16 @@
 
 import pytest
 
-from oracles import EXAMPLE_MAP
+from oracles import EXAMPLE_MAP, MissingImageEdge, check_am, induced_colored_map, is_admissible
 from ttrose.diagram import build_preliminary, enumerate_structures, star_target
 from ttrose.ltt import LttStructure, ltt_of_map
 from ttrose.maps import Generator
 from ttrose.moves import (
     GeneratingTriple,
-    MissingImageEdge,
     MoveRejected,
-    check_am,
     determining_edges,
     entering_generator,
     extension,
-    induced_colored_map,
-    is_admissible,
     switch,
 )
 from ttrose.rose import turn
