@@ -68,6 +68,10 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_json(path: Path, payload) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _load_json(source: str) -> dict:
     try:
         if source == "-":
@@ -153,14 +157,12 @@ def cmd_analyze_map(args) -> int:
     return 0
 
 
-def _artifact(args, diagram, stem: str) -> None:
-    out = _out_dir(args)
+def _artifact(out: Path | None, fmt: str | None, diagram, stem: str) -> None:
+    """The diagram's JSON and DOT under out, or only the one fmt names."""
     if out is None or diagram is None:
         return
-    fmt = getattr(args, "format", None)
     if fmt in (None, "json"):
-        _write(out / f"{stem}.json", json.dumps(diagram_to_json(diagram), indent=2,
-                                                sort_keys=True) + "\n")
+        _write_json(out / f"{stem}.json", diagram_to_json(diagram))
     if fmt in (None, "dot"):
         _write(out / f"{stem}.dot", diagram_to_dot(diagram, stem))
 
@@ -185,7 +187,7 @@ def cmd_check_graph(args) -> int:
     print(f"verdict: {result.verdict}")
     if args.oracle_samples:
         _oracle_check(target, args)
-    _artifact(args, result.diagram, f"diagram_r{args.rank}")
+    _artifact(_out_dir(args), args.format, result.diagram, f"diagram_r{args.rank}")
     return 0
 
 
@@ -240,9 +242,7 @@ def cmd_sweep(args) -> int:
     print(f"unachieved: {len(flagged)} of {len(rows)}")
     out = _out_dir(args)
     if out is not None:
-        payload = {"rank": args.rank, "results": rows}
-        _write(out / f"sweep_r{args.rank}.json",
-               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / f"sweep_r{args.rank}.json", {"rank": args.rank, "results": rows})
     return 0
 
 
@@ -254,9 +254,7 @@ def cmd_export(args) -> int:
         entries = connected_simplicial_graphs(2 * args.rank - 1)
         if args.format != "json":
             raise SystemExit("error: the catalog exports as json only")
-        payload = [e.to_json() for e in entries]
-        _write(out / f"catalog_n{2 * args.rank - 1}.json",
-               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(out / f"catalog_n{2 * args.rank - 1}.json", [e.to_json() for e in entries])
         return 0
     if args.what == "structures":
         target = _load_target(args)
@@ -264,21 +262,14 @@ def cmd_export(args) -> int:
                                           admissible_only=args.admissible_only)
         stem = f"structures_r{args.rank}" + ("_admissible" if args.admissible_only else "")
         if args.format == "json":
-            payload = [G.to_json() for G in structures]
-            _write(out / f"{stem}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            _write_json(out / f"{stem}.json", [G.to_json() for G in structures])
         else:
             text = "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures))
             _write(out / f"{stem}.dot", text)
         return 0
     if args.what == "diagram":
-        target = _load_target(args)
-        diagram = id_diagram(target, args.rank)
-        stem = f"diagram_r{args.rank}"
-        if args.format == "json":
-            _write(out / f"{stem}.json",
-                   json.dumps(diagram_to_json(diagram), indent=2, sort_keys=True) + "\n")
-        else:
-            _write(out / f"{stem}.dot", diagram_to_dot(diagram, stem))
+        _artifact(out, args.format, id_diagram(_load_target(args), args.rank),
+                  f"diagram_r{args.rank}")
         return 0
     if args.what == "map-ltt":
         if not args.input:
@@ -288,7 +279,7 @@ def cmd_export(args) -> int:
         except LttRegimeError as exc:
             raise SystemExit(f"error: {exc}")
         if args.format == "json":
-            _write(out / "ltt.json", json.dumps(G.to_json(), indent=2, sort_keys=True) + "\n")
+            _write_json(out / "ltt.json", G.to_json())
         else:
             _write(out / "ltt.dot", ltt_to_dot(G))
         return 0
@@ -348,6 +339,9 @@ def main(argv=None) -> int:
             check_rank(args.rank)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
+    for flag in ("max_loop_len", "oracle_samples"):
+        if getattr(args, flag, 0) < 0:
+            raise SystemExit(f"error: --{flag.replace('_', '-')} must be non-negative")
     try:
         return args.func(args)
     except InvalidTargetGraph as exc:

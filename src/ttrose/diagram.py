@@ -28,7 +28,7 @@ from .maps import (
     validate_ideal_decomposition,
 )
 from .moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
-from .rose import (Turn, all_directions, bar, check_rank, edge_index, format_direction,
+from .rose import (all_directions, bar, check_rank, edge_index, format_direction,
                    parse_direction, turn)
 from .whitehead import WhiteheadGraph
 
@@ -178,42 +178,28 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
     return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
 
 
-def epp_turn(sigma: Sequence[int], t: Turn) -> Turn:
-    return turn(sigma[t[0] - 1], sigma[t[1] - 1])
-
-
-def epp_min_form(G: LttStructure) -> tuple:
-    """Canonical key of the EPP orbit of a structure."""
-    return min(epp_structure(s, G).sort_key() for s in epp_elements(G.rank))
+def _epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:
+    """Indices of the node sets grouped by EPP orbit: two sets share a
+    class exactly when some element carries one onto the other.  Each set
+    is keyed by the least sorted key of its images; classes come in key
+    order."""
+    sigmas = epp_elements(rank)
+    classes: dict[tuple, list[int]] = {}
+    for i, nodes in enumerate(node_sets):
+        key = min(tuple(sorted(epp_structure(s, G).sort_key() for G in nodes)) for s in sigmas)
+        classes.setdefault(key, []).append(i)
+    return [v for _, v in sorted(classes.items())]
 
 
 def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[LttStructure]]:
     """Group structures into EPP orbits; classes and members canonically ordered."""
-    classes: dict[tuple, list[LttStructure]] = {}
-    for G in structures:
-        classes.setdefault(epp_min_form(G), []).append(G)
-    return [sorted(v, key=LttStructure.sort_key) for _, v in sorted(classes.items())]
+    if not structures:
+        return []
+    classes = _epp_orbits(structures[0].rank, [(G,) for G in structures])
+    return [sorted((structures[i] for i in c), key=LttStructure.sort_key) for c in classes]
 
 
 # --- the preliminary diagram and its strongly connected components --------
-
-
-@dataclass(frozen=True)
-class DiagramEdge:
-    triple: GeneratingTriple
-    kind: str  # "extension" | "switch"
-    det: Turn  # the determining purple edge in the destination
-
-    @property
-    def source(self) -> LttStructure:
-        return self.triple.source
-
-    @property
-    def dest(self) -> LttStructure:
-        return self.triple.dest
-
-    def sort_key(self):
-        return (self.source.sort_key(), self.dest.sort_key(), self.kind, self.det)
 
 
 @dataclass(frozen=True)
@@ -221,7 +207,7 @@ class PreliminaryDiagram:
     rank: int
     target: WhiteheadGraph
     nodes: tuple[LttStructure, ...]
-    edges: tuple[DiagramEdge, ...]
+    edges: tuple[GeneratingTriple, ...]  # each an extension or a switch
 
 
 def build_preliminary(target: WhiteheadGraph, rank: int,
@@ -232,10 +218,10 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
     if nodes is None:
         nodes = enumerate_structures(target, rank, admissible_only=True)
     node_set = set(nodes)
-    edges: list[DiagramEdge] = []
+    edges: list[GeneratingTriple] = []
     for dest in nodes:
         for det in determining_edges(dest):
-            for kind, move in (("extension", extension), ("switch", switch)):
+            for move in (extension, switch):
                 try:
                     t = move(dest, det)
                 except MoveRejected:
@@ -246,15 +232,17 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
                     if is_birecurrent(t.source):
                         raise RuntimeError("admissible source missing from the enumeration")
                     continue
-                edges.append(DiagramEdge(t, kind, det))
-    edges.sort(key=DiagramEdge.sort_key)
+                edges.append(t)
+    # the generator is the one entering dest, and the two moves and the
+    # determining edges give distinct sources, so (source, dest) is unique
+    edges.sort(key=lambda t: (t.source.sort_key(), t.dest.sort_key()))
     return PreliminaryDiagram(rank, target, tuple(nodes), tuple(edges))
 
 
 @dataclass(frozen=True)
 class DiagramComponent:
     nodes: tuple[LttStructure, ...]
-    edges: tuple[DiagramEdge, ...]
+    edges: tuple[GeneratingTriple, ...]
 
     @property
     def red_label_census(self) -> frozenset[int]:
@@ -281,21 +269,26 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     preliminary diagram (keeping components that carry at least one edge)."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
-    index = {G: i for i, G in enumerate(preliminary.nodes)}
-    arcs: list[list[int]] = [[] for _ in preliminary.nodes]
-    for e in preliminary.edges:
-        arcs[index[e.source]].append(index[e.dest])
-    components = []
-    for comp in tarjan_scc(len(preliminary.nodes), arcs):
-        comp_set = set(comp)
-        comp_edges = tuple(e for e in preliminary.edges
-                           if index[e.source] in comp_set and index[e.dest] in comp_set)
-        if not comp_edges:
-            continue
-        comp_nodes = tuple(sorted((preliminary.nodes[i] for i in comp),
-                                  key=LttStructure.sort_key))
-        components.append(DiagramComponent(comp_nodes, comp_edges))
-    components.sort(key=DiagramComponent.sort_key)
+    nodes = preliminary.nodes
+    index = {G: i for i, G in enumerate(nodes)}
+    ends = [(index[e.source], index[e.dest]) for e in preliminary.edges]
+    arcs: list[list[int]] = [[] for _ in nodes]
+    for i, j in ends:
+        arcs[i].append(j)
+    sccs = tarjan_scc(len(nodes), arcs)
+    scc_of = [0] * len(nodes)
+    for k, comp in enumerate(sccs):
+        for i in comp:
+            scc_of[i] = k
+    scc_edges: list[list[GeneratingTriple]] = [[] for _ in sccs]
+    for e, (i, j) in zip(preliminary.edges, ends):
+        if scc_of[i] == scc_of[j]:
+            scc_edges[scc_of[i]].append(e)
+    components = sorted(
+        (DiagramComponent(tuple(sorted((nodes[i] for i in comp), key=LttStructure.sort_key)),
+                          tuple(comp_edges))
+         for comp, comp_edges in zip(sccs, scc_edges) if comp_edges),
+        key=DiagramComponent.sort_key)
     return IdDiagram(rank, target, preliminary, tuple(components))
 
 
@@ -314,36 +307,20 @@ def irreducibility_potential_test(diagram: IdDiagram) -> IpTestResult:
     return IpTestResult(verdicts, not any(verdicts))
 
 
-def _epp_edge(sigma: Sequence[int], e: DiagramEdge) -> DiagramEdge:
-    gen = Generator(e.triple.gen.rank, a=sigma[e.triple.gen.a - 1], u=sigma[e.triple.gen.u - 1])
-    t = GeneratingTriple(gen, epp_structure(sigma, e.source), epp_structure(sigma, e.dest))
-    return DiagramEdge(t, e.kind, epp_turn(sigma, e.det))
-
-
-def _epp_component(sigma: Sequence[int], comp: DiagramComponent) -> DiagramComponent:
-    nodes = tuple(sorted((epp_structure(sigma, G) for G in comp.nodes),
-                         key=LttStructure.sort_key))
-    edges = tuple(sorted((_epp_edge(sigma, e) for e in comp.edges), key=DiagramEdge.sort_key))
-    return DiagramComponent(nodes, edges)
-
-
 def epp_classes(diagram: IdDiagram) -> list[list[int]]:
-    """Indices of EPP-isomorphic components, grouped; the same permutation
-    must carry every node and edge of one component onto the other."""
-    sigmas = epp_elements(diagram.rank)
-    keys = []
-    for comp in diagram.components:
-        keys.append(min(_epp_component(s, comp).sort_key() for s in sigmas))
-    classes: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        classes.setdefault(key, []).append(i)
-    return [v for _, v in sorted(classes.items())]
+    """Indices of EPP-isomorphic components, grouped by the EPP orbit of
+    their node sets.  The edges follow: a component's edges are the
+    preliminary edges between its nodes, and the diagram commutes with EPP,
+    so a permutation carrying one node set onto another carries the edges
+    too."""
+    return _epp_orbits(diagram.rank, [comp.nodes for comp in diagram.components])
 
 
 # --- loops -----------------------------------------------------------------
 
 
-def find_loops(diagram: IdDiagram, node: LttStructure, max_len: int) -> list[tuple[DiagramEdge, ...]]:
+def find_loops(diagram: IdDiagram, node: LttStructure,
+               max_len: int) -> list[tuple[GeneratingTriple, ...]]:
     """Closed edge paths based at a node, up to the given length."""
     comp = None
     for c in diagram.components:
@@ -352,12 +329,12 @@ def find_loops(diagram: IdDiagram, node: LttStructure, max_len: int) -> list[tup
             break
     if comp is None:
         return []
-    out_edges: dict[LttStructure, list[DiagramEdge]] = {}
+    out_edges: dict[LttStructure, list[GeneratingTriple]] = {}
     for e in comp.edges:
         out_edges.setdefault(e.source, []).append(e)
-    loops: list[tuple[DiagramEdge, ...]] = []
+    loops: list[tuple[GeneratingTriple, ...]] = []
 
-    def walk(current: LttStructure, path: list[DiagramEdge]) -> None:
+    def walk(current: LttStructure, path: list[GeneratingTriple]) -> None:
         if path and current == node:
             loops.append(tuple(path))
         if len(path) >= max_len:
@@ -383,7 +360,7 @@ class LoopReport:
         return self.train_track and self.ideal.ok and self.basepoint_matches
 
 
-def verify_loop(diagram: IdDiagram, edges: Sequence[DiagramEdge]) -> LoopReport:
+def verify_loop(diagram: IdDiagram, edges: Sequence[GeneratingTriple]) -> LoopReport:
     """Compose the loop's generators and check the composite: train track,
     ideal decomposition clauses (including the loop-level property VIII and
     the rotationless proxy), and that its structure is the basepoint."""
@@ -395,7 +372,7 @@ def verify_loop(diagram: IdDiagram, edges: Sequence[DiagramEdge]) -> LoopReport:
     if edges[-1].dest != edges[0].source:
         raise ValueError("edge sequence is not closed")
     rank = diagram.rank
-    gens = tuple(e.triple.gen for e in edges)
+    gens = tuple(e.gen for e in edges)
     dec = FoldDecomposition(rank, gens, identity_permutation(rank))
     composite = dec.compose_all()
     details: list[str] = []
@@ -463,8 +440,7 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
                 "source": node_index[e.source],
                 "dest": node_index[e.dest],
                 "kind": e.kind,
-                "gen": {"a": format_direction(e.triple.gen.a),
-                        "u": format_direction(e.triple.gen.u)},
+                "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
                 "det": [format_direction(e.det[0]), format_direction(e.det[1])],
             }
             for e in prelim.edges
@@ -482,26 +458,17 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> IdDiagram:
+    """The diagram of its nodes and edges; the edges' "kind" and "det" and
+    the "components" are derived, so they are written but not read."""
     rank = int(data["rank"])
     target = target_from_json(data["target"])
     nodes = tuple(LttStructure.from_json(d) for d in data["nodes"])
-    edges = []
-    for e in data["edges"]:
-        a = parse_direction(e["gen"]["a"], rank)
-        u = parse_direction(e["gen"]["u"], rank)
-        det = turn(parse_direction(e["det"][0], rank), parse_direction(e["det"][1], rank))
-        triple = GeneratingTriple(Generator(rank, a=a, u=u),
-                                  nodes[e["source"]], nodes[e["dest"]])
-        edges.append(DiagramEdge(triple, e["kind"], det))
-    prelim = PreliminaryDiagram(rank, target, nodes, tuple(edges))
-    components = []
-    for c in data["components"]:
-        comp_nodes = tuple(nodes[i] for i in c["nodes"])
-        comp_set = set(comp_nodes)
-        comp_edges = tuple(e for e in prelim.edges
-                           if e.source in comp_set and e.dest in comp_set)
-        components.append(DiagramComponent(comp_nodes, comp_edges))
-    return IdDiagram(rank, target, prelim, tuple(components))
+    edges = tuple(
+        GeneratingTriple(Generator(rank, a=parse_direction(e["gen"]["a"], rank),
+                                   u=parse_direction(e["gen"]["u"], rank)),
+                         nodes[e["source"]], nodes[e["dest"]])
+        for e in data["edges"])
+    return id_diagram(target, rank, PreliminaryDiagram(rank, target, nodes, edges))
 
 
 def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram",
@@ -526,7 +493,7 @@ def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram",
             shown_nodes.extend(comp.nodes)
             shown_edges.extend(comp.edges)
     for e in shown_edges:
-        label = f"{e.kind[:3]} {e.triple.gen}"
+        label = f"{e.kind[:3]} {e.gen}"
         lines.append(f'  "{_node_id(e.source)}" -> "{_node_id(e.dest)}" [label="{label}"];')
     lines.append("}")
     legend = [f"// {_node_id(G)} = {G}" for G in shown_nodes]

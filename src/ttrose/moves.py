@@ -38,6 +38,13 @@ class GeneratingTriple:
             return "switch"
         return None
 
+    @property
+    def det(self) -> Turn:
+        """The destination's determining purple edge that yields this
+        triple: from the twice-achieved direction to the purple end of the
+        source's red edge (the endpoint both moves attach the red edge to)."""
+        return turn(self.dest.twice_achieved, self.source.attach_vertex)
+
 
 def entering_generator(G: LttStructure) -> Generator:
     """The generator determined by the red vertex and red edge of G:

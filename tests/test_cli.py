@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, artifact determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -113,6 +114,14 @@ def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_negative_counts_are_one_line_errors(capsys):
+    for flag in ("--oracle-samples", "--max-loop-len"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-graph", "--star", "--rank", "3", flag, "-1"])
+        assert str(exc.value) == f"error: {flag} must be non-negative"
+    assert capsys.readouterr().out == ""
+
+
 def test_map_ltt_without_structure_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text(json.dumps({"rank": 2, "images": {"a": "a", "b": "b"}}))
@@ -180,8 +189,13 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
                      "--format", "json", "--out", str(out)]) == 0
         assert main(["export", "diagram", str(graph), "--rank", "3",
                      "--format", "dot", "--out", str(out)]) == 0
-    for name in ("diagram_r3.json", "diagram_r3.dot"):
+    pinned = {
+        "diagram_r3.json": "a330872810c0749a7b64647b7c8ebadc4ae25cbf9838b411d6bb78734922768c",
+        "diagram_r3.dot": "8d983924d00ed05551f12b2535bac603f3934d7eaf5cc1cf4dbfb8fd3cd61be6",
+    }
+    for name, digest in pinned.items():
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest
 
 
 def test_export_structures_and_catalog(tmp_path, capsys):

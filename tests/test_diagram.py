@@ -1,6 +1,7 @@
 """Structure enumeration, the preliminary and ID diagrams, the
 irreducibility potential test, EPP reduction, and loop verification."""
 
+import itertools
 import json
 import random
 
@@ -30,6 +31,8 @@ from ttrose.diagram import (
     verify_loop,
 )
 from ttrose.ltt import is_birecurrent
+from ttrose.maps import Generator
+from ttrose.moves import extension, switch
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -97,8 +100,10 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
     assert prelim.edges
     for e in prelim.edges:
         assert e.source in node_set and e.dest in node_set
-        assert is_admissible(e.triple)
-        assert check_am(e.triple).all_pass()
+        assert is_admissible(e)
+        assert check_am(e).all_pass()
+        assert {"extension": extension, "switch": switch}[e.kind](e.dest, e.det) == e
+    assert len({(e.source, e.dest) for e in prelim.edges}) == len(prelim.edges)
 
 
 def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
@@ -170,7 +175,7 @@ def test_verdict_is_invariant_under_target_relabeling(catalog5):
 
 def test_diagram_commutes_with_epp(squeeze):
     prelim = squeeze["G5.02"].diagram.preliminary
-    edges = {(e.source, e.dest, e.triple.gen.a, e.triple.gen.u, e.kind, e.det)
+    edges = {(e.source, e.dest, e.gen.a, e.gen.u, e.kind, e.det)
              for e in prelim.edges}
     for sigma in epp_elements(3)[:6]:
         mapped = {(epp_structure(sigma, s), epp_structure(sigma, d),
@@ -187,6 +192,38 @@ def test_flagged_graph_component_shapes(squeeze):
     assert all(len(c.red_label_census) == 2 and len(c.pairs_covered()) == 2
                for c in mid.components)
     assert len(epp_classes(mid)) == 1
+
+
+def _epp_carries(sigma, comp, other) -> bool:
+    """sigma maps the nodes and the edges (source, dest, gen) of comp onto other's."""
+    if {epp_structure(sigma, G) for G in comp.nodes} != set(other.nodes):
+        return False
+    mapped = {(epp_structure(sigma, e.source), epp_structure(sigma, e.dest),
+               Generator(e.gen.rank, a=sigma[e.gen.a - 1], u=sigma[e.gen.u - 1]))
+              for e in comp.edges}
+    return mapped == {(e.source, e.dest, e.gen) for e in other.edges}
+
+
+@pytest.mark.parametrize("gid, num_components, num_classes",
+                         [("G5.02", 12, 1), ("G5.11", 16, 2)])
+def test_epp_classes_match_full_component_isomorphism(catalog5, gid, num_components,
+                                                      num_classes):
+    # classes keyed by node orbits agree with the full check on nodes and edges
+    entry = next(e for e in catalog5 if e.id == gid)
+    diagram = target_verdict(entry.graph(), 3).diagram
+    comps = diagram.components
+    classes = epp_classes(diagram)
+    assert (len(comps), len(classes)) == (num_components, num_classes)
+    assert sorted(i for c in classes for i in c) == list(range(len(comps)))
+    sigmas = epp_elements(3)
+    for cls in classes:
+        first = comps[cls[0]]
+        for i in cls:
+            assert any(_epp_carries(s, first, comps[i]) for s in sigmas)
+    for c1, c2 in itertools.combinations(classes, 2):
+        nodes2 = set(comps[c2[0]].nodes)
+        assert not any({epp_structure(s, G) for G in comps[c1[0]].nodes} == nodes2
+                       for s in sigmas)
 
 
 def test_loops_and_reports(squeeze):
@@ -246,7 +283,7 @@ def test_example_decomposition_realizes_a_diagram_loop():
     diagram = id_diagram(target, 3)
     by_key = {}
     for e in diagram.preliminary.edges:
-        by_key.setdefault((e.source, e.dest, e.triple.gen), []).append(e)
+        by_key.setdefault((e.source, e.dest, e.gen), []).append(e)
     loop = []
     for k in range(1, n + 1):
         matches = by_key.get((structures[k - 1], structures[k], gens[k - 1]))

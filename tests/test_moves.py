@@ -168,9 +168,9 @@ def test_purple_edges_map_injectively_on_diagram_edges():
     prelim = build_preliminary(target, 3)
     assert prelim.edges
     for e in prelim.edges:
-        induced = induced_colored_map(e.triple)  # raises if not injective/onto
+        induced = induced_colored_map(e)  # raises if not injective/onto
         purple_images = [img for (src, img) in induced.edge_map
-                         if src in e.triple.source.purple_edges]
+                         if src in e.source.purple_edges]
         assert len(purple_images) == len(set(purple_images))
 
 
