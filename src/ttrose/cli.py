@@ -2,9 +2,10 @@
 export artifacts.
 
 Exit codes: 0 when a verdict or report was produced, 2 for an invalid
-target graph, 1 for other input errors.  Output is deterministic given
-identical inputs.  Artifacts land in --out, falling back to the
-TTROSE_CACHE_DIR environment variable when set.
+target graph, 1 for other input errors and for a disagreement with the
+birecurrency oracle.  Output is deterministic given identical inputs.
+Artifacts land in --out, falling back to the TTROSE_CACHE_DIR
+environment variable when set.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .catalog import connected_simplicial_graphs
 from .diagram import (
     INCONCLUSIVE,
     InvalidTargetGraph,
+    check_target_rank,
     diagram_to_dot,
     diagram_to_json,
     enumerate_structures,
@@ -51,7 +53,7 @@ from .maps import (
     stable_whitehead_graph,
     stallings_fold_decomposition,
 )
-from .rose import check_rank, format_direction
+from .rose import format_direction
 from .whitehead import WhiteheadGraph, index_list
 
 
@@ -185,10 +187,9 @@ def cmd_check_graph(args) -> int:
         if args.max_loop_len:
             _report_loops(result.diagram, args.max_loop_len)
     print(f"verdict: {result.verdict}")
-    if args.oracle_samples:
-        _oracle_check(target, args)
+    agree = _oracle_check(target, args) if args.oracle_samples else True
     _artifact(_out_dir(args), args.format, result.diagram, f"diagram_r{args.rank}")
-    return 0
+    return 0 if agree else 1
 
 
 def _report_loops(diagram, max_len: int) -> None:
@@ -200,7 +201,8 @@ def _report_loops(diagram, max_len: int) -> None:
               f"at its first node; {ok} fully ideal")
 
 
-def _oracle_check(target, args) -> None:
+def _oracle_check(target, args) -> bool:
+    """Does is_birecurrent agree with the brute-force oracle on the samples?"""
     structures = enumerate_structures(target, args.rank)
     rng = random.Random(args.seed)
     samples = structures if len(structures) <= args.oracle_samples \
@@ -209,6 +211,7 @@ def _oracle_check(target, args) -> None:
     print(f"birecurrency oracle agreement: {len(samples) - len(bad)}/{len(samples)}")
     if bad:
         print("DISAGREEMENT on:", bad[0])
+    return not bad
 
 
 def cmd_sweep(args) -> int:
@@ -336,7 +339,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "rank", None) is not None:
         try:
-            check_rank(args.rank)
+            check_target_rank(args.rank)
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
     for flag in ("max_loop_len", "oracle_samples"):

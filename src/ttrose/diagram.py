@@ -28,8 +28,8 @@ from .maps import (
     validate_ideal_decomposition,
 )
 from .moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
-from .rose import (all_directions, bar, check_rank, edge_index, format_direction,
-                   parse_direction, turn)
+from .rose import (MAX_RANK, all_directions, bar, check_rank, edge_index,
+                   format_direction, parse_direction, turn)
 from .whitehead import WhiteheadGraph
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
@@ -41,8 +41,16 @@ class InvalidTargetGraph(ValueError):
     """The candidate graph is not connected, simplicial, on 2r-1 vertices."""
 
 
+def check_target_rank(rank: int) -> int:
+    """The rank, if candidate targets live there: at rank 1 the target is
+    a lone vertex with nothing to realize, so any verdict is vacuous."""
+    if check_rank(rank) < 2:
+        raise ValueError(f"rank {rank} has no candidate target graphs, use 2 to {MAX_RANK}")
+    return rank
+
+
 def validate_target(target: WhiteheadGraph, rank: int) -> None:
-    check_rank(rank)
+    check_target_rank(rank)
     expected = 2 * rank - 1
     if len(target.vertices) != expected:
         raise InvalidTargetGraph(

@@ -5,14 +5,16 @@ local Whitehead graph on the 2r direction labels: 2r-1 purple vertices,
 one red vertex, colored edges purple or red.  Smooth paths alternate
 between black and colored edges; a structure is birecurrent when one
 smooth biinfinite line can cross every edge infinitely often in both
-directions, which we decide through the strongly connected components
-of the transition digraph on directed edges (guarded by a brute-force
-covering-cycle search).
+directions.  We decide it through the strongly connected components of
+the digraph H on the 2r directions, with an arc u -> bar(w) for each
+colored edge {u, w} traversed u -> w: the transition digraph on
+directed edges, with each colored edge contracted into the black edge
+that follows it.  A brute-force covering-cycle search on the full
+transition digraph is the oracle it is tested against.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -223,10 +225,13 @@ def ltt_of_map(m: RoseMap) -> LttStructure:
 
 # --- transition digraph and birecurrency --------------------------------
 #
-# Nodes are directed versions of every edge (black and colored); an arc
-# e -> f exists when head(e) = tail(f), exactly one of e, f is black,
-# and f is not the reverse of e.  A smooth non-backtracking path is
-# exactly a walk in this digraph.
+# The transition digraph has the directed versions of every edge (black
+# and colored) as nodes; an arc e -> f exists when head(e) = tail(f),
+# exactly one of e, f is black, and f is not the reverse of e.  A smooth
+# non-backtracking path is exactly a walk in it.  Every colored node has
+# one successor, so is_birecurrent works on the contraction H, one node
+# per direction (the black edge entered there); the full digraph serves
+# only brute_force_birecurrent, the oracle H is checked against.
 
 
 @dataclass(frozen=True)
@@ -244,35 +249,16 @@ class TransitionDigraph:
 def transition_digraph(G: LttStructure) -> TransitionDigraph:
     edges = tuple(G.all_edges())
     nodes = tuple((i, o) for i in range(len(edges)) for o in (0, 1))
-    index = {node: k for k, node in enumerate(nodes)}
-
-    def tail(node):
-        edge_id, orient = node
-        u, v, _ = edges[edge_id]
-        return u if orient == 0 else v
-
-    def head(node):
-        edge_id, orient = node
-        u, v, _ = edges[edge_id]
-        return v if orient == 0 else u
-
+    ends = [edges[i][:2] if o == 0 else edges[i][1::-1] for i, o in nodes]  # (tail, head)
     by_tail: dict[int, list[int]] = {}
-    for k, node in enumerate(nodes):
-        by_tail.setdefault(tail(node), []).append(k)
-
-    arcs = []
-    for k, node in enumerate(nodes):
-        edge_id, orient = node
-        out = []
-        for k2 in by_tail.get(head(node), ()):
-            edge_id2, orient2 = nodes[k2]
-            if (edges[edge_id][2] == BLACK) == (edges[edge_id2][2] == BLACK):
-                continue  # smooth paths alternate black/colored
-            if edge_id2 == edge_id and orient2 != orient:
-                continue  # no immediate backtracking
-            out.append(k2)
-        arcs.append(tuple(out))
-    return TransitionDigraph(edges, nodes, tuple(arcs))
+    for k, (tail, _) in enumerate(ends):
+        by_tail.setdefault(tail, []).append(k)
+    black = [edges[i][2] == BLACK for i, _ in nodes]
+    # smooth paths alternate black/colored and never backtrack at once
+    arcs = tuple(tuple(k2 for k2 in by_tail.get(ends[k][1], ())
+                       if black[k2] != black[k] and nodes[k2] != (i, 1 - o))
+                 for k, (i, o) in enumerate(nodes))
+    return TransitionDigraph(edges, nodes, arcs)
 
 
 def tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -322,38 +308,39 @@ def tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]
     return sccs
 
 
-@dataclass(frozen=True)
-class BirecurrencyResult:
-    ok: bool
-    witness: tuple[tuple[int, int, str], ...] | None  # directed edges of a
-    # covering strongly connected component: (u, v, kind) traversed u -> v
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@functools.lru_cache(maxsize=None)
-def birecurrency(G: LttStructure) -> BirecurrencyResult:
-    """A structure is birecurrent iff some strongly connected component of
-    the transition digraph (with at least one arc) covers every edge."""
-    td = transition_digraph(G)
-    num_edges = len(td.edges)
-    for comp in tarjan_scc(len(td.nodes), td.arcs):
-        if len(comp) < 2:
-            continue  # a lone directed edge supports no biinfinite line
-        covered = {td.nodes[k][0] for k in comp}
-        if len(covered) == num_edges:
-            witness = []
-            for k in sorted(comp):
-                edge_id, orient = td.nodes[k]
-                u, v, kind = td.edges[edge_id]
-                witness.append((u, v, kind) if orient == 0 else (v, u, kind))
-            return BirecurrencyResult(True, tuple(witness))
-    return BirecurrencyResult(False, None)
-
-
 def is_birecurrent(G: LttStructure) -> bool:
-    return birecurrency(G).ok
+    """Decide birecurrency on the digraph H of directions.
+
+    In the transition digraph, a colored edge u -> w has one successor,
+    the black edge w -> bar(w), and a black edge entering h has as
+    successors the colored edges leaving h; the no-backtracking rule
+    never fires, because consecutive edges alternate black and colored.
+    Contracting each colored node into its successor leaves H: node h
+    is the black edge entered at h, and each colored {u, w} gives the
+    arcs u -> bar(w) and w -> bar(u).  G is birecurrent iff some strongly
+    connected component S of H has an internal arc (a self-loop counts)
+    and covers every edge: d or bar(d) in S for each bar pair, and
+    u, bar(w) in S or w, bar(u) in S for each colored {u, w}.
+    """
+    n = 2 * G.rank  # direction d is node d - 1, so bar is xor 1
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    needs = []
+    for u, w, _ in G.colored:
+        if not (1 <= u <= n and 1 <= w <= n):
+            return False  # an edge off the rose lies on no smooth cycle
+        u, w = u - 1, w - 1
+        arcs[u].append(w ^ 1)
+        arcs[w].append(u ^ 1)
+        needs.append((1 << u | 1 << (w ^ 1), 1 << w | 1 << (u ^ 1)))
+    evens = ((1 << n) - 1) // 3  # one bit per bar pair
+    for comp in tarjan_scc(n, arcs):
+        if len(comp) == 1 and comp[0] not in arcs[comp[0]]:
+            continue  # a lone black edge supports no biinfinite line
+        S = sum(1 << h for h in comp)
+        if ((S | S >> 1) & evens) == evens and all(
+                S & a == a or S & b == b for a, b in needs):
+            return True
+    return False
 
 
 def brute_force_birecurrent(G: LttStructure, bound: int | None = None) -> bool:

@@ -103,7 +103,7 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
 
 
 def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
-    for rank in ("0", "27"):
+    for rank in ("0", "1", "27"):
         for argv in (["check-graph", "--star"], ["sweep"],
                      ["export", "structures", "--star", "--out", str(tmp_path)],
                      ["export", "catalog", "--out", str(tmp_path)]):
@@ -112,6 +112,14 @@ def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
             assert str(exc.value).startswith("error: rank ")
             assert "\n" not in str(exc.value)
     assert not list(tmp_path.iterdir())
+
+
+def test_rank_1_maps_are_still_analyzed(tmp_path, capsys):
+    # rank 1 has no candidate target graph, but a rank-1 map is a map
+    path = tmp_path / "r1.json"
+    path.write_text(json.dumps({"rank": 1, "images": {"a": "a"}}))
+    assert main(["analyze-map", str(path)]) == 0
+    assert "train track: yes" in capsys.readouterr().out
 
 
 def test_negative_counts_are_one_line_errors(capsys):
@@ -178,6 +186,16 @@ def test_check_graph_oracle_samples(capsys):
                  "--oracle-samples", "30", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "birecurrency oracle agreement: 30/30" in out
+
+
+def test_oracle_disagreement_exits_1(monkeypatch, capsys):
+    import ttrose.cli
+    monkeypatch.setattr(ttrose.cli, "is_birecurrent", lambda G: True)  # wrong on every star
+    assert main(["check-graph", "--star", "--rank", "3", "--oracle-samples", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "birecurrency oracle agreement: 0/5" in out
+    assert "DISAGREEMENT on: ltt(rank=3" in out
+    assert "verdict: UnachievedByBirecurrency" in out
 
 
 def test_artifacts_are_deterministic(tmp_path, capsys):

@@ -47,6 +47,14 @@ def squeeze(catalog5):
     return {e.id: target_verdict(e.graph(), 3) for e in catalog5[:4]}
 
 
+def test_rank_1_has_no_target_graphs():
+    # one vertex, no edges: a verdict there would be vacuous, so it is refused
+    with pytest.raises(ValueError, match="^rank 1 has no candidate target graphs") as exc:
+        validate_target(WhiteheadGraph.build([0], []), 1)
+    assert not isinstance(exc.value, InvalidTargetGraph)  # a rank error, not a graph error
+    validate_target(star_target(2), 2)
+
+
 def test_target_validation():
     with pytest.raises(InvalidTargetGraph):
         validate_target(WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]), 3)

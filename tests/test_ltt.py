@@ -1,15 +1,21 @@
 """Lamination train track structures, their validation, and birecurrency."""
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import EXAMPLE_MAP, random_connected_graph, random_structure, trapped_direction
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import epp_elements, epp_structure, star_target, enumerate_structures
 from ttrose.ltt import (
     BLACK,
+    PURPLE,
+    RED,
     LttRegimeError,
     LttStructure,
     brute_force_birecurrent,
@@ -172,6 +178,47 @@ def test_oracle_agreement_on_random_rank3_structures(seed):
     for _ in range(25):
         G = random_structure(rng, target, 3)
         assert is_birecurrent(G) == brute_force_birecurrent(G)
+
+
+@st.composite
+def _colored_sets(draw):
+    """Any structure at ranks 1-4 whose colored pairs u < w lie on the
+    rose: valid or not, with any number of red edges."""
+    rank = draw(st.integers(1, 4))
+    n = 2 * rank
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
+    edges = draw(st.lists(st.tuples(pair, st.sampled_from([PURPLE, RED])), max_size=n + 2))
+    colored = frozenset((u, w, c) for (u, w), c in edges)
+    sigma = draw(st.sampled_from(epp_elements(rank)))
+    return LttStructure(rank, draw(st.integers(1, n)), colored), sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(_colored_sets())
+@example((LttStructure(1, 1, frozenset()), (1, 2)))  # no colored edge: no arc in H
+@example((LttStructure(3, 2, frozenset()), (1, 2, 3, 4, 5, 6)))
+@example((LttStructure(1, 1, frozenset({(1, 2, RED)})), (2, 1)))  # H has a self-loop
+@example((LttStructure(2, 3, frozenset({(3, 4, RED), (1, 2, PURPLE), (1, 3, PURPLE)})),
+          (3, 4, 1, 2)))  # red edge on a bar pair
+@example((LttStructure(2, 1, frozenset({(1, 3, RED), (1, 4, RED), (2, 3, PURPLE),
+                                        (2, 4, PURPLE)})), (2, 1, 4, 3)))  # several reds
+@example((ltt_of_map(EXAMPLE_MAP), (3, 4, 6, 5, 1, 2)))
+def test_birecurrency_matches_oracle_on_any_colored_set(case):
+    G, sigma = case
+    verdict = is_birecurrent(G)
+    assert verdict == brute_force_birecurrent(G), str(G)
+    assert is_birecurrent(epp_structure(sigma, G)) == verdict
+
+
+def test_birecurrency_retains_no_structure():
+    # long sweeps must not grow memory: nothing outlives the calls
+    target = next(e.graph() for e in connected_simplicial_graphs(5) if e.id == "G5.02")
+    structures = enumerate_structures(target, 3)
+    assert sum(map(is_birecurrent, structures)) > 0
+    refs = [weakref.ref(G) for G in structures]
+    del structures
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_map_structures_are_valid_and_carry_the_stable_graph():
