@@ -250,8 +250,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.format not in ("dot", "json"):
-        raise SystemExit(f"error: unknown format {args.format!r}")
+    if args.what == "map-ltt" and args.rank is not None:
+        raise SystemExit("error: export map-ltt takes its rank from the map, drop --rank")
+    if args.rank is None:
+        args.rank = 3
     out = _out_dir(args) or Path(".")
     if args.what == "catalog":
         entries = connected_simplicial_graphs(2 * args.rank - 1)
@@ -326,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("diagram", "structures", "catalog", "map-ltt"))
     p.add_argument("input", nargs="?", help="input file for graph/map based exports")
     p.add_argument("--star", action="store_true")
-    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--rank", type=int,
+                   help="rank of the target (default 3); map-ltt reads it from the map")
     p.add_argument("--admissible-only", action="store_true",
                    help="restrict structure exports to birecurrent structures")
     p.add_argument("--format", choices=("dot", "json"), default="json")

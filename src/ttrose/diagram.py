@@ -186,27 +186,6 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
     return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
 
 
-def _epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:
-    """Indices of the node sets grouped by EPP orbit: two sets share a
-    class exactly when some element carries one onto the other.  Each set
-    is keyed by the least sorted key of its images; classes come in key
-    order."""
-    sigmas = epp_elements(rank)
-    classes: dict[tuple, list[int]] = {}
-    for i, nodes in enumerate(node_sets):
-        key = min(tuple(sorted(epp_structure(s, G).sort_key() for G in nodes)) for s in sigmas)
-        classes.setdefault(key, []).append(i)
-    return [v for _, v in sorted(classes.items())]
-
-
-def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[LttStructure]]:
-    """Group structures into EPP orbits; classes and members canonically ordered."""
-    if not structures:
-        return []
-    classes = _epp_orbits(structures[0].rank, [(G,) for G in structures])
-    return [sorted((structures[i] for i in c), key=LttStructure.sort_key) for c in classes]
-
-
 # --- the preliminary diagram and its strongly connected components --------
 
 
@@ -316,12 +295,24 @@ def irreducibility_potential_test(diagram: IdDiagram) -> IpTestResult:
 
 
 def epp_classes(diagram: IdDiagram) -> list[list[int]]:
-    """Indices of EPP-isomorphic components, grouped by the EPP orbit of
-    their node sets.  The edges follow: a component's edges are the
-    preliminary edges between its nodes, and the diagram commutes with EPP,
-    so a permutation carrying one node set onto another carries the edges
-    too."""
-    return _epp_orbits(diagram.rank, [comp.nodes for comp in diagram.components])
+    """Indices of EPP-isomorphic components, each class sorted, classes in
+    order of their least index.  The diagram commutes with EPP, so an
+    element sending one node of C1 into C2 carries C1 onto C2, edges
+    included: a class is read off the images of one node, with no node set
+    mapped or sorted.  An image in no component means the diagram is not
+    closed under EPP, and raises RuntimeError."""
+    component_of = {G: i for i, comp in enumerate(diagram.components) for G in comp.nodes}
+    sigmas = epp_elements(diagram.rank)
+    classes: list[list[int]] = []
+    classed: set[int] = set()
+    for i, comp in enumerate(diagram.components):
+        if i not in classed:
+            members = {component_of.get(epp_structure(s, comp.nodes[0])) for s in sigmas}
+            if None in members:
+                raise RuntimeError("an EPP image of a component node lies in no component")
+            classed |= members
+            classes.append(sorted(members))
+    return classes
 
 
 # --- loops -----------------------------------------------------------------

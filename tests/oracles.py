@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
+from ttrose.diagram import epp_elements, epp_structure
 from ttrose.ltt import LttStructure, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
 from ttrose.moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
@@ -96,6 +98,33 @@ def trapped_direction(G: LttStructure) -> int | None:
         if at[x] == {bar(x)}:
             return x
     return None
+
+
+# --- EPP orbits of whole node sets ----------------------------------------
+#
+# The library classes ID-diagram components by the orbit of one node
+# (diagram.epp_classes); this maps every node of every set instead.
+
+
+def epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:
+    """Indices of the node sets grouped by EPP orbit: two sets share a
+    class exactly when some element carries one onto the other.  Each set
+    is keyed by the least sorted key of its images; classes come in key
+    order."""
+    sigmas = epp_elements(rank)
+    classes: dict[tuple, list[int]] = {}
+    for i, nodes in enumerate(node_sets):
+        key = min(tuple(sorted(epp_structure(s, G).sort_key() for G in nodes)) for s in sigmas)
+        classes.setdefault(key, []).append(i)
+    return [v for _, v in sorted(classes.items())]
+
+
+def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[LttStructure]]:
+    """Group structures into EPP orbits; classes and members canonically ordered."""
+    if not structures:
+        return []
+    classes = epp_orbits(structures[0].rank, [(G,) for G in structures])
+    return [sorted((structures[i] for i in c), key=LttStructure.sort_key) for c in classes]
 
 
 # --- the admissible map checklist I-VII ------------------------------------

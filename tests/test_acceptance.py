@@ -21,6 +21,7 @@ import pytest
 from oracles import (
     EXAMPLE_MAP,
     check_am,
+    epp_classes_of_structures,
     is_admissible,
     random_clean_composite,
     random_connected_graph,
@@ -34,7 +35,6 @@ from ttrose.diagram import (
     UNACHIEVED_IRREDUCIBILITY,
     enumerate_structures,
     epp_classes,
-    epp_classes_of_structures,
     star_target,
     target_verdict,
 )

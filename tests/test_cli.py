@@ -141,6 +141,16 @@ def test_map_ltt_without_structure_is_one_line_error(tmp_path, capsys):
     assert str(exc.value) == "error: provide a rose map JSON file"
 
 
+def test_map_ltt_refuses_a_rank(example_map_file, tmp_path, capsys):
+    # the map carries its rank, so an explicit --rank would go unread
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "map-ltt", example_map_file, "--rank", "7", "--out", str(tmp_path)])
+    assert str(exc.value) == "error: export map-ltt takes its rank from the map, drop --rank"
+    assert not (tmp_path / "ltt.json").exists()
+    assert main(["export", "map-ltt", example_map_file, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "ltt.json").read_text())["rank"] == 3
+
+
 _VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
 _EDGE = st.lists(_VERTEX, min_size=2, max_size=2) | st.lists(_VERTEX, max_size=3)
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),

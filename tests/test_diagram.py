@@ -1,13 +1,20 @@
 """Structure enumeration, the preliminary and ID diagrams, the
 irreducibility potential test, EPP reduction, and loop verification."""
 
+import dataclasses
 import itertools
 import json
 import random
 
 import pytest
 
-from oracles import assignment_oracle_structures, check_am, is_admissible
+from oracles import (
+    assignment_oracle_structures,
+    check_am,
+    epp_classes_of_structures,
+    epp_orbits,
+    is_admissible,
+)
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import (
     INCONCLUSIVE,
@@ -20,7 +27,6 @@ from ttrose.diagram import (
     diagram_to_json,
     enumerate_structures,
     epp_classes,
-    epp_classes_of_structures,
     epp_elements,
     epp_structure,
     find_loops,
@@ -232,6 +238,39 @@ def test_epp_classes_match_full_component_isomorphism(catalog5, gid, num_compone
         nodes2 = set(comps[c2[0]].nodes)
         assert not any({epp_structure(s, G) for G in comps[c1[0]].nodes} == nodes2
                        for s in sigmas)
+
+
+def _check_against_node_set_orbits(diagram) -> list[list[int]]:
+    classes = epp_classes(diagram)
+    oracle = epp_orbits(diagram.rank, [comp.nodes for comp in diagram.components])
+    assert {frozenset(c) for c in classes} == {frozenset(c) for c in oracle}
+    assert all(c == sorted(c) for c in classes)
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    return classes
+
+
+def test_epp_classes_match_node_set_orbits_rank3(catalog5):
+    diagrams = [target_verdict(e.graph(), 3).diagram for e in catalog5]
+    diagrams = [d for d in diagrams if d is not None]
+    assert len(diagrams) == 20  # one of the 21 targets has no birecurrent structure
+    total = sum(len(_check_against_node_set_orbits(d)) for d in diagrams)
+    assert total > len(diagrams)  # some diagram has more than one class
+
+
+def test_epp_classes_match_node_set_orbits_rank4():
+    # the star on 7 vertices plus two edges between leaves
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (3, 4)]
+    diagram = target_verdict(WhiteheadGraph.build(range(7), edges), 4).diagram
+    classes = _check_against_node_set_orbits(diagram)
+    assert (len(diagram.components), len(classes)) == (160, 3)
+
+
+def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
+    diagram = squeeze["G5.02"].diagram
+    assert (len(diagram.components), len(epp_classes(diagram))) == (12, 1)
+    broken = dataclasses.replace(diagram, components=diagram.components[1:])
+    with pytest.raises(RuntimeError, match="lies in no component"):
+        epp_classes(broken)
 
 
 def test_loops_and_reports(squeeze):
