@@ -28,8 +28,6 @@ from .ltt import (
     brute_force_birecurrent,
     is_birecurrent,
     ltt_of_map,
-    matches_target,
-    pi_graph,
     validate_ltt,
 )
 from .moves import GeneratingTriple, determining_edges, extension, switch

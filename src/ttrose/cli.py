@@ -96,7 +96,9 @@ def _load_map(source: str) -> RoseMap:
 
 def _load_target(args) -> WhiteheadGraph:
     """The validated target; InvalidTargetGraph reaches main as exit code 2."""
-    if getattr(args, "star", False):
+    if args.star and args.input:
+        raise SystemExit("error: give a target graph file or --star, not both")
+    if args.star:
         target = star_target(args.rank)
     elif not args.input:
         raise SystemExit("error: provide a target graph JSON file or --star")

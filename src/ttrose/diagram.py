@@ -470,30 +470,18 @@ def diagram_from_json(data: dict) -> IdDiagram:
     return id_diagram(target, rank, PreliminaryDiagram(rank, target, nodes, edges))
 
 
-def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram",
-                   preliminary: bool = False) -> str:
-    """Components (or the whole preliminary diagram) with hashed node ids;
-    a legend comment line spells out each node's structure."""
-    prelim = diagram.preliminary
+def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:
+    """Components with hashed node ids; a legend comment line spells out
+    each node's structure."""
+    comps = diagram.components
     lines = [f'digraph "{name}" {{']
-    if preliminary:
-        shown_nodes = list(prelim.nodes)
-        shown_edges = list(prelim.edges)
-        for G in shown_nodes:
-            lines.append(f'  "{_node_id(G)}" [shape=box];')
-    else:
-        shown_nodes = []
-        shown_edges = []
-        for ci, comp in enumerate(diagram.components):
-            lines.append(f'  subgraph cluster_{ci} {{ label="component {ci}";')
-            for G in comp.nodes:
-                lines.append(f'    "{_node_id(G)}" [shape=box];')
-            lines.append("  }")
-            shown_nodes.extend(comp.nodes)
-            shown_edges.extend(comp.edges)
-    for e in shown_edges:
+    for ci, comp in enumerate(comps):
+        lines.append(f'  subgraph cluster_{ci} {{ label="component {ci}";')
+        lines.extend(f'    "{_node_id(G)}" [shape=box];' for G in comp.nodes)
+        lines.append("  }")
+    for e in (e for comp in comps for e in comp.edges):
         label = f"{e.kind[:3]} {e.gen}"
         lines.append(f'  "{_node_id(e.source)}" -> "{_node_id(e.dest)}" [label="{label}"];')
     lines.append("}")
-    legend = [f"// {_node_id(G)} = {G}" for G in shown_nodes]
-    return "\n".join(lines + legend) + "\n"
+    lines.extend(f"// {_node_id(G)} = {G}" for comp in comps for G in comp.nodes)
+    return "\n".join(lines) + "\n"

@@ -27,9 +27,7 @@ from .rose import (
     check_rank,
     format_direction,
     parse_direction,
-    turn,
 )
-from .whitehead import WhiteheadGraph, find_isomorphism
 
 PURPLE = "purple"
 RED = "red"
@@ -79,15 +77,8 @@ class LttStructure:
             raise ValueError(f"structure has {len(reds)} red edges, expected exactly 1")
         return reds[0]
 
-    @property
-    def purple_vertices(self) -> frozenset[int]:
-        return frozenset(d for d in all_directions(self.rank) if d != self.red_vertex)
-
     def black_edges(self) -> list[Turn]:
         return [(2 * i - 1, 2 * i) for i in range(1, self.rank + 1)]
-
-    def colored_pairs(self) -> frozenset[Turn]:
-        return frozenset((u, v) for u, v, _ in self.colored)
 
     @property
     def attach_vertex(self) -> Direction:
@@ -240,11 +231,6 @@ class TransitionDigraph:
     nodes: tuple[tuple[int, int], ...]           # (edge_id, orientation)
     arcs: tuple[tuple[int, ...], ...]            # adjacency by node index
 
-    def node_head(self, idx: int) -> int:
-        edge_id, orient = self.nodes[idx]
-        u, v, _ = self.edges[edge_id]
-        return v if orient == 0 else u
-
 
 def transition_digraph(G: LttStructure) -> TransitionDigraph:
     edges = tuple(G.all_edges())
@@ -343,21 +329,20 @@ def is_birecurrent(G: LttStructure) -> bool:
     return False
 
 
-def brute_force_birecurrent(G: LttStructure, bound: int | None = None) -> bool:
+def brute_force_birecurrent(G: LttStructure) -> bool:
     """Oracle: search for a closed smooth non-backtracking edge path of
-    length at most ``bound`` covering every edge of G.
+    length at most twice the number of directed edges, covering every
+    edge of G.
 
     Such a cycle, repeated, is a biinfinite line crossing every edge
     infinitely often in both time directions, so its existence is
-    equivalent to birecurrency.  The default bound is twice the number
-    of directed edges.  Any covering cycle crosses the first edge, so
-    the search may start there.
+    equivalent to birecurrency.  Any covering cycle crosses the first
+    edge, so the search may start there.
     """
     td = transition_digraph(G)
     num_edges = len(td.edges)
     num_nodes = len(td.nodes)
-    if bound is None:
-        bound = 2 * num_nodes
+    bound = 2 * num_nodes
     if num_edges == 0:
         return False
     full = (1 << num_edges) - 1
@@ -421,50 +406,6 @@ def brute_force_birecurrent(G: LttStructure, bound: int | None = None) -> bool:
         if found:
             return True
     return False
-
-
-# --- the purple subgraph and smooth realization --------------------------
-
-
-def pi_graph(G: LttStructure) -> WhiteheadGraph:
-    """The potential ideal Whitehead graph: purple vertices and edges."""
-    return WhiteheadGraph.build(G.purple_vertices, G.purple_edges)
-
-
-def matches_target(G: LttStructure, target: WhiteheadGraph) -> bool:
-    """Does the purple subgraph realize the target graph, forgetting labels?"""
-    return find_isomorphism(pi_graph(G), target) is not None
-
-
-def realize_edge_path_smooth(G: LttStructure, word: Sequence[int]) -> list[tuple[int, int, str]]:
-    """The smooth path in G corresponding to an edge path of the rose.
-
-    An edge path e_1 .. e_k lifts to black [d_1, bar d_1], colored
-    [bar d_1, d_2], black [d_2, bar d_2], ...; it exists iff every turn
-    crossed is a colored edge of G.  Raises ValueError otherwise.
-    """
-    if not word:
-        return []
-    pairs = G.colored_pairs()
-    path: list[tuple[int, int, str]] = []
-    for i, d in enumerate(word):
-        path.append((d, bar(d), BLACK))
-        if i + 1 < len(word):
-            t = turn(bar(d), word[i + 1])
-            if t not in pairs:
-                raise ValueError(f"turn {t} is not a colored edge of the structure")
-            path.append((bar(d), word[i + 1], "colored"))
-    return path
-
-
-def map_realizes_images_smoothly(m: RoseMap, G: LttStructure) -> bool:
-    """Every edge-image word of m lifts to a smooth path in G."""
-    try:
-        for word in m.images:
-            realize_edge_path_smooth(G, word)
-    except ValueError:
-        return False
-    return True
 
 
 # --- DOT export ----------------------------------------------------------

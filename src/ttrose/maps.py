@@ -61,10 +61,6 @@ class RoseMap:
                 raise ValueError(f"image of edge {i} is not tight: {format_word(word)}")
 
     @staticmethod
-    def from_words(rank: int, words: Sequence[Sequence[int]]) -> "RoseMap":
-        return RoseMap(rank, tuple(tuple(w) for w in words))
-
-    @staticmethod
     def from_strings(rank: int, words: Mapping[str, str] | Sequence[str]) -> "RoseMap":
         if isinstance(words, Mapping):
             items = [words[format_direction(forward_direction(i))] for i in range(1, rank + 1)]
@@ -311,33 +307,6 @@ class FoldDecomposition:
 
     def has_trivial_permutation(self) -> bool:
         return self.final_permutation == identity_permutation(self.rank)
-
-
-def fold_decomposition_to_json(dec: FoldDecomposition) -> dict:
-    return {
-        "rank": dec.rank,
-        "generators": [[format_direction(g.a), format_direction(g.u)]
-                       for g in dec.generators],
-        "permutation": {
-            format_direction(forward_direction(i)):
-                format_direction(dec.final_permutation[forward_direction(i) - 1])
-            for i in range(1, dec.rank + 1)
-        },
-    }
-
-
-def fold_decomposition_from_json(data: dict) -> FoldDecomposition:
-    rank = check_rank(int(data["rank"]))
-    gens = tuple(Generator(rank,
-                           a=parse_word(a, rank)[0],
-                           u=parse_word(u, rank)[0])
-                 for a, u in data["generators"])
-    perm = [0] * (2 * rank)
-    for i in range(1, rank + 1):
-        d = parse_word(data["permutation"][format_direction(forward_direction(i))], rank)[0]
-        perm[forward_direction(i) - 1] = d
-        perm[forward_direction(i)] = bar(d)
-    return FoldDecomposition(rank, gens, tuple(perm))
 
 
 class NotProperFullFolds(Exception):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ltt import LttStructure, validate_ltt
+from .ltt import LttStructure
 from .maps import Generator
 from .rose import Turn, bar, format_direction, turn
 
@@ -72,9 +72,14 @@ def _det_other_end(G: LttStructure, det: Turn) -> int:
 
 
 def _checked_source(gen: Generator, source: LttStructure, dest: LttStructure) -> GeneratingTriple:
-    report = validate_ltt(source)
-    if not report.ok:
-        raise MoveRejected(f"move produces an invalid structure: {'; '.join(report.violations)}")
+    """Both moves keep every colored edge but the red one, and the callers
+    refuse a red edge onto a bar pair, so from a valid destination the
+    only way to an invalid source is a bare direction: the red edge's old
+    purple end, when no colored edge of the source meets it."""
+    old_end = dest.attach_vertex
+    if not any(old_end in (x, y) for x, y, _ in source.colored):
+        raise MoveRejected(f"move leaves direction {format_direction(old_end)} "
+                           f"with no colored edge")
     return GeneratingTriple(gen, source, dest)
 
 
@@ -82,7 +87,7 @@ def extension(G: LttStructure, det: Turn) -> GeneratingTriple:
     """The extension determined by a purple edge at the twice-achieved
     direction: delete the red edge interior, then attach a new red edge
     from the red vertex to the determining edge's other endpoint.  The
-    purple part is unchanged."""
+    purple part is unchanged.  G must pass validate_ltt."""
     d_l = _det_other_end(G, det)
     u = G.red_vertex
     if d_l == bar(u):
@@ -96,7 +101,7 @@ def switch(G: LttStructure, det: Turn) -> GeneratingTriple:
     direction: start from the purple part, attach the red edge at the
     determining edge's other endpoint, and exchange the labels of the
     red vertex and the twice-achieved direction.  The new red vertex is
-    the old twice-achieved direction."""
+    the old twice-achieved direction.  G must pass validate_ltt."""
     d_l = _det_other_end(G, det)
     u = G.red_vertex
     a = G.twice_achieved
@@ -109,30 +114,3 @@ def switch(G: LttStructure, det: Turn) -> GeneratingTriple:
         relabeled.append((x2, y2))
     source = LttStructure.make(G.rank, a, turn(a, d_l), relabeled)
     return _checked_source(entering_generator(G), source, G)
-
-
-def _cluster_lines(G: LttStructure, prefix: str, label: str) -> list[str]:
-    lines = [f'  subgraph cluster_{prefix} {{ label="{label}";']
-    for d in sorted(G.purple_vertices | {G.red_vertex}):
-        color = "red" if d == G.red_vertex else "purple"
-        lines.append(f'    "{prefix}_{format_direction(d)}" '
-                     f'[label="{format_direction(d)}", color={color}, fontcolor={color}];')
-    for u, v, kind in G.all_edges():
-        style = {"black": "color=black, penwidth=2", "purple": "color=purple",
-                 "red": "color=red"}[kind]
-        lines.append(f'    "{prefix}_{format_direction(u)}" -> "{prefix}_{format_direction(v)}" '
-                     f'[dir=none, {style}];')
-    lines.append("  }")
-    return lines
-
-
-def triple_to_dot(t: GeneratingTriple, name: str = "triple") -> str:
-    """Source and destination structures side by side, with the generator
-    as the connecting edge label."""
-    lines = [f'digraph "{name}" {{']
-    lines.extend(_cluster_lines(t.source, "s", "source"))
-    lines.extend(_cluster_lines(t.dest, "d", "dest"))
-    lines.append(f'  "s_{format_direction(t.gen.u)}" -> "d_{format_direction(t.gen.u)}" '
-                 f'[label="{t.gen}", style=dashed, constraint=false];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ edge path is just a sequence of direction letters.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Direction = int
 Turn = tuple[int, int]
@@ -103,23 +103,16 @@ def turns_of(word: Sequence[int]) -> frozenset[Turn]:
 # --- text form ---------------------------------------------------------
 #
 # E_i forwards prints as a lowercase letter; the reverse as the letter
-# followed by a prime (default) or preceded by a minus sign.
+# followed by a prime; parse_word also reads a leading minus as reverse.
 
 
-def format_direction(d: Direction, style: str = "prime") -> str:
-    i = edge_index(d)
-    letter = _LETTERS[i - 1]
-    if is_forward(d):
-        return letter
-    if style == "prime":
-        return letter + "'"
-    if style == "minus":
-        return "-" + letter
-    raise ValueError(f"unknown direction style {style!r}")
+def format_direction(d: Direction) -> str:
+    letter = _LETTERS[edge_index(d) - 1]
+    return letter if is_forward(d) else letter + "'"
 
 
-def format_word(word: Sequence[int], style: str = "prime") -> str:
-    return "".join(format_direction(d, style) for d in word)
+def format_word(word: Sequence[int]) -> str:
+    return "".join(format_direction(d) for d in word)
 
 
 def parse_direction(text: str, rank: int) -> Direction:
@@ -160,19 +153,3 @@ def parse_word(text: str, rank: int) -> Word:
     if negate:
         raise ValueError(f"dangling '-' in {text!r}")
     return tuple(out)
-
-
-def word_to_signed_ints(word: Sequence[int]) -> list[int]:
-    """Canonical machine form: E_i forwards is +i, backwards is -i."""
-    return [edge_index(d) if is_forward(d) else -edge_index(d) for d in word]
-
-
-def word_from_signed_ints(values: Iterable[int], rank: int) -> Word:
-    out = []
-    for v in values:
-        if not isinstance(v, int) or v == 0 or abs(v) > rank:
-            raise ValueError(f"signed edge index {v!r} out of range for rank {rank}")
-        d = forward_direction(abs(v))
-        out.append(d if v > 0 else bar(d))
-    return tuple(out)
-

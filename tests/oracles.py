@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ttrose.diagram import epp_elements, epp_structure
-from ttrose.ltt import LttStructure, is_birecurrent
+from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
 from ttrose.moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
-from ttrose.whitehead import WhiteheadGraph
+from ttrose.whitehead import WhiteheadGraph, find_isomorphism
 
 
 def closure_by_iteration(m: RoseMap, max_power: int | None = None) -> frozenset:
@@ -100,6 +100,68 @@ def trapped_direction(G: LttStructure) -> int | None:
     return None
 
 
+# --- structure and transition-digraph helpers -------------------------------
+
+
+def purple_vertices(G: LttStructure) -> frozenset[int]:
+    return frozenset(d for d in all_directions(G.rank) if d != G.red_vertex)
+
+
+def colored_pairs(G: LttStructure) -> frozenset[Turn]:
+    return frozenset((u, v) for u, v, _ in G.colored)
+
+
+def node_head(td: TransitionDigraph, idx: int) -> int:
+    """The direction a node of the transition digraph points into."""
+    edge_id, orient = td.nodes[idx]
+    u, v, _ = td.edges[edge_id]
+    return v if orient == 0 else u
+
+
+# --- the purple subgraph and smooth realization -----------------------------
+
+
+def pi_graph(G: LttStructure) -> WhiteheadGraph:
+    """The potential ideal Whitehead graph: purple vertices and edges."""
+    return WhiteheadGraph.build(purple_vertices(G), G.purple_edges)
+
+
+def matches_target(G: LttStructure, target: WhiteheadGraph) -> bool:
+    """Does the purple subgraph realize the target graph, forgetting labels?"""
+    return find_isomorphism(pi_graph(G), target) is not None
+
+
+def realize_edge_path_smooth(G: LttStructure, word: Sequence[int]) -> list[tuple[int, int, str]]:
+    """The smooth path in G corresponding to an edge path of the rose.
+
+    An edge path e_1 .. e_k lifts to black [d_1, bar d_1], colored
+    [bar d_1, d_2], black [d_2, bar d_2], ...; it exists iff every turn
+    crossed is a colored edge of G.  Raises ValueError otherwise.
+    """
+    if not word:
+        return []
+    pairs = colored_pairs(G)
+    path: list[tuple[int, int, str]] = []
+    for i, d in enumerate(word):
+        path.append((d, bar(d), BLACK))
+        if i + 1 < len(word):
+            t = turn(bar(d), word[i + 1])
+            if t not in pairs:
+                raise ValueError(f"turn {t} is not a colored edge of the structure")
+            path.append((bar(d), word[i + 1], "colored"))
+    return path
+
+
+def map_realizes_images_smoothly(m: RoseMap, G: LttStructure) -> bool:
+    """Every edge-image word of m lifts to a smooth path in G."""
+    try:
+        for word in m.images:
+            realize_edge_path_smooth(G, word)
+    except ValueError:
+        return False
+    return True
+
+
 # --- EPP orbits of whole node sets ----------------------------------------
 #
 # The library classes ID-diagram components by the orbit of one node
@@ -163,7 +225,7 @@ def induced_colored_map(t: GeneratingTriple) -> InducedColoredMap:
     vm = list(range(1, n + 1))
     vm[t.gen.u - 1] = t.gen.a
 
-    dest_pairs = t.dest.colored_pairs()
+    dest_pairs = colored_pairs(t.dest)
     dest_purple = t.dest.purple_edges
     edge_map: list[tuple[Turn, Turn]] = []
     purple_images: list[Turn] = []
@@ -178,9 +240,8 @@ def induced_colored_map(t: GeneratingTriple) -> InducedColoredMap:
         if color == "purple":
             purple_images.append(image)
 
-    src_purple_vertices = t.source.purple_vertices
-    image_vertices = {vm[d - 1] for d in src_purple_vertices}
-    if image_vertices != t.dest.purple_vertices:
+    image_vertices = {vm[d - 1] for d in purple_vertices(t.source)}
+    if image_vertices != purple_vertices(t.dest):
         raise InducedMapError("purple vertices do not map onto the destination's")
     if len(purple_images) != len(set(purple_images)):
         raise InducedMapError("purple edges do not map injectively")

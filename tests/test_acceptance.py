@@ -23,6 +23,8 @@ from oracles import (
     check_am,
     epp_classes_of_structures,
     is_admissible,
+    map_realizes_images_smoothly,
+    purple_vertices,
     random_clean_composite,
     random_connected_graph,
     random_structure,
@@ -43,7 +45,6 @@ from ttrose.ltt import (
     brute_force_birecurrent,
     is_birecurrent,
     ltt_of_map,
-    map_realizes_images_smoothly,
 )
 from ttrose.maps import (
     direction_map,
@@ -117,7 +118,7 @@ def _star_case(G):
     """Which EPP-invariant case of the rank-3 star a structure lies in:
     R the red vertex, c the star's center, a the red edge's purple end."""
     R, a = G.red_vertex, G.attach_vertex
-    degree = {d: 0 for d in G.purple_vertices}
+    degree = {d: 0 for d in purple_vertices(G)}
     for u, v in G.purple_edges:
         degree[u] += 1
         degree[v] += 1

@@ -151,6 +151,19 @@ def test_map_ltt_refuses_a_rank(example_map_file, tmp_path, capsys):
     assert json.loads((tmp_path / "ltt.json").read_text())["rank"] == 3
 
 
+def test_target_file_and_star_are_refused_together(tmp_path, capsys):
+    # P5 alone is Inconclusive at rank 3; with --star the file went unread
+    path = tmp_path / "p5.json"
+    path.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+    out = tmp_path / "out"
+    for command in (["check-graph"], ["export", "structures"], ["export", "diagram"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [str(path), "--star", "--rank", "3", "--out", str(out)])
+        assert str(exc.value) == "error: give a target graph file or --star, not both"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 _VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
 _EDGE = st.lists(_VERTEX, min_size=2, max_size=2) | st.lists(_VERTEX, max_size=3)
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),

@@ -57,7 +57,7 @@ def test_shared_prefix_needs_non_lexicographic_fold_choice():
 def test_genuinely_partial_fold_is_rejected():
     # tightened composite whose foldable turns all have two-sided proper
     # overlap; no proper full fold exists at the first step
-    m = RoseMap.from_words(3, [(1, 6, 4), (3, 6, 4), (3, 5, 5)])
+    m = RoseMap(3, ((1, 6, 4), (3, 6, 4), (3, 5, 5)))
     with pytest.raises(NotProperFullFolds) as exc:
         stallings_fold_decomposition(m)
     assert "partial" in str(exc.value)
@@ -111,12 +111,3 @@ def test_ideal_validation_composite_fix_clause():
     report_single = validate_ideal_decomposition(
         FoldDecomposition(2, (g1,), identity_permutation(2)))
     assert report_single.composite_fixes_all_but_last_u
-
-
-def test_fold_decomposition_json_round_trip():
-    from ttrose.maps import fold_decomposition_from_json, fold_decomposition_to_json
-    import json
-    gen = Generator(2, a=1, u=3)
-    dec = FoldDecomposition(2, (gen, Generator(2, a=4, u=1)), (3, 4, 1, 2))
-    payload = json.loads(json.dumps(fold_decomposition_to_json(dec)))
-    assert fold_decomposition_from_json(payload) == dec

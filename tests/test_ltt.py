@@ -9,7 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import EXAMPLE_MAP, random_connected_graph, random_structure, trapped_direction
+from oracles import (
+    EXAMPLE_MAP,
+    map_realizes_images_smoothly,
+    matches_target,
+    node_head,
+    pi_graph,
+    random_connected_graph,
+    random_structure,
+    realize_edge_path_smooth,
+    trapped_direction,
+)
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import epp_elements, epp_structure, star_target, enumerate_structures
 from ttrose.ltt import (
@@ -22,10 +32,6 @@ from ttrose.ltt import (
     is_birecurrent,
     ltt_of_map,
     ltt_to_dot,
-    map_realizes_images_smoothly,
-    matches_target,
-    pi_graph,
-    realize_edge_path_smooth,
     transition_digraph,
     validate_ltt,
 )
@@ -159,7 +165,7 @@ def test_transition_digraph_arcs_alternate(example_structure):
             edge_id2, orient2 = td.nodes[k2]
             assert (td.edges[edge_id][2] == BLACK) != (td.edges[edge_id2][2] == BLACK)
             assert (edge_id2, orient2) != (edge_id, 1 - orient)
-            assert td.node_head(k) in td.edges[edge_id2][:2]
+            assert node_head(td, k) in td.edges[edge_id2][:2]
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import EXAMPLE_MAP, MissingImageEdge, check_am, induced_colored_map, is_admissible
 from ttrose.diagram import build_preliminary, enumerate_structures, star_target
-from ttrose.ltt import LttStructure, ltt_of_map
+from ttrose.ltt import LttStructure, ltt_of_map, validate_ltt
 from ttrose.maps import Generator
 from ttrose.moves import (
     GeneratingTriple,
@@ -14,7 +14,7 @@ from ttrose.moves import (
     extension,
     switch,
 )
-from ttrose.rose import turn
+from ttrose.rose import bar, turn
 from ttrose.catalog import connected_simplicial_graphs
 
 A, A_, B, B_, C, C_ = 1, 2, 3, 4, 5, 6
@@ -174,10 +174,49 @@ def test_purple_edges_map_injectively_on_diagram_edges():
         assert len(purple_images) == len(set(purple_images))
 
 
-def test_triple_dot_export(example_structure):
-    from ttrose.moves import triple_to_dot
-    t = extension(example_structure, turn(A_, C))
-    dot = triple_to_dot(t)
-    assert dot.startswith("digraph")
-    assert "cluster_s" in dot and "cluster_d" in dot
-    assert str(t.gen) in dot
+def _expected_sources(G, det):
+    """The two sources a determining edge gives, built from the definitions:
+    the extension keeps the red vertex and the purple part; the switch makes
+    the twice-achieved direction a the red vertex and renames a to u in the
+    purple part."""
+    u, a = G.red_vertex, G.twice_achieved
+    d_l = det[1] if det[0] == a else det[0]
+    renamed = [tuple(u if x == a else x for x in e) for e in G.purple_edges]
+    return {extension: LttStructure.make(G.rank, u, (u, d_l), G.purple_edges),
+            switch: LttStructure.make(G.rank, a, (a, d_l), renamed)}
+
+
+def test_moves_refuse_exactly_the_invalid_sources():
+    # every structure of the 21 rank-3 targets, every determining edge,
+    # both moves: a move is refused iff its source is invalid
+    checked = refused = 0
+    for entry in connected_simplicial_graphs(5):
+        for G in enumerate_structures(entry.graph(), 3):
+            for det in determining_edges(G):
+                for move, source in _expected_sources(G, det).items():
+                    invalid = (bar(source.red_vertex) in source.red_edge
+                               or not validate_ltt(source).ok)
+                    if invalid:
+                        with pytest.raises(MoveRejected):
+                            move(G, det)
+                        refused += 1
+                    else:
+                        assert move(G, det) == GeneratingTriple(entering_generator(G),
+                                                                source, G)
+                    checked += 1
+    assert refused and checked > refused
+
+
+def test_moves_refuse_a_bare_old_red_end():
+    # valid, but no purple edge meets a, the red edge's purple end: every
+    # move takes the red edge off a and leaves it bare
+    G = LttStructure.make(3, B_, (A, B_), [(A_, B), (A_, C), (A_, C_), (B, C)])
+    assert validate_ltt(G).ok
+    dets = determining_edges(G)
+    assert dets == [turn(A_, B), turn(A_, C), turn(A_, C_)]
+    for det in dets:
+        for move, source in _expected_sources(G, det).items():
+            assert not validate_ltt(source).ok
+            with pytest.raises(MoveRejected):
+                move(G, det)
+

@@ -10,8 +10,6 @@ from ttrose.rose import (
     tighten,
     turn,
     turns_of,
-    word_from_signed_ints,
-    word_to_signed_ints,
 )
 
 words = st.integers(2, 5).flatmap(
@@ -80,11 +78,4 @@ def test_parse_and_format_round_trip():
     w = parse_word("ab'c-a", 3)
     assert w == (1, 4, 5, 2)
     assert format_word(w) == "ab'ca'"
-    assert format_word(w, style="minus") == "a-bc-a"
-    assert parse_word(format_word(w, style="minus"), 3) == w
-
-
-@given(words)
-def test_signed_int_round_trip(w):
-    rank = max(((d + 1) // 2 for d in w), default=2)
-    assert word_from_signed_ints(word_to_signed_ints(w), rank) == tuple(w)
+    assert parse_word("a-bc-a", 3) == w
