@@ -254,6 +254,13 @@ def cmd_sweep(args) -> int:
 def cmd_export(args) -> int:
     if args.what == "map-ltt" and args.rank is not None:
         raise SystemExit("error: export map-ltt takes its rank from the map, drop --rank")
+    unread = {"catalog": ("input", "star", "admissible_only"),
+              "diagram": ("admissible_only",),
+              "map-ltt": ("star", "admissible_only")}.get(args.what, ())
+    for name in unread:
+        if getattr(args, name):
+            shown = "an input file" if name == "input" else "--" + name.replace("_", "-")
+            raise SystemExit(f"error: export {args.what} does not read {shown}, drop it")
     if args.rank is None:
         args.rank = 3
     out = _out_dir(args) or Path(".")

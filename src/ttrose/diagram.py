@@ -21,15 +21,14 @@ from typing import Iterator, Sequence
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
     FoldDecomposition,
-    Generator,
     IdealDecompositionReport,
     identity_permutation,
     is_train_track,
     validate_ideal_decomposition,
 )
-from .moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
+from .moves import GeneratingTriple, generating_triples
 from .rose import (MAX_RANK, all_directions, bar, check_rank, edge_index,
-                   format_direction, parse_direction, turn)
+                   format_direction, turn)
 from .whitehead import WhiteheadGraph
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
@@ -199,27 +198,21 @@ class PreliminaryDiagram:
 
 def build_preliminary(target: WhiteheadGraph, rank: int,
                       nodes: Sequence[LttStructure] | None = None) -> PreliminaryDiagram:
-    """Nodes are the admissible structures; for each node and each
-    determining edge, the extension and the switch contribute an edge
-    whenever the constructed source is admissible."""
+    """Nodes are the admissible structures; each move into a node is an
+    edge whenever its source is admissible."""
     if nodes is None:
         nodes = enumerate_structures(target, rank, admissible_only=True)
     node_set = set(nodes)
     edges: list[GeneratingTriple] = []
     for dest in nodes:
-        for det in determining_edges(dest):
-            for move in (extension, switch):
-                try:
-                    t = move(dest, det)
-                except MoveRejected:
-                    continue
-                if t.source not in node_set:
-                    # construction preserves the purple graph up to labels,
-                    # so exclusion can only mean a non-birecurrent source
-                    if is_birecurrent(t.source):
-                        raise RuntimeError("admissible source missing from the enumeration")
-                    continue
-                edges.append(t)
+        for t in generating_triples(dest):
+            if t.source not in node_set:
+                # construction preserves the purple graph up to labels,
+                # so exclusion can only mean a non-birecurrent source
+                if is_birecurrent(t.source):
+                    raise RuntimeError("admissible source missing from the enumeration")
+                continue
+            edges.append(t)
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
     edges.sort(key=lambda t: (t.source.sort_key(), t.dest.sort_key()))
@@ -457,17 +450,16 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> IdDiagram:
-    """The diagram of its nodes and edges; the edges' "kind" and "det" and
-    the "components" are derived, so they are written but not read."""
+    """The diagram its target and nodes build; ValueError when its JSON
+    differs from the payload, so edges and components are checked, not
+    trusted."""
     rank = int(data["rank"])
     target = target_from_json(data["target"])
-    nodes = tuple(LttStructure.from_json(d) for d in data["nodes"])
-    edges = tuple(
-        GeneratingTriple(Generator(rank, a=parse_direction(e["gen"]["a"], rank),
-                                   u=parse_direction(e["gen"]["u"], rank)),
-                         nodes[e["source"]], nodes[e["dest"]])
-        for e in data["edges"])
-    return id_diagram(target, rank, PreliminaryDiagram(rank, target, nodes, edges))
+    nodes = [LttStructure.from_json(d) for d in data["nodes"]]
+    diagram = id_diagram(target, rank, build_preliminary(target, rank, nodes=nodes))
+    if diagram_to_json(diagram) != data:
+        raise ValueError("diagram JSON differs from the diagram its target and nodes build")
+    return diagram
 
 
 def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:

@@ -3,21 +3,18 @@
 Given a destination structure, its red vertex and red edge determine
 the generator entering it; each purple edge at the twice-achieved
 direction then determines one extension and one switch producing a
-candidate source structure.  A triple is admissible exactly when it is
-a birecurrent extension or switch.
+candidate source structure.  generating_triples returns every move whose
+source is a valid structure; a triple is admissible exactly when it is
+such a move and both of its structures are birecurrent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ltt import LttStructure
+from .ltt import PURPLE, RED, LttStructure
 from .maps import Generator
-from .rose import Turn, bar, format_direction, turn
-
-
-class MoveRejected(ValueError):
-    """The requested move would produce an invalid source structure."""
+from .rose import Turn, bar, turn
 
 
 @dataclass(frozen=True)
@@ -61,56 +58,37 @@ def determining_edges(G: LttStructure) -> list[Turn]:
     return out
 
 
-def _det_other_end(G: LttStructure, det: Turn) -> int:
-    a = G.twice_achieved
-    if det not in G.purple_edges:
-        raise ValueError(f"determining edge {det} is not a purple edge of the structure")
-    if a not in det:
-        raise ValueError(f"determining edge {det} is not incident to the twice-achieved "
-                         f"direction {a}")
-    return det[1] if det[0] == a else det[0]
+def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
+    """Every move into G, which must pass validate_ltt: for each
+    determining edge {a, d_l} in order, the extension and then the switch.
+    The extension keeps the red vertex u and the purple part and attaches
+    the red edge {u, d_l}; the switch makes a the red vertex, attaches the
+    red edge {a, d_l} and renames a to u in the purple part.  All of them
+    share the generator entering G.
 
-
-def _checked_source(gen: Generator, source: LttStructure, dest: LttStructure) -> GeneratingTriple:
-    """Both moves keep every colored edge but the red one, and the callers
-    refuse a red edge onto a bar pair, so from a valid destination the
-    only way to an invalid source is a bare direction: the red edge's old
-    purple end, when no colored edge of the source meets it."""
-    old_end = dest.attach_vertex
-    if not any(old_end in (x, y) for x, y, _ in source.colored):
-        raise MoveRejected(f"move leaves direction {format_direction(old_end)} "
-                           f"with no colored edge")
-    return GeneratingTriple(gen, source, dest)
-
-
-def extension(G: LttStructure, det: Turn) -> GeneratingTriple:
-    """The extension determined by a purple edge at the twice-achieved
-    direction: delete the red edge interior, then attach a new red edge
-    from the red vertex to the determining edge's other endpoint.  The
-    purple part is unchanged.  G must pass validate_ltt."""
-    d_l = _det_other_end(G, det)
-    u = G.red_vertex
-    if d_l == bar(u):
-        raise MoveRejected(f"extension red edge would join the bar pair of {u}")
-    source = LttStructure.make(G.rank, u, turn(u, d_l), G.purple_edges)
-    return _checked_source(entering_generator(G), source, G)
-
-
-def switch(G: LttStructure, det: Turn) -> GeneratingTriple:
-    """The switch determined by a purple edge at the twice-achieved
-    direction: start from the purple part, attach the red edge at the
-    determining edge's other endpoint, and exchange the labels of the
-    red vertex and the twice-achieved direction.  The new red vertex is
-    the old twice-achieved direction.  G must pass validate_ltt."""
-    d_l = _det_other_end(G, det)
-    u = G.red_vertex
-    a = G.twice_achieved
-    if d_l == bar(a):
-        raise MoveRejected(f"switch red edge would join the bar pair of {a}")
-    relabeled = []
-    for x, y in G.purple_edges:
-        x2 = u if x == a else x
-        y2 = u if y == a else y
-        relabeled.append((x2, y2))
-    source = LttStructure.make(G.rank, a, turn(a, d_l), relabeled)
-    return _checked_source(entering_generator(G), source, G)
+    Both moves keep every colored edge but the red one, so a source is
+    invalid exactly when its red edge joins a bar pair (d_l = bar(u) for
+    the extension, d_l = bar(a) for the switch) or it leaves bare the red
+    edge's old purple end bar(a); those moves are left out."""
+    dets = determining_edges(G)
+    gen = entering_generator(G)
+    u, a = gen.u, gen.a
+    purple = G.purple_edges
+    old_end = bar(a)
+    if not any(old_end in e for e in purple):
+        # no determining edge is {a, bar(a)}, the one that would put a new
+        # red edge at bar(a), so every move leaves bar(a) bare
+        return []
+    kept = frozenset((x, y, PURPLE) for x, y in purple)
+    renamed = frozenset((*turn(u if x == a else x, u if y == a else y), PURPLE)
+                        for x, y in purple)
+    out = []
+    for x, y in dets:
+        d_l = y if x == a else x
+        if d_l != bar(u):
+            out.append(GeneratingTriple(
+                gen, LttStructure(G.rank, u, kept | {(*turn(u, d_l), RED)}), G))
+        if d_l != old_end:
+            out.append(GeneratingTriple(
+                gen, LttStructure(G.rank, a, renamed | {(*turn(a, d_l), RED)}), G))
+    return out

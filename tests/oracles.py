@@ -16,7 +16,7 @@ from typing import Sequence
 from ttrose.diagram import epp_elements, epp_structure
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
-from ttrose.moves import GeneratingTriple, MoveRejected, determining_edges, extension, switch
+from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph, find_isomorphism
 
@@ -323,18 +323,9 @@ def is_admissible(t: GeneratingTriple) -> bool:
     if not (is_birecurrent(t.source) and is_birecurrent(t.dest)):
         return False
     try:
-        dets = determining_edges(t.dest)
+        return t in generating_triples(t.dest)
     except ValueError:
         return False
-    for det in dets:
-        for move in (extension, switch):
-            try:
-                candidate = move(t.dest, det)
-            except MoveRejected:
-                continue
-            if candidate == t:
-                return True
-    return False
 
 
 def naive_isomorphic(g1: WhiteheadGraph, g2: WhiteheadGraph) -> bool:

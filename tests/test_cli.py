@@ -164,6 +164,27 @@ def test_target_file_and_star_are_refused_together(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_export_refuses_arguments_its_kind_never_reads(example_map_file, tmp_path, capsys):
+    # each of these exited 0 with the argument ignored
+    path = tmp_path / "p5.json"
+    path.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
+    out = tmp_path / "out"
+    cases = [
+        (["catalog", str(path), "--star", "--rank", "3"], "an input file"),
+        (["catalog", "--star", "--rank", "3"], "--star"),
+        (["catalog", "--admissible-only"], "--admissible-only"),
+        (["diagram", str(path), "--rank", "3", "--admissible-only"], "--admissible-only"),
+        (["map-ltt", example_map_file, "--star"], "--star"),
+        (["map-ltt", example_map_file, "--admissible-only"], "--admissible-only"),
+    ]
+    for argv, shown in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["export"] + argv + ["--out", str(out)])
+        assert str(exc.value) == f"error: export {argv[0]} does not read {shown}, drop it"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
 _VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
 _EDGE = st.lists(_VERTEX, min_size=2, max_size=2) | st.lists(_VERTEX, max_size=3)
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),

@@ -38,7 +38,7 @@ from ttrose.diagram import (
 )
 from ttrose.ltt import is_birecurrent
 from ttrose.maps import Generator
-from ttrose.moves import extension, switch
+from ttrose.moves import generating_triples
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -116,7 +116,8 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
         assert e.source in node_set and e.dest in node_set
         assert is_admissible(e)
         assert check_am(e).all_pass()
-        assert {"extension": extension, "switch": switch}[e.kind](e.dest, e.det) == e
+        assert [t for t in generating_triples(e.dest)
+                if (t.kind, t.det) == (e.kind, e.det)] == [e]
     assert len({(e.source, e.dest) for e in prelim.edges}) == len(prelim.edges)
 
 
@@ -296,6 +297,18 @@ def test_diagram_json_round_trip(squeeze):
     restored = diagram_from_json(payload)
     assert diagram_to_json(restored) == diagram_to_json(diagram)
     assert restored.components == diagram.components
+
+
+def test_diagram_json_refuses_a_rewired_edge(squeeze):
+    # the edges follow from the target and the nodes, so an edge sent to
+    # another destination is refused instead of loaded as written
+    payload = json.loads(json.dumps(diagram_to_json(squeeze["G5.02"].diagram)))
+    edge = payload["edges"][0]
+    edge["dest"] = next(i for i in range(len(payload["nodes"]))
+                        if i not in (edge["source"], edge["dest"]))
+    with pytest.raises(ValueError, match="^diagram JSON differs from the diagram its "
+                                         "target and nodes build$"):
+        diagram_from_json(payload)
 
 
 def test_dot_export_is_deterministic(squeeze):
