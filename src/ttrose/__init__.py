@@ -5,7 +5,7 @@ ideal Whitehead graphs."""
 __version__ = "0.1.0"
 
 from .rose import bar, format_direction, format_word, parse_word, tighten, turn, turns_of
-from .whitehead import WhiteheadGraph, find_isomorphism, index_list
+from .whitehead import WhiteheadGraph, index_list
 from .maps import (
     FoldDecomposition,
     Generator,

@@ -216,6 +216,13 @@ def _oracle_check(target, args) -> bool:
     return not bad
 
 
+def _catalog(n: int) -> list:
+    try:
+        return connected_simplicial_graphs(n)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def cmd_sweep(args) -> int:
     n = 2 * args.rank - 1
     if args.rank >= 4 and not args.full:
@@ -224,7 +231,7 @@ def cmd_sweep(args) -> int:
         print(f"rank {args.rank}: star-only mode (use --full for the whole catalog; "
               f"expect hours)")
     else:
-        entries = connected_simplicial_graphs(n)
+        entries = _catalog(n)
         targets = [(e.id, e.graph()) for e in entries]
         print(f"catalog: {len(entries)} connected simplicial {n}-vertex graphs")
     rows = []
@@ -265,9 +272,9 @@ def cmd_export(args) -> int:
         args.rank = 3
     out = _out_dir(args) or Path(".")
     if args.what == "catalog":
-        entries = connected_simplicial_graphs(2 * args.rank - 1)
         if args.format != "json":
             raise SystemExit("error: the catalog exports as json only")
+        entries = _catalog(2 * args.rank - 1)
         _write_json(out / f"catalog_n{2 * args.rank - 1}.json", [e.to_json() for e in entries])
         return 0
     if args.what == "structures":

@@ -29,7 +29,7 @@ from .maps import (
 from .moves import GeneratingTriple, generating_triples
 from .rose import (MAX_RANK, all_directions, bar, check_rank, edge_index,
                    format_direction, turn)
-from .whitehead import WhiteheadGraph
+from .whitehead import WhiteheadGraph, relabelings
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -93,52 +93,17 @@ def star_target(rank: int) -> WhiteheadGraph:
 # --- structure enumeration ------------------------------------------------
 
 
-def _twin_classes(target: WhiteheadGraph) -> list[list]:
-    """The target's vertices in twin classes, largest first.  Twins u, v
-    have N(u) - {v} == N(v) - {u}, so swapping them is an automorphism.
-    Twinship is an equivalence relation: if a were a non-adjacent twin of
-    b and b an adjacent twin of c, c would neighbor a, hence a neighbor b."""
-    nbrs = {v: target.neighbors(v) for v in target.vertices}
-    classes: list[list] = []
-    for v in sorted(target.vertices, key=repr):
-        for cls in classes:
-            if nbrs[cls[0]] - {v} == nbrs[v] - {cls[0]}:
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
-    return sorted(classes, key=len, reverse=True)
-
-
-def _class_labelings(sizes: Sequence[int], labels: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Label sequences for consecutive twin classes of the given sizes,
-    largest first: each class takes a set of labels, and once only
-    singleton classes remain, every ordering of the remaining labels."""
-    if not sizes or sizes[0] == 1:
-        yield from itertools.permutations(labels)
-        return
-    for chosen in itertools.combinations(labels, sizes[0]):
-        rest = [d for d in labels if d not in chosen]
-        for tail in _class_labelings(sizes[1:], rest):
-            yield chosen + tail
-
-
 def _iter_structures(target: WhiteheadGraph, rank: int) -> Iterator[LttStructure]:
-    classes = _twin_classes(target)
-    position = {v: i for i, v in enumerate(v for cls in classes for v in cls)}
-    tedges = [(position[u], position[v]) for u, v in target.sorted_edges()]
-    sizes = [len(cls) for cls in classes]
+    verts = sorted(target.vertices, key=repr)
+    position = {v: i for i, v in enumerate(verts)}
+    # one labeled copy per distinct edge set, so automorphisms of the
+    # target never repeat a purple graph
+    orbit = relabelings(len(verts), [(position[u], position[v]) for u, v in target.edges])
     dirs = list(all_directions(rank))
     for red in dirs:
         labels = [d for d in dirs if d != red]
-        # labelings that differ by an automorphism beyond twin swaps give
-        # the same purple graph
-        seen_purple: set[tuple] = set()
-        for seq in _class_labelings(sizes, labels):
-            purple = tuple(sorted(turn(seq[i], seq[j]) for i, j in tedges))
-            if purple in seen_purple:
-                continue
-            seen_purple.add(purple)
+        for edges in orbit:
+            purple = [(labels[i], labels[j]) for i, j in edges]
             for attach in labels:
                 if attach == bar(red):
                     continue
@@ -152,7 +117,7 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     bar pairing and every red edge attachment away from the red vertex's
     bar partner.  Filtered by birecurrency when requested."""
     validate_target(target, rank)
-    structures = sorted(set(_iter_structures(target, rank)), key=LttStructure.sort_key)
+    structures = sorted(_iter_structures(target, rank), key=LttStructure.sort_key)
     if admissible_only:
         structures = [G for G in structures if is_birecurrent(G)]
     return structures
@@ -450,13 +415,10 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
 
 
 def diagram_from_json(data: dict) -> IdDiagram:
-    """The diagram its target and nodes build; ValueError when its JSON
-    differs from the payload, so edges and components are checked, not
-    trusted."""
-    rank = int(data["rank"])
-    target = target_from_json(data["target"])
-    nodes = [LttStructure.from_json(d) for d in data["nodes"]]
-    diagram = id_diagram(target, rank, build_preliminary(target, rank, nodes=nodes))
+    """The diagram its target and rank build; ValueError when its JSON
+    differs from the payload, so nodes, edges and components are checked,
+    not trusted."""
+    diagram = id_diagram(target_from_json(data["target"]), int(data["rank"]))
     if diagram_to_json(diagram) != data:
         raise ValueError("diagram JSON differs from the diagram its target and nodes build")
     return diagram

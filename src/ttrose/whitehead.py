@@ -1,11 +1,12 @@
-"""Simple vertex-labeled graphs: Whitehead graphs, index lists, isomorphism.
+"""Simple vertex-labeled graphs: Whitehead graphs, index lists, relabelings.
 
 The same small-graph type serves the local and stable Whitehead graphs
 of a map (vertices are direction labels), the purple part of a
 lamination train track structure, and abstract target graphs.  All
-instances here are tiny (at most a dozen vertices), so isomorphism is
-exhaustive search with degree pruning and canonical forms are computed
-by minimizing over permutations.
+instances here are tiny (at most a dozen vertices).  Relabeling
+problems (the labeled copies of a target, the isomorphism classes of
+the catalog) are answered by the orbit of a graph's edge tuple under
+the symmetric group, walked one adjacent transposition at a time.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ class WhiteheadGraph:
             es.add(ne)
         return WhiteheadGraph(vs, frozenset(es))
 
-    def degree(self, v: Vertex) -> int:
-        return sum(1 for e in self.edges if v in e)
-
-    def neighbors(self, v: Vertex) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def components(self) -> list[frozenset]:
         """Connected components, sorted for determinism."""
         seen: set = set()
@@ -99,62 +88,28 @@ def index_list(graph: WhiteheadGraph) -> list[Fraction]:
     return sorted(Fraction(1) - Fraction(len(c), 2) for c in graph.components())
 
 
-def _degree_profile(graph: WhiteheadGraph) -> dict:
-    degs = {v: graph.degree(v) for v in graph.vertices}
-    profile = {}
-    for v in graph.vertices:
-        nd = tuple(sorted(degs[w] for w in graph.neighbors(v)))
-        profile[v] = (degs[v], nd)
-    return profile
+def relabelings(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
+    """Every distinct sorted edge tuple that relabeling the vertices
+    0..n-1 makes of the graph, the graph's own tuple first.
 
-
-def find_isomorphism(g1: WhiteheadGraph, g2: WhiteheadGraph) -> dict | None:
-    """A vertex bijection realizing an isomorphism, or None."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return None
-    p1, p2 = _degree_profile(g1), _degree_profile(g2)
-    if sorted(p1.values()) != sorted(p2.values()):
-        return None
-    order = sorted(g1.vertices, key=lambda v: (p1[v], repr(v)))
-    candidates = {v: [w for w in g2.vertices if p2[w] == p1[v]] for v in order}
-    adj1 = {v: g1.neighbors(v) for v in g1.vertices}
-    adj2 = {v: g2.neighbors(v) for v in g2.vertices}
-    mapping: dict = {}
-    used: set = set()
-
-    def extend(i: int):
-        if i == len(order):
-            return dict(mapping)
-        v = order[i]
-        for w in sorted(candidates[v], key=repr):
-            if w in used:
-                continue
-            if any((v2 in adj1[v]) != (w2 in adj2[w]) for v2, w2 in mapping.items()):
-                continue
-            mapping[v] = w
-            used.add(w)
-            res = extend(i + 1)
-            if res is not None:
-                return res
-            del mapping[v]
-            used.discard(w)
-        return None
-
-    return extend(0)
-
-
-def canonical_edge_tuple(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Canonical form of a graph on vertices 0..n-1: the lexicographically
-    least sorted edge tuple over all vertex relabelings.
-
-    Exhaustive over n! permutations; fine for n <= 9 given degree-class
-    pruning in the callers (catalog generation batches by invariants).
+    Breadth-first search under the n-1 adjacent transpositions, which
+    generate the symmetric group, so the cost grows with the orbit (n!
+    over the number of automorphisms), not with n!.  Every image shares
+    one tuple object per vertex pair.
     """
-    edge_list = [tuple(sorted(e)) for e in edges]
-    best: tuple | None = None
-    for perm in itertools.permutations(range(n)):
-        img = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edge_list))
-        if best is None or img < best:
-            best = img
-    assert best is not None
-    return best
+    pair = {p: p for p in itertools.combinations(range(n), 2)}
+    swaps = []
+    for i in range(n - 1):
+        t = list(range(n))
+        t[i], t[i + 1] = i + 1, i
+        swaps.append({(a, b): pair[min(t[a], t[b]), max(t[a], t[b])] for a, b in pair})
+    start = tuple(sorted(pair[tuple(sorted(e))] for e in edges))
+    seen = {start}
+    orbit = [start]
+    for g in orbit:
+        for swap in swaps:
+            img = tuple(sorted(swap[e] for e in g))
+            if img not in seen:
+                seen.add(img)
+                orbit.append(img)
+    return orbit

@@ -18,7 +18,7 @@ from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
 from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
-from ttrose.whitehead import WhiteheadGraph, find_isomorphism
+from ttrose.whitehead import WhiteheadGraph
 
 
 def closure_by_iteration(m: RoseMap, max_power: int | None = None) -> frozenset:
@@ -340,6 +340,65 @@ def naive_isomorphic(g1: WhiteheadGraph, g2: WhiteheadGraph) -> bool:
         if {frozenset((phi[a], phi[b])) for a, b in e1} == {frozenset(e) for e in g2.edges}:
             return True
     return False
+
+
+def neighbors(graph: WhiteheadGraph, v) -> set:
+    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
+
+
+def _degree_profile(graph: WhiteheadGraph) -> dict:
+    degs = {v: len(neighbors(graph, v)) for v in graph.vertices}
+    return {v: (degs[v], tuple(sorted(degs[w] for w in neighbors(graph, v))))
+            for v in graph.vertices}
+
+
+def find_isomorphism(g1: WhiteheadGraph, g2: WhiteheadGraph) -> dict | None:
+    """A vertex bijection realizing an isomorphism, or None: backtracking
+    over vertices matched by degree profile."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return None
+    p1, p2 = _degree_profile(g1), _degree_profile(g2)
+    if sorted(p1.values()) != sorted(p2.values()):
+        return None
+    order = sorted(g1.vertices, key=lambda v: (p1[v], repr(v)))
+    candidates = {v: [w for w in g2.vertices if p2[w] == p1[v]] for v in order}
+    adj1 = {v: neighbors(g1, v) for v in g1.vertices}
+    adj2 = {v: neighbors(g2, v) for v in g2.vertices}
+    mapping: dict = {}
+    used: set = set()
+
+    def extend(i: int):
+        if i == len(order):
+            return dict(mapping)
+        v = order[i]
+        for w in sorted(candidates[v], key=repr):
+            if w in used:
+                continue
+            if any((v2 in adj1[v]) != (w2 in adj2[w]) for v2, w2 in mapping.items()):
+                continue
+            mapping[v] = w
+            used.add(w)
+            res = extend(i + 1)
+            if res is not None:
+                return res
+            del mapping[v]
+            used.discard(w)
+        return None
+
+    return extend(0)
+
+
+def relabelings_by_permutations(n: int, edges) -> set[tuple[tuple[int, int], ...]]:
+    """The sorted edge tuple of the graph under each of the n! relabelings
+    of 0..n-1, as a set."""
+    return {tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+            for perm in itertools.permutations(range(n))}
+
+
+def canonical_edge_tuple(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The lexicographically least sorted edge tuple over all n!
+    relabelings of 0..n-1: the definition of a catalog entry's edges."""
+    return min(relabelings_by_permutations(n, edges))
 
 
 def random_generator(rng: random.Random, rank: int) -> Generator:

@@ -1,5 +1,8 @@
+import pytest
+
+from oracles import canonical_edge_tuple, find_isomorphism, relabelings_by_permutations
 from ttrose.catalog import connected_simplicial_graphs
-from ttrose.whitehead import find_isomorphism
+from ttrose.whitehead import relabelings
 
 
 def test_connected_graph_counts():
@@ -7,17 +10,30 @@ def test_connected_graph_counts():
     assert len(connected_simplicial_graphs(3)) == 2
     assert len(connected_simplicial_graphs(4)) == 6
     assert len(connected_simplicial_graphs(5)) == 21
+    assert len(connected_simplicial_graphs(6)) == 112
+    # a graph with an isolated vertex is not an entry
+    assert connected_simplicial_graphs(1) == []
+    # the table of edge sets seen would take 2^36 bytes at n = 9
+    with pytest.raises(ValueError,
+                       match=r"^the graph catalog stops at 7 vertices \(rank 4\), not 9$"):
+        connected_simplicial_graphs(9)
 
 
 def test_entries_are_connected_and_distinct():
-    entries = connected_simplicial_graphs(5)
-    for e in entries:
-        g = e.graph()
-        assert len(g.vertices) == 5
-        assert g.is_connected()
-    for i, e1 in enumerate(entries):
-        for e2 in entries[i + 1:]:
-            assert find_isomorphism(e1.graph(), e2.graph()) is None
+    for n in range(2, 6):
+        entries = connected_simplicial_graphs(n)
+        for e in entries:
+            g = e.graph()
+            assert len(g.vertices) == n
+            assert g.is_connected()
+            # an entry is the least of its relabelings, which are exactly
+            # the images under all n! permutations
+            orbit = relabelings(n, e.edges)
+            assert set(orbit) == relabelings_by_permutations(n, e.edges)
+            assert e.edges == min(orbit) == canonical_edge_tuple(n, e.edges)
+        for i, e1 in enumerate(entries):
+            for e2 in entries[i + 1:]:
+                assert find_isomorphism(e1.graph(), e2.graph()) is None
 
 
 def test_catalog_is_stable():
@@ -25,3 +41,4 @@ def test_catalog_is_stable():
     second = connected_simplicial_graphs(5)
     assert [e.edges for e in first] == [e.edges for e in second]
     assert [e.id for e in first] == [f"G5.{i:02d}" for i in range(1, 22)]
+

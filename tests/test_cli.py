@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -111,6 +113,17 @@ def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
                 main(argv + ["--rank", rank])
             assert str(exc.value).startswith("error: rank ")
             assert "\n" not in str(exc.value)
+    assert not list(tmp_path.iterdir())
+
+
+def test_catalog_past_rank_4_is_one_line_error(tmp_path):
+    # the catalog stops at 7 vertices; rank 5 would walk 2^36 edge sets
+    for argv in (["export", "catalog", "--out", str(tmp_path)], ["sweep", "--full"]):
+        run = subprocess.run([sys.executable, "-m", "ttrose.cli", *argv, "--rank", "5"],
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr == "error: the graph catalog stops at 7 vertices (rank 4), not 9\n"
     assert not list(tmp_path.iterdir())
 
 

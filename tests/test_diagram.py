@@ -36,7 +36,7 @@ from ttrose.diagram import (
     validate_target,
     verify_loop,
 )
-from ttrose.ltt import is_birecurrent
+from ttrose.ltt import LttStructure, is_birecurrent
 from ttrose.maps import Generator
 from ttrose.moves import generating_triples
 from ttrose.whitehead import WhiteheadGraph
@@ -83,14 +83,18 @@ def test_star_enumeration_matches_assignment_oracle():
 
 
 def test_generic_enumeration_matches_assignment_oracle(catalog5):
-    for entry in catalog5:
-        target = entry.graph()
-        oracle = assignment_oracle_structures(target, 3)
-        assert set(enumerate_structures(target, 3)) == oracle
+    # as sorted lists, so a structure produced twice fails too
+    def matches(target, rank):
+        oracle = assignment_oracle_structures(target, rank)
+        return enumerate_structures(target, rank) == sorted(oracle, key=LttStructure.sort_key)
+
+    assert all(matches(entry.graph(), 3) for entry in catalog5)
     # K5 with two pendants on one vertex: adjacent and non-adjacent twins
     k5_2pend = WhiteheadGraph.build(
         range(7), [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)])
-    assert set(enumerate_structures(k5_2pend, 4)) == assignment_oracle_structures(k5_2pend, 4)
+    assert matches(k5_2pend, 4)
+    # the 7-cycle: dihedral automorphisms and no twins
+    assert matches(WhiteheadGraph.build(range(7), [(i, (i + 1) % 7) for i in range(7)]), 4)
 
 
 def test_star_raw_epp_classes():
@@ -306,6 +310,12 @@ def test_diagram_json_refuses_a_rewired_edge(squeeze):
     edge = payload["edges"][0]
     edge["dest"] = next(i for i in range(len(payload["nodes"]))
                         if i not in (edge["source"], edge["dest"]))
+    with pytest.raises(ValueError, match="^diagram JSON differs from the diagram its "
+                                         "target and nodes build$"):
+        diagram_from_json(payload)
+    # a dropped node is refused the same way, not by the preliminary build
+    payload = json.loads(json.dumps(diagram_to_json(squeeze["G5.02"].diagram)))
+    del payload["nodes"][0]
     with pytest.raises(ValueError, match="^diagram JSON differs from the diagram its "
                                          "target and nodes build$"):
         diagram_from_json(payload)

@@ -3,8 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_isomorphic, random_connected_graph
-from ttrose.whitehead import WhiteheadGraph, canonical_edge_tuple, find_isomorphism
+from oracles import (canonical_edge_tuple, find_isomorphism, naive_isomorphic,
+                     random_connected_graph, relabelings_by_permutations)
+from ttrose.whitehead import WhiteheadGraph, relabelings
 
 
 def test_components():
@@ -45,9 +46,27 @@ def test_isomorphism_agrees_with_naive_search(seed):
 @given(st.integers(0, 10 ** 6))
 def test_canonical_form_is_relabeling_invariant(seed):
     rng = random.Random(seed)
-    n = rng.randrange(3, 6)
-    g = random_connected_graph(rng, n, rng.randrange(0, 3))
+    n = rng.randrange(3, 7)
+    g = random_connected_graph(rng, n, rng.randrange(0, 4))
     perm = list(range(n))
     rng.shuffle(perm)
     relabeled = [(perm[u], perm[v]) for u, v in g.edges]
     assert canonical_edge_tuple(n, g.edges) == canonical_edge_tuple(n, relabeled)
+    # the orbit walked by adjacent transpositions is every image under
+    # the n! relabelings, each once, and its least element is the
+    # canonical form
+    orbit = relabelings(n, g.edges)
+    assert len(orbit) == len(set(orbit))
+    assert set(orbit) == relabelings_by_permutations(n, g.edges)
+    assert orbit[0] == tuple(sorted(g.edges))
+    assert min(orbit) == canonical_edge_tuple(n, g.edges) == min(relabelings(n, relabeled))
+
+
+def test_relabelings_of_symmetric_graphs():
+    # orbit size n! / |Aut|: the rank-8 star has 15 images, the 7-cycle
+    # 7! / 14, K4 one and the empty graph on 3 vertices one
+    assert len(relabelings(15, [(0, i) for i in range(1, 15)])) == 15
+    assert len(relabelings(7, [(i, (i + 1) % 7) for i in range(7)])) == 360
+    assert relabelings(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]) == \
+        [((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    assert relabelings(3, []) == [()]
