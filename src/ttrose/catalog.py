@@ -46,8 +46,10 @@ def _is_connected(n: int, adj: list[set[int]]) -> bool:
 def connected_simplicial_graphs(n: int) -> list[GraphCatalogEntry]:
     """One entry per isomorphism class of connected simple graphs on n
     vertices, ordered by canonical form: the least sorted edge tuple
-    over all relabelings.  ValueError past MAX_VERTICES, where the table
-    of edge sets seen would take 2^36 bytes at n = 9."""
+    over all relabelings.  ValueError below 1 vertex, or past MAX_VERTICES
+    where the table of edge sets seen would take 2^36 bytes at n = 9."""
+    if n < 1:
+        raise ValueError(f"a graph needs at least one vertex, not {n}")
     if n > MAX_VERTICES:
         raise ValueError(f"the graph catalog stops at {MAX_VERTICES} vertices "
                          f"(rank {(MAX_VERTICES + 1) // 2}), not {n}")

@@ -2,10 +2,10 @@
 export artifacts.
 
 Exit codes: 0 when a verdict or report was produced, 2 for an invalid
-target graph, 1 for other input errors and for a disagreement with the
-birecurrency oracle.  Output is deterministic given identical inputs.
-Artifacts land in --out, falling back to the TTROSE_CACHE_DIR
-environment variable when set.
+target graph, 1 for other input errors (usage errors included) and for
+a disagreement with the birecurrency oracle.  Output is deterministic
+given identical inputs.  Artifacts land in --out, falling back to the
+TTROSE_CACHE_DIR environment variable when set.
 """
 
 from __future__ import annotations
@@ -307,8 +307,14 @@ def cmd_export(args) -> int:
     raise SystemExit(f"error: unknown export target {args.what!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is an input error: one line, exit 1; subparsers use this class
+        raise SystemExit(f"error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ttrose",
         description="Decide desk-scale unachievability of candidate ideal Whitehead "
                     "graphs via train track maps on roses.")

@@ -155,8 +155,6 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
 
 @dataclass(frozen=True)
 class PreliminaryDiagram:
-    rank: int
-    target: WhiteheadGraph
     nodes: tuple[LttStructure, ...]
     edges: tuple[GeneratingTriple, ...]  # each an extension or a switch
 
@@ -164,24 +162,25 @@ class PreliminaryDiagram:
 def build_preliminary(target: WhiteheadGraph, rank: int,
                       nodes: Sequence[LttStructure] | None = None) -> PreliminaryDiagram:
     """Nodes are the admissible structures; each move into a node is an
-    edge whenever its source is admissible."""
+    edge whenever its source is admissible.  Edges hold the node objects
+    and are ordered by their source's, then their destination's, position."""
     if nodes is None:
         nodes = enumerate_structures(target, rank, admissible_only=True)
-    node_set = set(nodes)
-    edges: list[GeneratingTriple] = []
-    for dest in nodes:
+    index = {G: i for i, G in enumerate(nodes)}
+    moves = []
+    for j, dest in enumerate(nodes):
         for t in generating_triples(dest):
-            if t.source not in node_set:
+            if t.source in index:
+                moves.append((index[t.source], j, t.gen))
+            elif is_birecurrent(t.source):
                 # construction preserves the purple graph up to labels,
                 # so exclusion can only mean a non-birecurrent source
-                if is_birecurrent(t.source):
-                    raise RuntimeError("admissible source missing from the enumeration")
-                continue
-            edges.append(t)
+                raise RuntimeError("admissible source missing from the enumeration")
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
-    edges.sort(key=lambda t: (t.source.sort_key(), t.dest.sort_key()))
-    return PreliminaryDiagram(rank, target, tuple(nodes), tuple(edges))
+    moves.sort(key=lambda m: m[:2])
+    return PreliminaryDiagram(tuple(nodes), tuple(
+        GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves))
 
 
 @dataclass(frozen=True)
@@ -196,9 +195,6 @@ class DiagramComponent:
     def pairs_covered(self) -> frozenset[int]:
         return frozenset(edge_index(d) for d in self.red_label_census)
 
-    def sort_key(self):
-        return tuple(G.sort_key() for G in self.nodes)
-
 
 @dataclass(frozen=True)
 class IdDiagram:
@@ -211,7 +207,8 @@ class IdDiagram:
 def id_diagram(target: WhiteheadGraph, rank: int,
                preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
-    preliminary diagram (keeping components that carry at least one edge)."""
+    preliminary diagram (keeping components that carry at least one edge),
+    each in node order, ordered by their first node."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
     nodes = preliminary.nodes
@@ -220,21 +217,16 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     arcs: list[list[int]] = [[] for _ in nodes]
     for i, j in ends:
         arcs[i].append(j)
-    sccs = tarjan_scc(len(nodes), arcs)
-    scc_of = [0] * len(nodes)
-    for k, comp in enumerate(sccs):
-        for i in comp:
-            scc_of[i] = k
+    # disjoint sorted lists compare by their least element
+    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(nodes), arcs))
+    scc_of = {i: k for k, comp in enumerate(sccs) for i in comp}
     scc_edges: list[list[GeneratingTriple]] = [[] for _ in sccs]
     for e, (i, j) in zip(preliminary.edges, ends):
         if scc_of[i] == scc_of[j]:
             scc_edges[scc_of[i]].append(e)
-    components = sorted(
-        (DiagramComponent(tuple(sorted((nodes[i] for i in comp), key=LttStructure.sort_key)),
-                          tuple(comp_edges))
-         for comp, comp_edges in zip(sccs, scc_edges) if comp_edges),
-        key=DiagramComponent.sort_key)
-    return IdDiagram(rank, target, preliminary, tuple(components))
+    components = tuple(DiagramComponent(tuple(nodes[i] for i in comp), tuple(comp_edges))
+                       for comp, comp_edges in zip(sccs, scc_edges) if comp_edges)
+    return IdDiagram(rank, target, preliminary, components)
 
 
 # --- irreducibility potential test and EPP reduction ----------------------
@@ -386,12 +378,11 @@ def _node_id(G: LttStructure) -> str:
 
 def diagram_to_json(diagram: IdDiagram) -> dict:
     prelim = diagram.preliminary
-    node_list = list(prelim.nodes)
-    node_index = {G: i for i, G in enumerate(node_list)}
+    node_index = {G: i for i, G in enumerate(prelim.nodes)}
     return {
         "rank": diagram.rank,
         "target": target_to_json(diagram.target),
-        "nodes": [G.to_json() for G in node_list],
+        "nodes": [G.to_json() for G in prelim.nodes],
         "edges": [
             {
                 "source": node_index[e.source],

@@ -13,6 +13,10 @@ def test_connected_graph_counts():
     assert len(connected_simplicial_graphs(6)) == 112
     # a graph with an isolated vertex is not an entry
     assert connected_simplicial_graphs(1) == []
+    # no vertices at all is refused, not an IndexError
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^a graph needs at least one vertex, not {n}$"):
+            connected_simplicial_graphs(n)
     # the table of edge sets seen would take 2^36 bytes at n = 9
     with pytest.raises(ValueError,
                        match=r"^the graph catalog stops at 7 vertices \(rank 4\), not 9$"):

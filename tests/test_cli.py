@@ -23,6 +23,8 @@ EXAMPLE = {
 
 MIDDLE = {"edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2]]}
 
+STAR_P2 = {"edges": [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 2], [3, 4]]}
+
 
 @pytest.fixture()
 def example_map_file(tmp_path):
@@ -264,9 +266,19 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
                      "--format", "json", "--out", str(out)]) == 0
         assert main(["export", "diagram", str(graph), "--rank", "3",
                      "--format", "dot", "--out", str(out)]) == 0
+    # rank 4 too: star_p2 (672 nodes, 160 components) pins the node and
+    # component order of a diagram larger than any at rank 3
+    graph4 = tmp_path / "star_p2.json"
+    graph4.write_text(json.dumps(STAR_P2))
+    for out in (out1, out2):
+        for fmt in ("json", "dot"):
+            assert main(["export", "diagram", str(graph4), "--rank", "4",
+                         "--format", fmt, "--out", str(out)]) == 0
     pinned = {
         "diagram_r3.json": "a330872810c0749a7b64647b7c8ebadc4ae25cbf9838b411d6bb78734922768c",
         "diagram_r3.dot": "8d983924d00ed05551f12b2535bac603f3934d7eaf5cc1cf4dbfb8fd3cd61be6",
+        "diagram_r4.json": "ddc09f4f64f235ae42131fd9ca66902acae31100bf73c18ec1cc2f54b68d4d5e",
+        "diagram_r4.dot": "d5130b7a2601d1b3255c6f38579d4049f8a412e9ec650696eae93532fbc6357c",
     }
     for name, digest in pinned.items():
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -285,10 +297,23 @@ def test_export_structures_and_catalog(tmp_path, capsys):
     assert structures == []
 
 
-def test_export_unknown_format(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["export", "catalog", "--rank", "3", "--format", "svg",
-              "--out", str(tmp_path)])
+def test_export_unknown_format(tmp_path, capsys):
+    # usage errors are one line, exit 1 (a str code), like other input errors;
+    # exit 2 stays reserved for an invalid target graph
+    for argv in (["export", "catalog", "--rank", "3", "--format", "svg",
+                  "--out", str(tmp_path)],
+                 ["check-graph", "--star", "--rank", "x"],
+                 ["sweep", "--rank", "3", "--bogus"],
+                 []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+        assert isinstance(code, str) and code.startswith("error: ") and "\n" not in code
+    assert capsys.readouterr().err == ""
+    for argv in (["--version"], ["sweep", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 def test_cache_dir_env_fallback(tmp_path, monkeypatch, capsys):

@@ -21,6 +21,7 @@ from ttrose.diagram import (
     UNACHIEVED_BIRECURRENCY,
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
+    PreliminaryDiagram,
     build_preliminary,
     diagram_from_json,
     diagram_to_dot,
@@ -30,6 +31,7 @@ from ttrose.diagram import (
     epp_elements,
     epp_structure,
     find_loops,
+    id_diagram,
     irreducibility_potential_test,
     star_target,
     target_verdict,
@@ -38,7 +40,7 @@ from ttrose.diagram import (
 )
 from ttrose.ltt import LttStructure, is_birecurrent
 from ttrose.maps import Generator
-from ttrose.moves import generating_triples
+from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -114,15 +116,32 @@ def test_enumeration_is_epp_closed(catalog5):
 def test_preliminary_diagram_edges_are_admissible(catalog5):
     target = catalog5[1].graph()
     prelim = build_preliminary(target, 3)
-    node_set = set(prelim.nodes)
+    # positions by identity: an edge holds the node objects, not equal copies
+    position = {id(G): i for i, G in enumerate(prelim.nodes)}
     assert prelim.edges
     for e in prelim.edges:
-        assert e.source in node_set and e.dest in node_set
+        assert id(e.source) in position and id(e.dest) in position
         assert is_admissible(e)
         assert check_am(e).all_pass()
         assert [t for t in generating_triples(e.dest)
                 if (t.kind, t.det) == (e.kind, e.det)] == [e]
-    assert len({(e.source, e.dest) for e in prelim.edges}) == len(prelim.edges)
+    # edges are in node-position order, source first, and no pair repeats
+    ends = [(position[id(e.source)], position[id(e.dest)]) for e in prelim.edges]
+    assert all(p < q for p, q in zip(ends, ends[1:]))
+    # components: nodes in position order, components in order of their first node
+    comps = [[position[id(G)] for G in comp.nodes]
+             for comp in id_diagram(target, 3, preliminary=prelim).components]
+    assert len(comps) > 1
+    assert all(c == sorted(c) for c in comps)
+    assert all(c[0] < d[0] for c, d in zip(comps, comps[1:]))
+    # Tarjan emits SCCs in reverse topological order, {c, d} before {a, b}
+    # here, and the components still come out in node order
+    a, b, c, d = prelim.nodes[:4]
+    chain = PreliminaryDiagram((a, b, c, d), tuple(
+        GeneratingTriple(prelim.edges[0].gen, s, t)
+        for s, t in ((a, b), (b, a), (b, c), (c, d), (d, c))))
+    assert [comp.nodes for comp in id_diagram(target, 3, preliminary=chain).components] \
+        == [(a, b), (c, d)]
 
 
 def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
@@ -336,7 +355,6 @@ def test_example_decomposition_realizes_a_diagram_loop():
                              stable_whitehead_graph, stallings_fold_decomposition,
                              validate_ideal_decomposition)
     from ttrose.ltt import ltt_of_map
-    from ttrose.diagram import build_preliminary, id_diagram
 
     dec = stallings_fold_decomposition(EXAMPLE_MAP)
     assert validate_ideal_decomposition(dec).ok
