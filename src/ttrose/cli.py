@@ -172,6 +172,9 @@ def _artifact(out: Path | None, fmt: str | None, diagram, stem: str) -> None:
 
 
 def cmd_check_graph(args) -> int:
+    if args.format and _out_dir(args) is None:
+        raise SystemExit("error: --format selects the artifacts to write; give --out "
+                         "or set TTROSE_CACHE_DIR")
     target = _load_target(args)
     result = target_verdict(target, args.rank)
     print(f"target: {len(target.vertices)} vertices, {len(target.edges)} edges")

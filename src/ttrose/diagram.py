@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
@@ -27,8 +27,7 @@ from .maps import (
     validate_ideal_decomposition,
 )
 from .moves import GeneratingTriple, generating_triples
-from .rose import (MAX_RANK, all_directions, bar, check_rank, edge_index,
-                   format_direction, turn)
+from .rose import MAX_RANK, all_directions, bar, check_rank, edge_index, format_direction
 from .whitehead import WhiteheadGraph, relabelings
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
@@ -93,21 +92,34 @@ def star_target(rank: int) -> WhiteheadGraph:
 # --- structure enumeration ------------------------------------------------
 
 
-def _iter_structures(target: WhiteheadGraph, rank: int) -> Iterator[LttStructure]:
+def _slice_maps(rank: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """One EPP element per ordered pair (red, end) from different bar pairs,
+    sending 1, 2, 3, 4 to red, bar(red), end, bar(end), the other pairs in order."""
+    heads = [(red, bar(red), end, bar(end))
+             for red, end in itertools.permutations(all_directions(rank), 2) if end != bar(red)]
+    return {(h[0], h[2]): h + tuple(d for d in all_directions(rank) if d not in h) for h in heads}
+
+
+def _base_slice(target: WhiteheadGraph, rank: int) -> dict[LttStructure, bool]:
+    """The structures with red vertex 1 and red edge {1, 3}, one per labeled
+    copy of the target on 2..2r (vertex k in sorted order labeled k + 2),
+    each with its birecurrency.  EPP commutes with birecurrency, and the
+    slice maps carry this slice one-to-one onto the disjoint others."""
+    validate_target(target, rank)
     verts = sorted(target.vertices, key=repr)
     position = {v: i for i, v in enumerate(verts)}
     # one labeled copy per distinct edge set, so automorphisms of the
     # target never repeat a purple graph
     orbit = relabelings(len(verts), [(position[u], position[v]) for u, v in target.edges])
-    dirs = list(all_directions(rank))
-    for red in dirs:
-        labels = [d for d in dirs if d != red]
-        for edges in orbit:
-            purple = [(labels[i], labels[j]) for i, j in edges]
-            for attach in labels:
-                if attach == bar(red):
-                    continue
-                yield LttStructure.make(rank, red, turn(red, attach), purple)
+    return {G: is_birecurrent(G) for G in (
+        LttStructure.make(rank, 1, (1, 3), [(i + 2, j + 2) for i, j in edges]) for edges in orbit)}
+
+
+def _carry(base: dict[LttStructure, bool], rank: int, admissible_only: bool) -> list[LttStructure]:
+    """The base slice, or its birecurrent part, under every slice map, sorted."""
+    return sorted((epp_structure(sigma, G) for sigma in _slice_maps(rank).values()
+                   for G, birecurrent in base.items() if birecurrent or not admissible_only),
+                  key=LttStructure.sort_key)
 
 
 def enumerate_structures(target: WhiteheadGraph, rank: int,
@@ -115,12 +127,8 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     """All distinct indexed pair-labeled structures whose purple part is a
     labeled copy of the target, over every label assignment respecting the
     bar pairing and every red edge attachment away from the red vertex's
-    bar partner.  Filtered by birecurrency when requested."""
-    validate_target(target, rank)
-    structures = sorted(_iter_structures(target, rank), key=LttStructure.sort_key)
-    if admissible_only:
-        structures = [G for G in structures if is_birecurrent(G)]
-    return structures
+    bar partner.  Only the birecurrent ones when requested."""
+    return _carry(_base_slice(target, rank), rank, admissible_only)
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -144,6 +152,14 @@ def epp_elements(rank: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _epp_generators(rank: int) -> list[tuple[int, ...]]:
+    """The flip of pair 1 and the r - 1 swaps of adjacent bar pairs, which
+    generate EPP."""
+    d = tuple(all_directions(rank))
+    return [(2, 1, *d[2:])] + [d[:i] + (i + 3, i + 4, i + 1, i + 2) + d[i + 4:]
+                               for i in range(0, 2 * rank - 2, 2)]
+
+
 def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
     colored = frozenset(
         (*sorted((sigma[u - 1], sigma[v - 1])), c) for u, v, c in G.colored)
@@ -164,17 +180,23 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
     """Nodes are the admissible structures; each move into a node is an
     edge whenever its source is admissible.  Edges hold the node objects
     and are ordered by their source's, then their destination's, position."""
-    if nodes is None:
-        nodes = enumerate_structures(target, rank, admissible_only=True)
+    base = _base_slice(target, rank)
+    return _preliminary(rank, _carry(base, rank, True) if nodes is None else nodes, base)
+
+
+def _preliminary(rank: int, nodes: Sequence[LttStructure], base: dict) -> PreliminaryDiagram:
     index = {G: i for i, G in enumerate(nodes)}
+    back = {key: tuple(sigma.index(d) + 1 for d in all_directions(rank))
+            for key, sigma in _slice_maps(rank).items()}
     moves = []
     for j, dest in enumerate(nodes):
         for t in generating_triples(dest):
             if t.source in index:
                 moves.append((index[t.source], j, t.gen))
-            elif is_birecurrent(t.source):
-                # construction preserves the purple graph up to labels,
-                # so exclusion can only mean a non-birecurrent source
+            elif base.get(epp_structure(back[t.source.red_vertex, t.source.attach_vertex],
+                                        t.source), True):
+                # construction preserves the purple graph up to labels, so
+                # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
@@ -248,20 +270,28 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     """Indices of EPP-isomorphic components, each class sorted, classes in
     order of their least index.  The diagram commutes with EPP, so an
     element sending one node of C1 into C2 carries C1 onto C2, edges
-    included: a class is read off the images of one node, with no node set
-    mapped or sorted.  An image in no component means the diagram is not
-    closed under EPP, and raises RuntimeError."""
+    included: a class is closed under EPP's generators by mapping one node
+    per component, so it costs r images per component.  An image in no
+    component means the diagram is not closed under EPP, and raises
+    RuntimeError."""
     component_of = {G: i for i, comp in enumerate(diagram.components) for G in comp.nodes}
-    sigmas = epp_elements(diagram.rank)
+    generators = _epp_generators(diagram.rank)
     classes: list[list[int]] = []
     classed: set[int] = set()
-    for i, comp in enumerate(diagram.components):
-        if i not in classed:
-            members = {component_of.get(epp_structure(s, comp.nodes[0])) for s in sigmas}
-            if None in members:
-                raise RuntimeError("an EPP image of a component node lies in no component")
-            classed |= members
-            classes.append(sorted(members))
+    for i in range(len(diagram.components)):
+        if i in classed:
+            continue
+        members = [i]
+        classed.add(i)
+        for k in members:
+            for sigma in generators:
+                j = component_of.get(epp_structure(sigma, diagram.components[k].nodes[0]))
+                if j is None:
+                    raise RuntimeError("an EPP image of a component node lies in no component")
+                if j not in classed:
+                    classed.add(j)
+                    members.append(j)
+        classes.append(sorted(members))
     return classes
 
 
@@ -357,15 +387,16 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     """UnachievedByBirecurrency when no admissible structure exists, else
     UnachievedByIrreducibilityPotential when the test fails for every
     component, else Inconclusive (the tests are necessary, not sufficient)."""
-    raw = enumerate_structures(target, rank, admissible_only=False)
-    admissible = [G for G in raw if is_birecurrent(G)]
-    if not admissible:
-        return VerdictResult(UNACHIEVED_BIRECURRENCY, len(raw), 0, None, None)
-    prelim = build_preliminary(target, rank, nodes=admissible)
+    base = _base_slice(target, rank)
+    num_structures = len(_slice_maps(rank)) * len(base)
+    nodes = _carry(base, rank, admissible_only=True)
+    if not nodes:
+        return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
+    prelim = _preliminary(rank, nodes, base)
     diagram = id_diagram(target, rank, preliminary=prelim)
     ip = irreducibility_potential_test(diagram)
     verdict = UNACHIEVED_IRREDUCIBILITY if ip.overall_unachieved else INCONCLUSIVE
-    return VerdictResult(verdict, len(raw), len(admissible), diagram, ip)
+    return VerdictResult(verdict, num_structures, len(nodes), diagram, ip)
 
 
 # --- export -----------------------------------------------------------------

@@ -325,6 +325,26 @@ def test_cache_dir_env_fallback(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "cache" / "diagram_r3.dot").exists()
 
 
+def test_check_graph_format_needs_an_output_directory(tmp_path, monkeypatch, capsys):
+    # --format only narrows which artifacts are written, so with nowhere to
+    # write them it is an unread argument
+    monkeypatch.delenv("TTROSE_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    graph = tmp_path / "mid.json"
+    graph.write_text(json.dumps(MIDDLE))
+    for fmt in ("dot", "json"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-graph", str(graph), "--rank", "3", "--format", fmt])
+        code = exc.value.code
+        assert isinstance(code, str) and code.startswith("error: ") and "\n" not in code
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["mid.json"]
+    # the environment's directory is an output directory too
+    monkeypatch.setenv("TTROSE_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["check-graph", str(graph), "--rank", "3", "--format", "dot"]) == 0
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["diagram_r3.dot"]
+
+
 def test_export_empty_diagram(tmp_path, capsys):
     assert main(["export", "diagram", "--star", "--rank", "3",
                  "--format", "dot", "--out", str(tmp_path)]) == 0

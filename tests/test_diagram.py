@@ -44,6 +44,13 @@ from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.whitehead import WhiteheadGraph
 
 
+# K5 with two pendants on one vertex (adjacent and non-adjacent twins), and
+# the 7-cycle (dihedral automorphisms and no twins)
+K5_2PEND = WhiteheadGraph.build(
+    range(7), [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)])
+C7 = WhiteheadGraph.build(range(7), [(i, (i + 1) % 7) for i in range(7)])
+
+
 @pytest.fixture(scope="module")
 def catalog5():
     return connected_simplicial_graphs(5)
@@ -91,12 +98,8 @@ def test_generic_enumeration_matches_assignment_oracle(catalog5):
         return enumerate_structures(target, rank) == sorted(oracle, key=LttStructure.sort_key)
 
     assert all(matches(entry.graph(), 3) for entry in catalog5)
-    # K5 with two pendants on one vertex: adjacent and non-adjacent twins
-    k5_2pend = WhiteheadGraph.build(
-        range(7), [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)])
-    assert matches(k5_2pend, 4)
-    # the 7-cycle: dihedral automorphisms and no twins
-    assert matches(WhiteheadGraph.build(range(7), [(i, (i + 1) % 7) for i in range(7)]), 4)
+    assert matches(K5_2PEND, 4)
+    assert matches(C7, 4)
 
 
 def test_star_raw_epp_classes():
@@ -150,6 +153,47 @@ def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
                 if e.source != e.dest)
     with pytest.raises(RuntimeError, match="admissible source missing"):
         build_preliminary(catalog5[1].graph(), 3, nodes=[G for G in nodes if G != edge.source])
+
+
+def test_preliminary_refuses_the_nodes_of_another_target(catalog5):
+    # a move source that lies in no slice of the target is not an excluded
+    # structure: the node list is some other target's
+    nodes = enumerate_structures(catalog5[1].graph(), 3, admissible_only=True)
+    with pytest.raises(RuntimeError, match="admissible source missing"):
+        build_preliminary(catalog5[2].graph(), 3, nodes=nodes)
+
+
+@pytest.mark.parametrize("name, rank", [("G5.02", 3), ("k5_2pend", 4)])
+def test_verdict_decides_birecurrency_on_the_base_slice(monkeypatch, catalog5, name, rank):
+    # once per structure with red vertex 1 and red edge {1, 3}: the slice
+    # maps carry these verdicts to the 2r(2r - 2) slices, and the
+    # preliminary diagram looks excluded sources up instead of rechecking
+    import ttrose.diagram
+    target = K5_2PEND if name == "k5_2pend" else next(
+        e for e in catalog5 if e.id == name).graph()
+    decided = []
+
+    def recording(G):
+        decided.append(G)
+        return is_birecurrent(G)
+
+    monkeypatch.setattr(ttrose.diagram, "is_birecurrent", recording)
+    result = target_verdict(target, rank)
+    assert result.diagram is not None
+    assert all((G.red_vertex, G.red_edge) == (1, (1, 3)) for G in decided)
+    assert len(set(decided)) == len(decided) == result.num_structures // (2 * rank * (2 * rank - 2))
+
+
+def test_verdict_counts_match_the_enumeration(catalog5):
+    targets = [(e.graph(), 3) for e in catalog5]
+    targets += [(WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]), 2),
+                (WhiteheadGraph.build(range(3), [(0, 1), (1, 2), (0, 2)]), 2),
+                (K5_2PEND, 4), (C7, 4)]
+    for target, rank in targets:
+        result = target_verdict(target, rank)
+        assert result.num_structures == len(enumerate_structures(target, rank))
+        assert result.num_admissible == len(enumerate_structures(target, rank,
+                                                                 admissible_only=True))
 
 
 def test_components_are_strongly_connected(squeeze):
@@ -295,6 +339,23 @@ def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
     broken = dataclasses.replace(diagram, components=diagram.components[1:])
     with pytest.raises(RuntimeError, match="lies in no component"):
         epp_classes(broken)
+
+
+def test_epp_classes_map_r_images_per_component(monkeypatch):
+    # closing a class under EPP's r generators costs r images per
+    # component, not one per element of EPP (46,080 at rank 6)
+    import ttrose.diagram
+    k11 = WhiteheadGraph.build(range(11), itertools.combinations(range(11), 2))
+    diagram = target_verdict(k11, 6).diagram
+    images = []
+
+    def counting(sigma, G):
+        images.append(sigma)
+        return epp_structure(sigma, G)
+
+    monkeypatch.setattr(ttrose.diagram, "epp_structure", counting)
+    assert len(epp_classes(diagram)) == 1
+    assert 0 < len(images) <= 6 * len(diagram.components)
 
 
 def test_loops_and_reports(squeeze):
