@@ -71,7 +71,11 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {path}")
 
 
 def _load_json(source: str) -> dict:

@@ -21,6 +21,7 @@ from typing import Sequence
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
     FoldDecomposition,
+    Generator,
     IdealDecompositionReport,
     identity_permutation,
     is_train_track,
@@ -115,11 +116,12 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> dict[LttStructure, bool]:
         LttStructure.make(rank, 1, (1, 3), [(i + 2, j + 2) for i, j in edges]) for edges in orbit)}
 
 
-def _carry(base: dict[LttStructure, bool], rank: int, admissible_only: bool) -> list[LttStructure]:
-    """The base slice, or its birecurrent part, under every slice map, sorted."""
-    return sorted((epp_structure(sigma, G) for sigma in _slice_maps(rank).values()
-                   for G, birecurrent in base.items() if birecurrent or not admissible_only),
-                  key=LttStructure.sort_key)
+def _carry(rank: int,
+           reps: Sequence[LttStructure]) -> list[tuple[tuple[int, int], int, LttStructure]]:
+    """Each slice map's image of each base-slice structure, tagged by the
+    slice's (red vertex, red-edge end) and the structure's index, sorted."""
+    return sorted(((key, b, epp_structure(sigma, G)) for key, sigma in _slice_maps(rank).items()
+                   for b, G in enumerate(reps)), key=lambda item: item[2].sort_key())
 
 
 def enumerate_structures(target: WhiteheadGraph, rank: int,
@@ -128,7 +130,9 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     labeled copy of the target, over every label assignment respecting the
     bar pairing and every red edge attachment away from the red vertex's
     bar partner.  Only the birecurrent ones when requested."""
-    return _carry(_base_slice(target, rank), rank, admissible_only)
+    base = _base_slice(target, rank)
+    return [G for _, _, G in _carry(rank, [G for G, birecurrent in base.items()
+                                          if birecurrent or not admissible_only])]
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -179,29 +183,63 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
                       nodes: Sequence[LttStructure] | None = None) -> PreliminaryDiagram:
     """Nodes are the admissible structures; each move into a node is an
     edge whenever its source is admissible.  Edges hold the node objects
-    and are ordered by their source's, then their destination's, position."""
-    base = _base_slice(target, rank)
-    return _preliminary(rank, _carry(base, rank, True) if nodes is None else nodes, base)
+    and are ordered by their source's, then their destination's, position.
+    A given node list is checked against the admissible structures, not
+    used: one that differs raises RuntimeError."""
+    prelim = _preliminary(rank, _base_slice(target, rank))
+    if nodes is not None and tuple(nodes) != prelim.nodes:
+        raise RuntimeError("admissible source missing from the enumeration")
+    return prelim
 
 
-def _preliminary(rank: int, nodes: Sequence[LttStructure], base: dict) -> PreliminaryDiagram:
-    index = {G: i for i, G in enumerate(nodes)}
+def _preliminary(rank: int, base: dict[LttStructure, bool]) -> PreliminaryDiagram:
+    """The moves commute with EPP, so the moves into the admissible base
+    structures B_b, each source written as sigma_k'(B_b'), give every edge:
+    the moves into sigma_k(B_b) are sigma_k of those, and the source
+    sigma_k(sigma_k'(B_b')) is sigma_k''(kappa(B_b')) for the slice k'' of
+    sigma_k o sigma_k' and kappa in the stabilizer of directions 1 and 3."""
+    maps = _slice_maps(rank)
     back = {key: tuple(sigma.index(d) + 1 for d in all_directions(rank))
-            for key, sigma in _slice_maps(rank).items()}
-    moves = []
-    for j, dest in enumerate(nodes):
-        for t in generating_triples(dest):
-            if t.source in index:
-                moves.append((index[t.source], j, t.gen))
-            elif base.get(epp_structure(back[t.source.red_vertex, t.source.attach_vertex],
-                                        t.source), True):
+            for key, sigma in maps.items()}
+    reps = [G for G, birecurrent in base.items() if birecurrent]
+    rep_index = {G: b for b, G in enumerate(reps)}
+    carried = _carry(rank, reps)
+    nodes = tuple(G for _, _, G in carried)
+    position = {key: [0] * len(reps) for key in maps}
+    for i, (key, b, _) in enumerate(carried):
+        position[key][b] = i
+    # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
+    arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for b, G in enumerate(reps):
+        for t in generating_triples(G):
+            source_key = (t.source.red_vertex, t.source.attach_vertex)
+            preimage = epp_structure(back[source_key], t.source)
+            if preimage in rep_index:
+                arcs.setdefault(source_key, []).append((b, rep_index[preimage]))
+            elif preimage not in base:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
+    images: dict[tuple[int, ...], list[int]] = {}  # kappa -> index of kappa(B_b) by b
+    moves = []
+    for key, sigma in maps.items():
+        dest = position[key]
+        # sigma carries the generator entering the base slice, a = 4, u = 1
+        gen = Generator(rank, a=sigma[3], u=sigma[0])
+        for (red, end), pairs in arcs.items():
+            key2 = (sigma[red - 1], sigma[end - 1])
+            kappa = tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end])
+            if kappa not in images:
+                lifted = [rep_index.get(epp_structure(kappa, G)) for G in reps]
+                if None in lifted:
+                    raise RuntimeError("an EPP image of an admissible structure is not admissible")
+                images[kappa] = lifted
+            source, image = position[key2], images[kappa]
+            moves.extend((source[image[b2]], dest[b], gen) for b, b2 in pairs)
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
     moves.sort(key=lambda m: m[:2])
-    return PreliminaryDiagram(tuple(nodes), tuple(
+    return PreliminaryDiagram(nodes, tuple(
         GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves))
 
 
@@ -389,14 +427,13 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     component, else Inconclusive (the tests are necessary, not sufficient)."""
     base = _base_slice(target, rank)
     num_structures = len(_slice_maps(rank)) * len(base)
-    nodes = _carry(base, rank, admissible_only=True)
-    if not nodes:
+    if not any(base.values()):
         return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
-    prelim = _preliminary(rank, nodes, base)
+    prelim = _preliminary(rank, base)
     diagram = id_diagram(target, rank, preliminary=prelim)
     ip = irreducibility_potential_test(diagram)
     verdict = UNACHIEVED_IRREDUCIBILITY if ip.overall_unachieved else INCONCLUSIVE
-    return VerdictResult(verdict, num_structures, len(nodes), diagram, ip)
+    return VerdictResult(verdict, num_structures, len(prelim.nodes), diagram, ip)
 
 
 # --- export -----------------------------------------------------------------
@@ -450,14 +487,15 @@ def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:
     """Components with hashed node ids; a legend comment line spells out
     each node's structure."""
     comps = diagram.components
+    ids = {G: _node_id(G) for comp in comps for G in comp.nodes}
     lines = [f'digraph "{name}" {{']
     for ci, comp in enumerate(comps):
         lines.append(f'  subgraph cluster_{ci} {{ label="component {ci}";')
-        lines.extend(f'    "{_node_id(G)}" [shape=box];' for G in comp.nodes)
+        lines.extend(f'    "{ids[G]}" [shape=box];' for G in comp.nodes)
         lines.append("  }")
     for e in (e for comp in comps for e in comp.edges):
         label = f"{e.kind[:3]} {e.gen}"
-        lines.append(f'  "{_node_id(e.source)}" -> "{_node_id(e.dest)}" [label="{label}"];')
+        lines.append(f'  "{ids[e.source]}" -> "{ids[e.dest]}" [label="{label}"];')
     lines.append("}")
-    lines.extend(f"// {_node_id(G)} = {G}" for comp in comps for G in comp.nodes)
+    lines.extend(f"// {ids[G]} = {G}" for comp in comps for G in comp.nodes)
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ttrose.diagram import epp_elements, epp_structure
+from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements, epp_structure
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
 from ttrose.moves import GeneratingTriple, generating_triples
@@ -187,6 +187,25 @@ def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[L
         return []
     classes = epp_orbits(structures[0].rank, [(G,) for G in structures])
     return [sorted((structures[i] for i in c), key=LttStructure.sort_key) for c in classes]
+
+
+def preliminary_by_destination(target: WhiteheadGraph, rank: int) -> PreliminaryDiagram:
+    """The preliminary diagram move by move: every move into every
+    admissible structure, kept when its source is admissible, so one
+    generating_triples call per node; a source outside the node list
+    that is birecurrent raises RuntimeError."""
+    nodes = enumerate_structures(target, rank, admissible_only=True)
+    index = {G: i for i, G in enumerate(nodes)}
+    moves = []
+    for j, dest in enumerate(nodes):
+        for t in generating_triples(dest):
+            if t.source in index:
+                moves.append((index[t.source], j, t.gen))
+            elif is_birecurrent(t.source):
+                raise RuntimeError("admissible source missing from the enumeration")
+    moves.sort(key=lambda m: m[:2])
+    return PreliminaryDiagram(tuple(nodes), tuple(
+        GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves))
 
 
 # --- the admissible map checklist I-VII ------------------------------------

@@ -14,6 +14,8 @@ from oracles import (
     epp_classes_of_structures,
     epp_orbits,
     is_admissible,
+    preliminary_by_destination,
+    random_connected_graph,
 )
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import (
@@ -41,7 +43,7 @@ from ttrose.diagram import (
 from ttrose.ltt import LttStructure, is_birecurrent
 from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, generating_triples
-from ttrose.whitehead import WhiteheadGraph
+from ttrose.whitehead import WhiteheadGraph, relabelings
 
 
 # K5 with two pendants on one vertex (adjacent and non-adjacent twins), and
@@ -182,6 +184,42 @@ def test_verdict_decides_birecurrency_on_the_base_slice(monkeypatch, catalog5, n
     assert result.diagram is not None
     assert all((G.red_vertex, G.red_edge) == (1, (1, 3)) for G in decided)
     assert len(set(decided)) == len(decided) == result.num_structures // (2 * rank * (2 * rank - 2))
+
+
+@pytest.mark.parametrize("name, rank", [("G5.02", 3), ("k5_2pend", 4)])
+def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, name, rank):
+    # once per admissible structure with red vertex 1 and red edge {1, 3}:
+    # the slice maps carry its moves to the moves into the other slices
+    import ttrose.diagram
+    target = K5_2PEND if name == "k5_2pend" else next(
+        e for e in catalog5 if e.id == name).graph()
+    destinations = []
+
+    def recording(G):
+        destinations.append(G)
+        return generating_triples(G)
+
+    monkeypatch.setattr(ttrose.diagram, "generating_triples", recording)
+    result = target_verdict(target, rank)
+    assert result.diagram is not None
+    assert all((G.red_vertex, G.red_edge) == (1, (1, 3)) for G in destinations)
+    slices = 2 * rank * (2 * rank - 2)
+    assert len(set(destinations)) == len(destinations) == result.num_admissible // slices
+
+
+def test_preliminary_matches_the_per_destination_oracle(catalog5):
+    # nodes and edges as tuples, so order counts; the random rank-4 targets
+    # have at most 1,260 relabelings (an automorphism group of order 4 or
+    # more), which keeps the oracle's one move call per node to seconds
+    targets = [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (C7, 4)]
+    rng = random.Random(3)
+    while len(targets) < len(catalog5) + 6:
+        target = random_connected_graph(rng, 7, rng.randrange(7))
+        if len(relabelings(7, list(target.edges))) <= 1260:
+            targets.append((target, 4))
+    for target, rank in targets:
+        built, oracle = build_preliminary(target, rank), preliminary_by_destination(target, rank)
+        assert (built.nodes, built.edges) == (oracle.nodes, oracle.edges)
 
 
 def test_verdict_counts_match_the_enumeration(catalog5):
