@@ -11,6 +11,7 @@ TTROSE_CACHE_DIR environment variable when set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -64,18 +65,27 @@ def _out_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+@contextlib.contextmanager
+def _output(path: Path):
+    """The file at path, open for writing; an OSError is a one-line error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w") as f:
+            yield f
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc}")
     print(f"wrote {path}")
+
+
+def _write(path: Path, text: str) -> None:
+    with _output(path) as f:
+        f.write(text)
 
 
 def _write_json(path: Path, payload) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as f:
+    with _output(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"wrote {path}")
 
 
 def _load_json(source: str) -> dict:
@@ -194,18 +204,17 @@ def cmd_check_graph(args) -> int:
         classes = epp_classes(result.diagram)
         print(f"EPP classes of components: {len(classes)}")
         if args.max_loop_len:
-            _report_loops(result.diagram, args.max_loop_len)
+            _report_loops(result.diagram.components, args.max_loop_len)
     print(f"verdict: {result.verdict}")
     agree = _oracle_check(target, args) if args.oracle_samples else True
     _artifact(_out_dir(args), args.format, result.diagram, f"diagram_r{args.rank}")
     return 0 if agree else 1
 
 
-def _report_loops(diagram, max_len: int) -> None:
-    for i, comp in enumerate(diagram.components):
-        base = comp.nodes[0]
-        loops = find_loops(diagram, base, max_len)
-        ok = sum(1 for lp in loops if verify_loop(diagram, lp).ok)
+def _report_loops(components, max_len: int) -> None:
+    for i, comp in enumerate(components):
+        loops = find_loops(comp, comp.nodes[0], max_len)
+        ok = sum(1 for lp in loops if verify_loop(lp).ok)
         print(f"  component {i}: {len(loops)} loop(s) of length <= {max_len} "
               f"at its first node; {ok} fully ideal")
 

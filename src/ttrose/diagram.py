@@ -336,16 +336,11 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
 # --- loops -----------------------------------------------------------------
 
 
-def find_loops(diagram: IdDiagram, node: LttStructure,
+def find_loops(comp: DiagramComponent, node: LttStructure,
                max_len: int) -> list[tuple[GeneratingTriple, ...]]:
-    """Closed edge paths based at a node, up to the given length."""
-    comp = None
-    for c in diagram.components:
-        if node in c.nodes:
-            comp = c
-            break
-    if comp is None:
-        return []
+    """Closed edge paths based at a node of the component, up to the given
+    length.  A closed walk never leaves its node's strongly connected
+    component, so the component's edges are all it can use."""
     out_edges: dict[LttStructure, list[GeneratingTriple]] = {}
     for e in comp.edges:
         out_edges.setdefault(e.source, []).append(e)
@@ -377,7 +372,7 @@ class LoopReport:
         return self.train_track and self.ideal.ok and self.basepoint_matches
 
 
-def verify_loop(diagram: IdDiagram, edges: Sequence[GeneratingTriple]) -> LoopReport:
+def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
     """Compose the loop's generators and check the composite: train track,
     ideal decomposition clauses (including the loop-level property VIII and
     the rotationless proxy), and that its structure is the basepoint."""
@@ -388,7 +383,7 @@ def verify_loop(diagram: IdDiagram, edges: Sequence[GeneratingTriple]) -> LoopRe
             raise ValueError("loop edges are not consecutive")
     if edges[-1].dest != edges[0].source:
         raise ValueError("edge sequence is not closed")
-    rank = diagram.rank
+    rank = edges[0].gen.rank
     gens = tuple(e.gen for e in edges)
     dec = FoldDecomposition(rank, gens, identity_permutation(rank))
     composite = dec.compose_all()
@@ -471,16 +466,6 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
             for comp in diagram.components
         ],
     }
-
-
-def diagram_from_json(data: dict) -> IdDiagram:
-    """The diagram its target and rank build; ValueError when its JSON
-    differs from the payload, so nodes, edges and components are checked,
-    not trusted."""
-    diagram = id_diagram(target_from_json(data["target"]), int(data["rank"]))
-    if diagram_to_json(diagram) != data:
-        raise ValueError("diagram JSON differs from the diagram its target and nodes build")
-    return diagram
 
 
 def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:

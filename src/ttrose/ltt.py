@@ -19,15 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
-from .rose import (
-    Direction,
-    Turn,
-    all_directions,
-    bar,
-    check_rank,
-    format_direction,
-    parse_direction,
-)
+from .rose import Direction, Turn, all_directions, bar, format_direction
 
 PURPLE = "purple"
 RED = "red"
@@ -119,21 +111,6 @@ class LttStructure:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "LttStructure":
-        rank = check_rank(int(data["rank"]))
-        red_vertex = parse_direction(data["red_vertex"], rank)
-        colored = set()
-        for item in data["colored_edges"]:
-            u = parse_direction(item["u"], rank)
-            v = parse_direction(item["v"], rank)
-            color = item["color"]
-            if color not in (PURPLE, RED):
-                raise ValueError(f"unknown edge color {color!r}")
-            a, b = sorted((u, v))
-            colored.add((a, b, color))
-        return LttStructure(rank, red_vertex, frozenset(colored))
-
 
 @dataclass(frozen=True)
 class LttValidation:
@@ -206,9 +183,8 @@ def ltt_of_map(m: RoseMap) -> LttStructure:
         raise LttRegimeError(
             f"expected exactly 1 nonperiodic direction, found {len(nonperiodic)}: {nonperiodic}")
     red_vertex = nonperiodic[0]
-    closure = turns_taken_closure(m)
     colored = set()
-    for t in closure.turns:
+    for t in turns_taken_closure(m):
         color = PURPLE if (t[0] in periodic and t[1] in periodic) else RED
         colored.add((t[0], t[1], color))
     return LttStructure(m.rank, red_vertex, frozenset(colored))

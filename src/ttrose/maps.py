@@ -129,61 +129,31 @@ def periodic_and_fixed_directions(m: RoseMap) -> tuple[frozenset[int], frozenset
 
 
 def gates(m: RoseMap) -> tuple[frozenset[int], ...]:
-    """Partition of directions by eventual identification under iterates
-    of Dg.  Stable after at most 2r refinement rounds."""
+    """The fibers of Dg^(2r).  Fibers of Dg^k only coarsen as k grows,
+    and their number, the size of Dg^k's image, stops falling by k = 2r."""
     dg = direction_map(m)
-    n = 2 * m.rank
-    iterate = {d: dg[d] for d in all_directions(m.rank)}
-    partition = _fiber_partition(iterate)
-    for _ in range(n):
-        iterate = {d: dg[iterate[d]] for d in iterate}
-        refined = _fiber_partition(iterate)
-        if refined == partition:
-            break
-        partition = refined
-    return tuple(sorted(partition, key=min))
-
-
-def _fiber_partition(func: Mapping[int, int]) -> frozenset[frozenset[int]]:
     fibers: dict[int, set[int]] = {}
-    for d, v in func.items():
-        fibers.setdefault(v, set()).add(d)
-    return frozenset(frozenset(f) for f in fibers.values())
+    for d in all_directions(m.rank):
+        x = d
+        for _ in range(2 * m.rank):
+            x = dg[x]
+        fibers.setdefault(x, set()).add(d)
+    return tuple(sorted((frozenset(f) for f in fibers.values()), key=min))
 
 
-@dataclass(frozen=True)
-class TurnClosure:
+def turns_taken_closure(m: RoseMap) -> frozenset[Turn]:
     """Least set of turns containing those of the edge images and closed
-    under the induced turn map."""
-
-    turns: frozenset[Turn]
-    cancellation: bool  # some closure turn maps degenerately, so some
-    # iterate g^k(e) would cancel and the closure is not meaningful
-
-
-def turns_taken_closure(m: RoseMap) -> TurnClosure:
+    under the induced turn map.  A turn whose directions Dg identifies has
+    no image; it lies in one gate, so is_train_track reports it illegal."""
     dg = direction_map(m)
     current: set[Turn] = set()
     for word in m.images:
         current |= turns_of(word)
-    cancellation = False
     frontier = set(current)
-    max_rounds = m.rank * (2 * m.rank - 1) + 1
-    for _ in range(max_rounds):
-        if not frontier:
-            break
-        new: set[Turn] = set()
-        for d1, d2 in frontier:
-            i1, i2 = dg[d1], dg[d2]
-            if i1 == i2:
-                cancellation = True
-                continue
-            t = turn(i1, i2)
-            if t not in current:
-                new.add(t)
-        current |= new
-        frontier = new
-    return TurnClosure(frozenset(current), cancellation)
+    while frontier:
+        frontier = {turn(dg[d1], dg[d2]) for d1, d2 in frontier if dg[d1] != dg[d2]} - current
+        current |= frontier
+    return frozenset(current)
 
 
 @dataclass(frozen=True)
@@ -197,12 +167,11 @@ class TrainTrackVerdict:
 
 def is_train_track(m: RoseMap) -> TrainTrackVerdict:
     """True iff no taken turn is illegal (its two directions share a gate)."""
-    closure = turns_taken_closure(m)
     gate_of: dict[int, int] = {}
     for i, g in enumerate(gates(m)):
         for d in g:
             gate_of[d] = i
-    for t in sorted(closure.turns):
+    for t in sorted(turns_taken_closure(m)):
         if gate_of[t[0]] == gate_of[t[1]]:
             return TrainTrackVerdict(False, t)
     return TrainTrackVerdict(True, None)
@@ -215,8 +184,7 @@ def local_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
     if not verdict.ok:
         raise ValueError(f"not a train track map (illegal turn {verdict.witness})")
     closure = turns_taken_closure(m)
-    vertices = {d for t in closure.turns for d in t}
-    return WhiteheadGraph.build(vertices, closure.turns)
+    return WhiteheadGraph.build({d for t in closure for d in t}, closure)
 
 
 def stable_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
@@ -422,7 +390,6 @@ class IdealDecompositionReport:
     """Clause-by-clause check of the ideal decomposition conditions."""
 
     nonempty: bool
-    generator_shapes: bool
     trivial_permutation: bool
     composite_fixes_all_but_last_u: bool
     rotationless_proxy: bool  # all periodic directions of the composite fixed
@@ -432,7 +399,7 @@ class IdealDecompositionReport:
 
     @property
     def ok(self) -> bool:
-        return (self.nonempty and self.generator_shapes and self.trivial_permutation
+        return (self.nonempty and self.trivial_permutation
                 and self.composite_fixes_all_but_last_u and self.rotationless_proxy
                 and self.am_viii_a and self.am_viii_b)
 
@@ -440,10 +407,8 @@ class IdealDecompositionReport:
 def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionReport:
     details: list[str] = []
     if not dec.generators:
-        return IdealDecompositionReport(False, False, False, False, False, False, False,
+        return IdealDecompositionReport(False, False, False, False, False, False,
                                         ("decomposition has no generators",))
-    # generator shape is enforced by the Generator type; re-derive anyway
-    shapes = all(g.a not in (g.u, bar(g.u)) for g in dec.generators)
     trivial_perm = dec.has_trivial_permutation()
     if not trivial_perm:
         details.append("final homeomorphism permutes edge indices")
@@ -474,5 +439,5 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
     if not viii_b:
         details.append(f"edge pairs never twice-achieved: {sorted(all_idx - a_indices)}")
 
-    return IdealDecompositionReport(True, shapes, trivial_perm, fixes, rotationless,
+    return IdealDecompositionReport(True, trivial_perm, fixes, rotationless,
                                     viii_a, viii_b, tuple(details))

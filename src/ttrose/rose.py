@@ -115,13 +115,6 @@ def format_word(word: Sequence[int]) -> str:
     return "".join(format_direction(d) for d in word)
 
 
-def parse_direction(text: str, rank: int) -> Direction:
-    word = parse_word(text, rank)
-    if len(word) != 1:
-        raise ValueError(f"expected a single direction, got {text!r}")
-    return word[0]
-
-
 def parse_word(text: str, rank: int) -> Word:
     """Parse a word like ``"bac'"`` or ``"b a -c"`` into direction letters.
 

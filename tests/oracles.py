@@ -44,6 +44,21 @@ def closure_by_iteration(m: RoseMap, max_power: int | None = None) -> frozenset:
     return frozenset(total)
 
 
+def gates_by_definition(m: RoseMap) -> tuple[frozenset[int], ...]:
+    """Directions d1, d2 share a gate when Dg^k(d1) = Dg^k(d2) for some
+    k <= 2r, checked pair by pair with Dg read off the edge images."""
+    n = 2 * m.rank
+    orbit = {}
+    for d in all_directions(m.rank):
+        x, orbit[d] = d, []
+        for _ in range(n):
+            x = m.word_of(x)[0]
+            orbit[d].append(x)
+    parts = {frozenset(d2 for d2 in orbit if any(a == b for a, b in zip(orbit[d], orbit[d2])))
+             for d in orbit}
+    return tuple(sorted(parts, key=min))
+
+
 def substitute_and_reduce(outer: RoseMap, word) -> tuple:
     """Word substitution with scan-and-restart free reduction (independent
     of the stack-based tighten)."""
@@ -231,6 +246,19 @@ class InducedColoredMap:
 
     def vertex_image(self, d: int) -> int:
         return self.vertex_map[d - 1]
+
+
+def closed_walks(edges: Sequence[GeneratingTriple], node: LttStructure,
+                 max_len: int) -> set[tuple[GeneratingTriple, ...]]:
+    """Every walk of at most max_len edges from node back to node, grown
+    one edge at a time by scanning the whole edge list."""
+    walks: list[tuple[GeneratingTriple, ...]] = [()]
+    closed = set()
+    for _ in range(max_len):
+        walks = [w + (e,) for w in walks for e in edges
+                 if e.source == (w[-1].dest if w else node)]
+        closed.update(w for w in walks if w[-1].dest == node)
+    return closed
 
 
 def induced_colored_map(t: GeneratingTriple) -> InducedColoredMap:

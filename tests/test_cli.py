@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -283,6 +284,21 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
     for name, digest in pinned.items():
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert hashlib.sha256((out1 / name).read_bytes()).hexdigest() == digest
+
+
+def test_unwritable_out_is_one_line_error(tmp_path, capsys):
+    graph = tmp_path / "mid.json"
+    graph.write_text(json.dumps(MIDDLE))
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory")
+    for out in (blocked, blocked / "sub"):
+        for argv in (["check-graph", str(graph), "--rank", "3"], ["sweep", "--rank", "4"],
+                     ["export", "structures", "--star", "--rank", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert str(exc.value).startswith(f"error: cannot write {out}{os.sep}")
+            assert "\n" not in str(exc.value)
+    assert blocked.read_text() == "a file, not a directory"
 
 
 def test_export_structures_and_catalog(tmp_path, capsys):

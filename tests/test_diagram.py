@@ -3,7 +3,6 @@ irreducibility potential test, EPP reduction, and loop verification."""
 
 import dataclasses
 import itertools
-import json
 import random
 
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from oracles import (
     assignment_oracle_structures,
     check_am,
+    closed_walks,
     epp_classes_of_structures,
     epp_orbits,
     is_admissible,
@@ -25,9 +25,7 @@ from ttrose.diagram import (
     InvalidTargetGraph,
     PreliminaryDiagram,
     build_preliminary,
-    diagram_from_json,
     diagram_to_dot,
-    diagram_to_json,
     enumerate_structures,
     epp_classes,
     epp_elements,
@@ -398,45 +396,30 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
 
 def test_loops_and_reports(squeeze):
     diagram = squeeze["G5.04"].diagram
-    base = diagram.components[0].nodes[0]
-    loops = find_loops(diagram, base, 4)
+    comp = diagram.components[0]
+    loops = find_loops(comp, comp.nodes[0], 4)
     assert loops
     for lp in loops[:40]:
-        report = verify_loop(diagram, lp)
+        report = verify_loop(lp)
         assert report.train_track  # diagram loops compose without cancellation here
     with pytest.raises(ValueError):
-        verify_loop(diagram, [])
-    open_edge = next(e for e in diagram.components[0].edges if e.source != e.dest)
+        verify_loop([])
+    open_edge = next(e for e in comp.edges if e.source != e.dest)
     with pytest.raises(ValueError):
-        verify_loop(diagram, [open_edge])  # not closed
+        verify_loop([open_edge])  # not closed
     with pytest.raises(ValueError):
-        verify_loop(diagram, [open_edge, open_edge])  # not consecutive
+        verify_loop([open_edge, open_edge])  # not consecutive
 
 
-def test_diagram_json_round_trip(squeeze):
+def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
+    # a closed walk never leaves its node's strongly connected component,
+    # so searching the component alone misses none of them
     diagram = squeeze["G5.02"].diagram
-    payload = json.loads(json.dumps(diagram_to_json(diagram), sort_keys=True))
-    restored = diagram_from_json(payload)
-    assert diagram_to_json(restored) == diagram_to_json(diagram)
-    assert restored.components == diagram.components
-
-
-def test_diagram_json_refuses_a_rewired_edge(squeeze):
-    # the edges follow from the target and the nodes, so an edge sent to
-    # another destination is refused instead of loaded as written
-    payload = json.loads(json.dumps(diagram_to_json(squeeze["G5.02"].diagram)))
-    edge = payload["edges"][0]
-    edge["dest"] = next(i for i in range(len(payload["nodes"]))
-                        if i not in (edge["source"], edge["dest"]))
-    with pytest.raises(ValueError, match="^diagram JSON differs from the diagram its "
-                                         "target and nodes build$"):
-        diagram_from_json(payload)
-    # a dropped node is refused the same way, not by the preliminary build
-    payload = json.loads(json.dumps(diagram_to_json(squeeze["G5.02"].diagram)))
-    del payload["nodes"][0]
-    with pytest.raises(ValueError, match="^diagram JSON differs from the diagram its "
-                                         "target and nodes build$"):
-        diagram_from_json(payload)
+    assert len(diagram.components) == 12
+    for comp in diagram.components:
+        loops = find_loops(comp, comp.nodes[0], 3)
+        assert len(loops) == len(set(loops))
+        assert set(loops) == closed_walks(diagram.preliminary.edges, comp.nodes[0], 3)
 
 
 def test_dot_export_is_deterministic(squeeze):
@@ -476,7 +459,7 @@ def test_example_decomposition_realizes_a_diagram_loop():
         matches = by_key.get((structures[k - 1], structures[k], gens[k - 1]))
         assert matches, f"step {k} is not a diagram edge"
         loop.append(matches[0])
-    report = verify_loop(diagram, loop)
+    report = verify_loop(loop)
     assert report.train_track
     assert report.ideal.ok
     assert report.basepoint_matches

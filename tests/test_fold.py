@@ -107,7 +107,7 @@ def test_ideal_validation_composite_fix_clause():
     g2 = Generator(2, a=3, u=1)
     report = validate_ideal_decomposition(
         FoldDecomposition(2, (g1, g2), identity_permutation(2)))
-    assert report.nonempty and report.generator_shapes
+    assert report.nonempty
     report_single = validate_ideal_decomposition(
         FoldDecomposition(2, (g1,), identity_permutation(2)))
     assert report_single.composite_fixes_all_but_last_u

@@ -1,7 +1,6 @@
 """Lamination train track structures, their validation, and birecurrency."""
 
 import gc
-import json
 import random
 import weakref
 
@@ -102,11 +101,6 @@ def test_validation_flags():
                                        (3, 6, "purple"), (1, 5, "purple")}))
     rep = validate_ltt(G)
     assert any(v.startswith("ltt2") for v in rep.violations)
-
-
-def test_json_round_trip(example_structure):
-    data = json.loads(json.dumps(example_structure.to_json()))
-    assert LttStructure.from_json(data) == example_structure
 
 
 def test_dot_export_mentions_all_edges(example_structure):
