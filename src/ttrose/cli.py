@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import random
@@ -66,14 +67,35 @@ def _out_dir(args) -> Path | None:
 
 
 @contextlib.contextmanager
+def _writing(path: Path):
+    """An OSError inside is a one-line error naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc}")
+
+
+def _check_writable(path: Path) -> None:
+    """Fail as writing path would if its nearest existing ancestor is not a
+    directory this process may write, so that an output that cannot be
+    written fails before the work that fills it; nothing is created."""
+    with _writing(path):
+        found = path.parent
+        while not found.exists():
+            found = found.parent
+        if not found.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(found))
+        if not os.access(found, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(found))
+
+
+@contextlib.contextmanager
 def _output(path: Path):
     """The file at path, open for writing; an OSError is a one-line error."""
-    try:
+    with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as f:
             yield f
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write {path}: {exc}")
     print(f"wrote {path}")
 
 
@@ -190,6 +212,9 @@ def cmd_check_graph(args) -> int:
         raise SystemExit("error: --format selects the artifacts to write; give --out "
                          "or set TTROSE_CACHE_DIR")
     target = _load_target(args)
+    out = _out_dir(args)
+    if out is not None:
+        _check_writable(out / f"diagram_r{args.rank}.{args.format or 'json'}")
     result = target_verdict(target, args.rank)
     print(f"target: {len(target.vertices)} vertices, {len(target.edges)} edges")
     print(f"structures: {result.num_structures} total, {result.num_admissible} birecurrent")
@@ -207,7 +232,7 @@ def cmd_check_graph(args) -> int:
             _report_loops(result.diagram.components, args.max_loop_len)
     print(f"verdict: {result.verdict}")
     agree = _oracle_check(target, args) if args.oracle_samples else True
-    _artifact(_out_dir(args), args.format, result.diagram, f"diagram_r{args.rank}")
+    _artifact(out, args.format, result.diagram, f"diagram_r{args.rank}")
     return 0 if agree else 1
 
 
@@ -241,11 +266,13 @@ def _catalog(n: int) -> list:
 
 def cmd_sweep(args) -> int:
     n = 2 * args.rank - 1
+    out = _out_dir(args)
+    if out is not None:
+        _check_writable(out / f"sweep_r{args.rank}.json")
     if args.rank >= 4 and not args.full:
         entries = None
         targets = [("star", star_target(args.rank))]
-        print(f"rank {args.rank}: star-only mode (use --full for the whole catalog; "
-              f"expect hours)")
+        print(f"rank {args.rank}: star-only mode (use --full for the whole catalog)")
     else:
         entries = _catalog(n)
         targets = [(e.id, e.graph()) for e in entries]
@@ -268,7 +295,6 @@ def cmd_sweep(args) -> int:
               f"{r['admissible']:>10}  {r['components']:>10}  {r['verdict']}")
     flagged = [r for r in rows if r["verdict"] != INCONCLUSIVE]
     print(f"unachieved: {len(flagged)} of {len(rows)}")
-    out = _out_dir(args)
     if out is not None:
         _write_json(out / f"sweep_r{args.rank}.json", {"rank": args.rank, "results": rows})
     return 0

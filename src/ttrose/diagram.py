@@ -16,9 +16,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
-from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
+from .ltt import ColoredEdge, LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
     FoldDecomposition,
     Generator,
@@ -116,12 +117,35 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> dict[LttStructure, bool]:
         LttStructure.make(rank, 1, (1, 3), [(i + 2, j + 2) for i, j in edges]) for edges in orbit)}
 
 
+def _edge_table(sigma: Sequence[int],
+                edges: Iterable[ColoredEdge]) -> dict[ColoredEdge, ColoredEdge]:
+    """sigma's image of each of the colored edges, as epp_structure maps it."""
+    table = {}
+    for u, v, c in edges:
+        a, b = sigma[u - 1], sigma[v - 1]
+        table[u, v, c] = (a, b, c) if a < b else (b, a, c)
+    return table
+
+
+def _colored_edges(structures: Iterable[LttStructure]) -> set[ColoredEdge]:
+    return {e for G in structures for e in G.colored}
+
+
 def _carry(rank: int,
            reps: Sequence[LttStructure]) -> list[tuple[tuple[int, int], int, LttStructure]]:
     """Each slice map's image of each base-slice structure, tagged by the
-    slice's (red vertex, red-edge end) and the structure's index, sorted."""
-    return sorted(((key, b, epp_structure(sigma, G)) for key, sigma in _slice_maps(rank).items()
-                   for b, G in enumerate(reps)), key=lambda item: item[2].sort_key())
+    slice's (red vertex, red-edge end) and the structure's index, sorted
+    by red vertex, then sorted colored edges."""
+    used = _colored_edges(reps)
+    carried = []
+    for key, sigma in _slice_maps(rank).items():
+        image = _edge_table(sigma, used).__getitem__
+        carried.extend(((sigma[G.red_vertex - 1], tuple(sorted(map(image, G.colored)))), key, b)
+                       for b, G in enumerate(reps))
+    # the slices are disjoint, so no two sort keys are equal
+    carried.sort(key=itemgetter(0))
+    return [(key, b, LttStructure(rank, red, frozenset(edges)))
+            for (red, edges), key, b in carried]
 
 
 def enumerate_structures(target: WhiteheadGraph, rank: int,
@@ -220,8 +244,9 @@ def _preliminary(rank: int, base: dict[LttStructure, bool]) -> PreliminaryDiagra
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
+    used = _colored_edges(reps)
     images: dict[tuple[int, ...], list[int]] = {}  # kappa -> index of kappa(B_b) by b
-    moves = []
+    rows: list[list[tuple[int, Generator]]] = [[] for _ in nodes]  # (dest, gen) by source
     for key, sigma in maps.items():
         dest = position[key]
         # sigma carries the generator entering the base slice, a = 4, u = 1
@@ -230,17 +255,23 @@ def _preliminary(rank: int, base: dict[LttStructure, bool]) -> PreliminaryDiagra
             key2 = (sigma[red - 1], sigma[end - 1])
             kappa = tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end])
             if kappa not in images:
-                lifted = [rep_index.get(epp_structure(kappa, G)) for G in reps]
+                image = _edge_table(kappa, used).__getitem__
+                lifted = [rep_index.get(LttStructure(rank, kappa[G.red_vertex - 1],
+                                                     frozenset(map(image, G.colored))))
+                          for G in reps]
                 if None in lifted:
                     raise RuntimeError("an EPP image of an admissible structure is not admissible")
                 images[kappa] = lifted
-            source, image = position[key2], images[kappa]
-            moves.extend((source[image[b2]], dest[b], gen) for b, b2 in pairs)
+            source, image_of = position[key2], images[kappa]
+            for b, b2 in pairs:
+                rows[source[image_of[b2]]].append((dest[b], gen))
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
-    moves.sort(key=lambda m: m[:2])
-    return PreliminaryDiagram(nodes, tuple(
-        GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves))
+    edges = []
+    for node, row in zip(nodes, rows):
+        row.sort(key=itemgetter(0))
+        edges.extend(GeneratingTriple(gen, node, nodes[j]) for j, gen in row)
+    return PreliminaryDiagram(nodes, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -268,7 +299,8 @@ def id_diagram(target: WhiteheadGraph, rank: int,
                preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
     preliminary diagram (keeping components that carry at least one edge),
-    each in node order, ordered by their first node."""
+    each in node order with its edges in the preliminary diagram's order,
+    ordered by their first node."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
     nodes = preliminary.nodes
@@ -279,7 +311,10 @@ def id_diagram(target: WhiteheadGraph, rank: int,
         arcs[i].append(j)
     # disjoint sorted lists compare by their least element
     sccs = sorted(sorted(comp) for comp in tarjan_scc(len(nodes), arcs))
-    scc_of = {i: k for k, comp in enumerate(sccs) for i in comp}
+    scc_of = [0] * len(nodes)
+    for k, comp in enumerate(sccs):
+        for i in comp:
+            scc_of[i] = k
     scc_edges: list[list[GeneratingTriple]] = [[] for _ in sccs]
     for e, (i, j) in zip(preliminary.edges, ends):
         if scc_of[i] == scc_of[j]:

@@ -89,9 +89,6 @@ class LttStructure:
         out.extend(sorted(self.colored))
         return sorted(out)
 
-    def sort_key(self):
-        return (self.rank, self.red_vertex, tuple(sorted(self.colored)))
-
     def __str__(self) -> str:
         red = ",".join(f"[{format_direction(u)},{format_direction(v)}]" for u, v in self.red_edges)
         purple = ",".join(f"[{format_direction(u)},{format_direction(v)}]"

@@ -183,6 +183,12 @@ def map_realizes_images_smoothly(m: RoseMap, G: LttStructure) -> bool:
 # (diagram.epp_classes); this maps every node of every set instead.
 
 
+def sort_key(G: LttStructure) -> tuple:
+    """The order of the enumeration and of the diagram's nodes: red vertex,
+    then sorted colored edges."""
+    return (G.rank, G.red_vertex, tuple(sorted(G.colored)))
+
+
 def epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:
     """Indices of the node sets grouped by EPP orbit: two sets share a
     class exactly when some element carries one onto the other.  Each set
@@ -191,7 +197,7 @@ def epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[l
     sigmas = epp_elements(rank)
     classes: dict[tuple, list[int]] = {}
     for i, nodes in enumerate(node_sets):
-        key = min(tuple(sorted(epp_structure(s, G).sort_key() for G in nodes)) for s in sigmas)
+        key = min(tuple(sorted(sort_key(epp_structure(s, G)) for G in nodes)) for s in sigmas)
         classes.setdefault(key, []).append(i)
     return [v for _, v in sorted(classes.items())]
 
@@ -201,7 +207,7 @@ def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[L
     if not structures:
         return []
     classes = epp_orbits(structures[0].rank, [(G,) for G in structures])
-    return [sorted((structures[i] for i in c), key=LttStructure.sort_key) for c in classes]
+    return [sorted((structures[i] for i in c), key=sort_key) for c in classes]
 
 
 def preliminary_by_destination(target: WhiteheadGraph, rank: int) -> PreliminaryDiagram:

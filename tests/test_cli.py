@@ -301,6 +301,59 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys):
     assert blocked.read_text() == "a file, not a directory"
 
 
+def test_unwritable_out_fails_before_any_verdict(tmp_path, monkeypatch, capsys):
+    # the whole rank-3 sweep used to run before its results could not be written
+    import ttrose.cli
+
+    def no_verdict(target, rank):
+        raise AssertionError("a verdict ran before the output directory was made")
+
+    monkeypatch.setattr(ttrose.cli, "target_verdict", no_verdict)
+    graph = tmp_path / "mid.json"
+    graph.write_text(json.dumps(MIDDLE))
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file, not a directory")
+    commands = [(["sweep", "--rank", "3"], "sweep_r3.json"),
+                (["check-graph", str(graph), "--rank", "3"], "diagram_r3.json"),
+                (["check-graph", str(graph), "--rank", "3", "--format", "dot"], "diagram_r3.dot")]
+    for argv, name in commands:
+        for via_env in (False, True):
+            monkeypatch.delenv("TTROSE_CACHE_DIR", raising=False)
+            if via_env:
+                monkeypatch.setenv("TTROSE_CACHE_DIR", str(blocked))
+            with pytest.raises(SystemExit) as exc:
+                main(argv if via_env else argv + ["--out", str(blocked)])
+            assert str(exc.value).startswith(f"error: cannot write {blocked / name}: ")
+            assert "\n" not in str(exc.value)
+            assert capsys.readouterr().out == ""
+
+
+def test_out_dir_is_made_only_for_an_artifact(tmp_path, monkeypatch, capsys):
+    # the early check creates nothing: a target with no birecurrent
+    # structure has no diagram to write, and a failed run writes nothing
+    import ttrose.cli
+    out = tmp_path / "new" / "dir"
+    for via_env in (False, True):
+        monkeypatch.delenv("TTROSE_CACHE_DIR", raising=False)
+        argv = ["check-graph", "--star", "--rank", "3"]
+        if via_env:
+            monkeypatch.setenv("TTROSE_CACHE_DIR", str(out))
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        assert "verdict: UnachievedByBirecurrency" in capsys.readouterr().out
+        assert not (tmp_path / "new").exists()
+
+    def failing(target, rank):
+        raise RuntimeError("the run fails after the check")
+
+    monkeypatch.setattr(ttrose.cli, "target_verdict", failing)
+    for argv in (["sweep", "--rank", "3"], ["check-graph", "--star", "--rank", "3"]):
+        with pytest.raises(RuntimeError):
+            main(argv + ["--out", str(out)])
+        assert not (tmp_path / "new").exists()
+
+
 def test_export_structures_and_catalog(tmp_path, capsys):
     assert main(["export", "catalog", "--rank", "3", "--format", "json",
                  "--out", str(tmp_path)]) == 0

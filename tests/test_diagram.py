@@ -16,6 +16,7 @@ from oracles import (
     is_admissible,
     preliminary_by_destination,
     random_connected_graph,
+    sort_key,
 )
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import (
@@ -24,6 +25,8 @@ from ttrose.diagram import (
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
     PreliminaryDiagram,
+    _colored_edges,
+    _edge_table,
     build_preliminary,
     diagram_to_dot,
     enumerate_structures,
@@ -95,7 +98,7 @@ def test_generic_enumeration_matches_assignment_oracle(catalog5):
     # as sorted lists, so a structure produced twice fails too
     def matches(target, rank):
         oracle = assignment_oracle_structures(target, rank)
-        return enumerate_structures(target, rank) == sorted(oracle, key=LttStructure.sort_key)
+        return enumerate_structures(target, rank) == sorted(oracle, key=sort_key)
 
     assert all(matches(entry.graph(), 3) for entry in catalog5)
     assert matches(K5_2PEND, 4)
@@ -218,6 +221,57 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
     for target, rank in targets:
         built, oracle = build_preliminary(target, rank), preliminary_by_destination(target, rank)
         assert (built.nodes, built.edges) == (oracle.nodes, oracle.edges)
+
+
+def test_edge_tables_image_structures_as_epp_does(catalog5):
+    # one table per element over the edges the structures use, as the
+    # preliminary diagram builds them; every structure at rank 2, and at
+    # ranks 3 and 4 a stride through the enumeration, which crosses every
+    # slice, keeps the 2^r r! elements to a second
+    targets = [(WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]), 2, 1),
+               (WhiteheadGraph.build(range(3), [(0, 1), (1, 2), (0, 2)]), 2, 1)]
+    targets += [(e.graph(), 3, 17) for e in catalog5] + [(K5_2PEND, 4, 29)]
+    for target, rank, stride in targets:
+        structures = enumerate_structures(target, rank)[::stride]
+        used = _colored_edges(structures)
+        for sigma in epp_elements(rank):
+            image = _edge_table(sigma, used).__getitem__
+            for G in structures:
+                assert LttStructure(rank, sigma[G.red_vertex - 1],
+                                    frozenset(map(image, G.colored))) == epp_structure(sigma, G)
+
+
+def test_preliminary_refuses_an_epp_image_that_is_not_admissible(monkeypatch):
+    # one admissible base-slice structure called non-birecurrent: another
+    # member of its orbit under the stabilizer of directions 1 and 3 stays
+    # admissible, so the diagram is not closed under EPP and must not be built
+    import ttrose.diagram
+    stabilizer = [sigma for sigma in epp_elements(4) if (sigma[0], sigma[2]) == (1, 3)]
+    dropped = next(G for G in enumerate_structures(K5_2PEND, 4, admissible_only=True)
+                   if (G.red_vertex, G.red_edge) == (1, (1, 3))
+                   and len({epp_structure(kappa, G) for kappa in stabilizer}) > 1)
+    monkeypatch.setattr(ttrose.diagram, "is_birecurrent",
+                        lambda G: G != dropped and is_birecurrent(G))
+    with pytest.raises(RuntimeError, match="admissible source missing|is not admissible"):
+        target_verdict(K5_2PEND, 4)
+
+
+def test_components_keep_the_order_of_a_shuffled_preliminary_diagram(squeeze):
+    # id_diagram reads each edge's ends, not its place in a source-ordered
+    # row; the star on 7 vertices plus two disjoint edges has 160 components
+    star_p2 = WhiteheadGraph.build(range(7), [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)])
+    for target, rank in [(squeeze["G5.02"].diagram.target, 3), (star_p2, 4)]:
+        prelim = build_preliminary(target, rank)
+        edges = list(prelim.edges)
+        random.Random(5).shuffle(edges)
+        shuffled = PreliminaryDiagram(prelim.nodes, tuple(edges))
+        built, expected = id_diagram(target, rank, preliminary=shuffled), id_diagram(target, rank)
+        assert len(built.components) == len(expected.components) > 1
+        for comp, want in zip(built.components, expected.components):
+            assert comp.nodes == want.nodes
+            inside = set(comp.nodes)
+            assert comp.edges == tuple(e for e in edges
+                                       if e.source in inside and e.dest in inside)
 
 
 def test_verdict_counts_match_the_enumeration(catalog5):
