@@ -312,41 +312,43 @@ def cmd_export(args) -> int:
             raise SystemExit(f"error: export {args.what} does not read {shown}, drop it")
     if args.rank is None:
         args.rank = 3
-    out = _out_dir(args) or Path(".")
-    if args.what == "catalog":
-        if args.format != "json":
-            raise SystemExit("error: the catalog exports as json only")
-        entries = _catalog(2 * args.rank - 1)
-        _write_json(out / f"catalog_n{2 * args.rank - 1}.json", [e.to_json() for e in entries])
-        return 0
-    if args.what == "structures":
-        target = _load_target(args)
-        structures = enumerate_structures(target, args.rank,
-                                          admissible_only=args.admissible_only)
-        stem = f"structures_r{args.rank}" + ("_admissible" if args.admissible_only else "")
-        if args.format == "json":
-            _write_json(out / f"{stem}.json", [G.to_json() for G in structures])
-        else:
-            text = "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures))
-            _write(out / f"{stem}.dot", text)
-        return 0
-    if args.what == "diagram":
-        _artifact(out, args.format, id_diagram(_load_target(args), args.rank),
-                  f"diagram_r{args.rank}")
-        return 0
+    if args.what == "catalog" and args.format != "json":
+        raise SystemExit("error: the catalog exports as json only")
+    stem = {"catalog": f"catalog_n{2 * args.rank - 1}",
+            "structures": f"structures_r{args.rank}"
+                          + ("_admissible" if args.admissible_only else ""),
+            "diagram": f"diagram_r{args.rank}",
+            "map-ltt": "ltt"}[args.what]
+    path = (_out_dir(args) or Path(".")) / f"{stem}.{args.format}"
+    # read the input, then check the one file this kind writes before building it
     if args.what == "map-ltt":
         if not args.input:
             raise SystemExit("error: provide a rose map JSON file")
+        m = _load_map(args.input)
+    elif args.what != "catalog":
+        target = _load_target(args)
+    _check_writable(path)
+    if args.what == "catalog":
+        _write_json(path, [e.to_json() for e in _catalog(2 * args.rank - 1)])
+    elif args.what == "structures":
+        structures = enumerate_structures(target, args.rank,
+                                          admissible_only=args.admissible_only)
+        if args.format == "json":
+            _write_json(path, [G.to_json() for G in structures])
+        else:
+            _write(path, "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures)))
+    elif args.what == "diagram":
+        _artifact(path.parent, args.format, id_diagram(target, args.rank), stem)
+    else:
         try:
-            G = ltt_of_map(_load_map(args.input))
+            G = ltt_of_map(m)
         except LttRegimeError as exc:
             raise SystemExit(f"error: {exc}")
         if args.format == "json":
-            _write_json(out / "ltt.json", G.to_json())
+            _write_json(path, G.to_json())
         else:
-            _write(out / "ltt.dot", ltt_to_dot(G))
-        return 0
-    raise SystemExit(f"error: unknown export target {args.what!r}")
+            _write(path, ltt_to_dot(G))
+    return 0
 
 
 class _Parser(argparse.ArgumentParser):

@@ -2,12 +2,14 @@
 
 For a candidate target graph on 2r-1 vertices we enumerate every
 indexed pair-labeled structure realizing it, keep the birecurrent ones
-as nodes, generate extension and switch edges backwards from each node,
-and extract the maximal strongly connected subgraphs.  A component
-passes the Irreducibility Potential Test when every edge pair labels
-the red vertex of some node; if no component passes (in particular if
-there are no components at all), no ideally decomposed representative
-exists and the target is unachieved.
+as nodes, generate the extension and switch moves into the birecurrent
+structures of one base slice (red vertex 1, red edge {1, 3}), carry them
+by edge pair permutations to every other slice, and extract the maximal
+strongly connected subgraphs.  A component passes the Irreducibility
+Potential Test when every edge pair labels the red vertex of some node;
+if no component passes (in particular if there are no components at
+all), no ideally decomposed representative exists and the target is
+unachieved.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .ltt import ColoredEdge, LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
+from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
     FoldDecomposition,
     Generator,
@@ -29,7 +31,7 @@ from .maps import (
     validate_ideal_decomposition,
 )
 from .moves import GeneratingTriple, generating_triples
-from .rose import MAX_RANK, all_directions, bar, check_rank, edge_index, format_direction
+from .rose import MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction
 from .whitehead import WhiteheadGraph, relabelings
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
@@ -117,17 +119,16 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> dict[LttStructure, bool]:
         LttStructure.make(rank, 1, (1, 3), [(i + 2, j + 2) for i, j in edges]) for edges in orbit)}
 
 
-def _edge_table(sigma: Sequence[int],
-                edges: Iterable[ColoredEdge]) -> dict[ColoredEdge, ColoredEdge]:
+def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
     """sigma's image of each of the colored edges, as epp_structure maps it."""
     table = {}
-    for u, v, c in edges:
+    for u, v in edges:
         a, b = sigma[u - 1], sigma[v - 1]
-        table[u, v, c] = (a, b, c) if a < b else (b, a, c)
+        table[u, v] = (a, b) if a < b else (b, a)
     return table
 
 
-def _colored_edges(structures: Iterable[LttStructure]) -> set[ColoredEdge]:
+def _colored_edges(structures: Iterable[LttStructure]) -> set[Turn]:
     return {e for G in structures for e in G.colored}
 
 
@@ -189,8 +190,7 @@ def _epp_generators(rank: int) -> list[tuple[int, ...]]:
 
 
 def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
-    colored = frozenset(
-        (*sorted((sigma[u - 1], sigma[v - 1])), c) for u, v, c in G.colored)
+    colored = frozenset(tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in G.colored)
     return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
 
 
@@ -374,24 +374,30 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
 def find_loops(comp: DiagramComponent, node: LttStructure,
                max_len: int) -> list[tuple[GeneratingTriple, ...]]:
     """Closed edge paths based at a node of the component, up to the given
-    length.  A closed walk never leaves its node's strongly connected
-    component, so the component's edges are all it can use."""
+    length, in depth-first order.  A closed walk never leaves its node's
+    strongly connected component, so the component's edges are all it can
+    use.  The walk keeps its own stack, so a long loop needs no recursion."""
     out_edges: dict[LttStructure, list[GeneratingTriple]] = {}
     for e in comp.edges:
         out_edges.setdefault(e.source, []).append(e)
     loops: list[tuple[GeneratingTriple, ...]] = []
+    path: list[GeneratingTriple] = []
 
-    def walk(current: LttStructure, path: list[GeneratingTriple]) -> None:
-        if path and current == node:
+    def successors(current: LttStructure):
+        return iter(out_edges.get(current, ()) if len(path) < max_len else ())
+
+    stack = [successors(node)]  # the edges not yet tried at each node of the path
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(e)
+        if e.dest == node:
             loops.append(tuple(path))
-        if len(path) >= max_len:
-            return
-        for e in out_edges.get(current, ()):
-            path.append(e)
-            walk(e.dest, path)
-            path.pop()
-
-    walk(node, [])
+        stack.append(successors(e.dest))
     return loops
 
 

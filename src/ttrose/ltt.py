@@ -1,16 +1,18 @@
 """Lamination train track structures and the Birecurrency Condition.
 
 A structure merges the rose (black edges, one per petal) with a colored
-local Whitehead graph on the 2r direction labels: 2r-1 purple vertices,
-one red vertex, colored edges purple or red.  Smooth paths alternate
-between black and colored edges; a structure is birecurrent when one
-smooth biinfinite line can cross every edge infinitely often in both
-directions.  We decide it through the strongly connected components of
-the digraph H on the 2r directions, with an arc u -> bar(w) for each
-colored edge {u, w} traversed u -> w: the transition digraph on
-directed edges, with each colored edge contracted into the black edge
-that follows it.  A brute-force covering-cycle search on the full
-transition digraph is the oracle it is tested against.
+local Whitehead graph on the 2r direction labels: 2r-1 purple vertices
+and one red vertex.  By ltt2 a colored edge is red exactly when it meets
+the red vertex and purple otherwise, so a structure stores its colored
+edges as plain turns and reads their colors off the red vertex.  Smooth
+paths alternate between black and colored edges; a structure is
+birecurrent when one smooth biinfinite line can cross every edge
+infinitely often in both directions.  We decide it through the strongly
+connected components of the digraph H on the 2r directions, with an arc
+u -> bar(w) for each colored edge {u, w} traversed u -> w: the
+transition digraph on directed edges, with each colored edge contracted
+into the black edge that follows it.  A brute-force covering-cycle
+search on the full transition digraph is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -25,42 +27,42 @@ PURPLE = "purple"
 RED = "red"
 BLACK = "black"
 
-ColoredEdge = tuple[int, int, str]  # (u, v, color) with u < v
-
 
 @dataclass(frozen=True)
 class LttStructure:
     """A pair-labeled colored train track graph on the directions 1..2r.
 
-    Black edges are implicit (one per bar pair).  The colored edge set
-    may describe an invalid structure; validate_ltt reports violations.
+    Black edges are implicit (one per bar pair), and the colored edges
+    are sorted turns whose color the red vertex decides (see _color).  The
+    colored edge set may describe an invalid structure; validate_ltt
+    reports violations.
     """
 
     rank: int
     red_vertex: Direction
-    colored: frozenset[ColoredEdge]
+    colored: frozenset[Turn]
 
     @staticmethod
     def make(rank: int, red_vertex: Direction, red_edge: Sequence[int],
              purple_edges: Iterable[Sequence[int]]) -> "LttStructure":
         """Build a structure in the usual (r;3/2-r) shape: one red edge
         at the red vertex plus a purple graph on the other directions."""
-        u, v = sorted(red_edge)
-        colored = {(u, v, RED)}
-        for e in purple_edges:
-            a, b = sorted(e)
-            colored.add((a, b, PURPLE))
-        return LttStructure(rank, red_vertex, frozenset(colored))
+        colored = frozenset(tuple(sorted(e)) for e in (red_edge, *purple_edges))
+        return LttStructure(rank, red_vertex, colored)
 
     # --- derived pieces -------------------------------------------------
 
+    def _color(self, e: Turn) -> str:
+        """ltt2: a colored edge is red exactly when it meets the red vertex."""
+        return RED if self.red_vertex in e else PURPLE
+
     @property
     def purple_edges(self) -> frozenset[Turn]:
-        return frozenset((u, v) for u, v, c in self.colored if c == PURPLE)
+        return frozenset(e for e in self.colored if self._color(e) == PURPLE)
 
     @property
     def red_edges(self) -> tuple[Turn, ...]:
-        return tuple(sorted((u, v) for u, v, c in self.colored if c == RED))
+        return tuple(sorted(e for e in self.colored if self._color(e) == RED))
 
     @property
     def red_edge(self) -> Turn:
@@ -86,7 +88,7 @@ class LttStructure:
     def all_edges(self) -> list[tuple[int, int, str]]:
         """Black plus colored edges in canonical order."""
         out = [(u, v, BLACK) for u, v in self.black_edges()]
-        out.extend(sorted(self.colored))
+        out.extend((*e, self._color(e)) for e in self.colored)
         return sorted(out)
 
     def __str__(self) -> str:
@@ -103,8 +105,8 @@ class LttStructure:
             "rank": self.rank,
             "red_vertex": format_direction(self.red_vertex),
             "colored_edges": [
-                {"u": format_direction(u), "v": format_direction(v), "color": c}
-                for u, v, c in sorted(self.colored)
+                {"u": format_direction(e[0]), "v": format_direction(e[1]), "color": self._color(e)}
+                for e in sorted(self.colored)
             ],
         }
 
@@ -119,28 +121,19 @@ class LttValidation:
 
 
 def validate_ltt(G: LttStructure) -> LttValidation:
-    """Check ltt1-ltt3, ltt(*)4 and tt1-tt3, plus the red-edge placement
-    needed for the twice-achieved direction to be purple."""
+    """Check ltt3, ltt(*)4 and tt1-tt3, plus the red-edge placement
+    needed for the twice-achieved direction to be purple; ltt2 holds by
+    construction, since the red vertex decides each edge's color."""
     v: list[str] = []
     n = 2 * G.rank
     if not 1 <= G.red_vertex <= n:
         v.append(f"rank: red vertex {G.red_vertex} out of range 1..{n}")
         return LttValidation(False, tuple(v))
-    for u, w, color in sorted(G.colored):
+    for u, w in sorted(G.colored):
         if not (1 <= u <= n and 1 <= w <= n):
             v.append(f"rank: edge ({u},{w}) out of range")
         if u == w:
             v.append(f"ltt3/tt2: colored loop at {u}")
-    pairs = [(u, w) for u, w, _ in G.colored]
-    if len(pairs) != len(set(pairs)):
-        dup = sorted({p for p in pairs if pairs.count(p) > 1})
-        v.append(f"ltt3: duplicate colored edges on pairs {dup}")
-    for u, w, color in sorted(G.colored):
-        touches_red = G.red_vertex in (u, w)
-        if color == RED and not touches_red:
-            v.append(f"ltt2: red edge ({u},{w}) has no red endpoint")
-        if color == PURPLE and touches_red:
-            v.append(f"ltt2: purple edge ({u},{w}) touches the red vertex")
     reds = G.red_edges
     if len(reds) != 1:
         v.append(f"ltt4: expected a unique red edge, found {len(reds)}")
@@ -148,7 +141,7 @@ def validate_ltt(G: LttStructure) -> LttValidation:
         v.append("red_pair: red edge joins the red vertex to its bar partner "
                  "(the twice-achieved direction would be red)")
     incident = {d: 0 for d in all_directions(G.rank)}
-    for u, w, _ in G.colored:
+    for u, w in G.colored:
         if 1 <= u <= n and 1 <= w <= n and u != w:
             incident[u] += 1
             incident[w] += 1
@@ -166,8 +159,9 @@ class LttRegimeError(ValueError):
 
 
 def ltt_of_map(m: RoseMap) -> LttStructure:
-    """The structure G(g): colored edges are the taken turns, purple when
-    both endpoints are periodic, black edges by bar pairing.
+    """The structure G(g): colored edges are the taken turns and the red
+    vertex is the nonperiodic direction, so an edge is purple exactly when
+    both its endpoints are periodic; black edges by bar pairing.
 
     Requires a train track map with exactly one nonperiodic direction.
     """
@@ -179,12 +173,7 @@ def ltt_of_map(m: RoseMap) -> LttStructure:
     if len(nonperiodic) != 1:
         raise LttRegimeError(
             f"expected exactly 1 nonperiodic direction, found {len(nonperiodic)}: {nonperiodic}")
-    red_vertex = nonperiodic[0]
-    colored = set()
-    for t in turns_taken_closure(m):
-        color = PURPLE if (t[0] in periodic and t[1] in periodic) else RED
-        colored.add((t[0], t[1], color))
-    return LttStructure(m.rank, red_vertex, frozenset(colored))
+    return LttStructure(m.rank, nonperiodic[0], frozenset(turns_taken_closure(m)))
 
 
 # --- transition digraph and birecurrency --------------------------------
@@ -284,7 +273,7 @@ def is_birecurrent(G: LttStructure) -> bool:
     n = 2 * G.rank  # direction d is node d - 1, so bar is xor 1
     arcs: list[list[int]] = [[] for _ in range(n)]
     needs = []
-    for u, w, _ in G.colored:
+    for u, w in G.colored:
         if not (1 <= u <= n and 1 <= w <= n):
             return False  # an edge off the rose lies on no smooth cycle
         u, w = u - 1, w - 1
@@ -391,9 +380,7 @@ def ltt_to_dot(G: LttStructure, name: str = "ltt") -> str:
         color = "red" if d == G.red_vertex else "purple"
         lines.append(f'  "{format_direction(d)}" [color={color}, fontcolor={color}];')
     for u, v, kind in G.all_edges():
-        style = {"black": "color=black, penwidth=2",
-                 PURPLE: "color=purple",
-                 RED: "color=red"}[kind]
+        style = "color=black, penwidth=2" if kind == BLACK else f"color={kind}"
         lines.append(f'  "{format_direction(u)}" -- "{format_direction(v)}" [{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ltt import PURPLE, RED, LttStructure
+from .ltt import LttStructure
 from .maps import Generator
 from .rose import Turn, bar, turn
 
@@ -79,16 +79,14 @@ def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
         # no determining edge is {a, bar(a)}, the one that would put a new
         # red edge at bar(a), so every move leaves bar(a) bare
         return []
-    kept = frozenset((x, y, PURPLE) for x, y in purple)
-    renamed = frozenset((*turn(u if x == a else x, u if y == a else y), PURPLE)
-                        for x, y in purple)
+    renamed = frozenset(turn(u if x == a else x, u if y == a else y) for x, y in purple)
     out = []
     for x, y in dets:
         d_l = y if x == a else x
         if d_l != bar(u):
             out.append(GeneratingTriple(
-                gen, LttStructure(G.rank, u, kept | {(*turn(u, d_l), RED)}), G))
+                gen, LttStructure(G.rank, u, purple | {turn(u, d_l)}), G))
         if d_l != old_end:
             out.append(GeneratingTriple(
-                gen, LttStructure(G.rank, a, renamed | {(*turn(a, d_l), RED)}), G))
+                gen, LttStructure(G.rank, a, renamed | {turn(a, d_l)}), G))
     return out

@@ -106,7 +106,7 @@ def trapped_direction(G: LttStructure) -> int | None:
     Reads only the colored edges and the bar pairing.
     """
     at: dict[int, set[int]] = {d: set() for d in all_directions(G.rank)}
-    for u, v, _ in G.colored:
+    for u, v in G.colored:
         at[u].add(v)
         at[v].add(u)
     for x in sorted(at):
@@ -120,10 +120,6 @@ def trapped_direction(G: LttStructure) -> int | None:
 
 def purple_vertices(G: LttStructure) -> frozenset[int]:
     return frozenset(d for d in all_directions(G.rank) if d != G.red_vertex)
-
-
-def colored_pairs(G: LttStructure) -> frozenset[Turn]:
-    return frozenset((u, v) for u, v, _ in G.colored)
 
 
 def node_head(td: TransitionDigraph, idx: int) -> int:
@@ -155,13 +151,12 @@ def realize_edge_path_smooth(G: LttStructure, word: Sequence[int]) -> list[tuple
     """
     if not word:
         return []
-    pairs = colored_pairs(G)
     path: list[tuple[int, int, str]] = []
     for i, d in enumerate(word):
         path.append((d, bar(d), BLACK))
         if i + 1 < len(word):
             t = turn(bar(d), word[i + 1])
-            if t not in pairs:
+            if t not in G.colored:
                 raise ValueError(f"turn {t} is not a colored edge of the structure")
             path.append((bar(d), word[i + 1], "colored"))
     return path
@@ -278,19 +273,18 @@ def induced_colored_map(t: GeneratingTriple) -> InducedColoredMap:
     vm = list(range(1, n + 1))
     vm[t.gen.u - 1] = t.gen.a
 
-    dest_pairs = colored_pairs(t.dest)
     dest_purple = t.dest.purple_edges
     edge_map: list[tuple[Turn, Turn]] = []
     purple_images: list[Turn] = []
-    for x, y, color in sorted(t.source.colored):
+    for x, y in sorted(t.source.colored):
         ix, iy = vm[x - 1], vm[y - 1]
         if ix == iy:
             raise InducedMapError(f"colored edge ({x},{y}) maps degenerately")
         image = turn(ix, iy)
-        if image not in dest_pairs:
+        if image not in t.dest.colored:
             raise MissingImageEdge(image)
         edge_map.append(((x, y), image))
-        if color == "purple":
+        if t.source.red_vertex not in (x, y):  # ltt2: purple off the red vertex
             purple_images.append(image)
 
     image_vertices = {vm[d - 1] for d in purple_vertices(t.source)}
@@ -335,11 +329,7 @@ class AmChecklist:
 
 
 def _red_edge_unique_at_red_vertex(G: LttStructure) -> bool:
-    reds = G.red_edges
-    if len(reds) != 1:
-        return False
-    at_red = [(u, v) for u, v, _ in G.colored if G.red_vertex in (u, v)]
-    return at_red == [reds[0]]
+    return sum(G.red_vertex in e for e in G.colored) == 1
 
 
 def check_am(t: GeneratingTriple) -> AmChecklist:
@@ -358,7 +348,7 @@ def check_am(t: GeneratingTriple) -> AmChecklist:
     vm = list(range(1, n + 1))
     vm[gen.u - 1] = gen.a
     iv = True
-    for x, y, _ in src.colored:
+    for x, y in src.colored:
         ix, iy = vm[x - 1], vm[y - 1]
         if ix == iy or turn(ix, iy) not in dst.purple_edges:
             iv = False

@@ -275,11 +275,23 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
         for fmt in ("json", "dot"):
             assert main(["export", "diagram", str(graph4), "--rank", "4",
                          "--format", fmt, "--out", str(out)]) == 0
+    # every colored edge of a structure prints its color
+    (tmp_path / "map.json").write_text(json.dumps(EXAMPLE))
+    for out in (out1, out2):
+        for fmt in ("json", "dot"):
+            assert main(["export", "structures", str(graph), "--rank", "3",
+                         "--format", fmt, "--out", str(out)]) == 0
+            assert main(["export", "map-ltt", str(tmp_path / "map.json"),
+                         "--format", fmt, "--out", str(out)]) == 0
     pinned = {
         "diagram_r3.json": "a330872810c0749a7b64647b7c8ebadc4ae25cbf9838b411d6bb78734922768c",
         "diagram_r3.dot": "8d983924d00ed05551f12b2535bac603f3934d7eaf5cc1cf4dbfb8fd3cd61be6",
         "diagram_r4.json": "ddc09f4f64f235ae42131fd9ca66902acae31100bf73c18ec1cc2f54b68d4d5e",
         "diagram_r4.dot": "d5130b7a2601d1b3255c6f38579d4049f8a412e9ec650696eae93532fbc6357c",
+        "structures_r3.json": "6fdc20689cf96639227ab1016cb00a877c2e6c793f0654697a0e65644287b234",
+        "structures_r3.dot": "51898a51a560b3bf6f2adc8913380b8e398165f9af79cfbc03b3fa6b83ee8134",
+        "ltt.json": "1a31fc870d8c1944809dc1fe09d6528b0d53fc275962255c8676f14d549bf217",
+        "ltt.dot": "cf83cd2ea85be7833ba0f64dcbdef44f5fa6e2c3fd78add6a04c9f4dca541dcc",
     }
     for name, digest in pinned.items():
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -302,20 +314,25 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys):
 
 
 def test_unwritable_out_fails_before_any_verdict(tmp_path, monkeypatch, capsys):
-    # the whole rank-3 sweep used to run before its results could not be written
+    # the whole rank-3 sweep, and every structure or diagram an export
+    # built, used to run before its results could not be written
     import ttrose.cli
 
-    def no_verdict(target, rank):
-        raise AssertionError("a verdict ran before the output directory was made")
+    def no_build(*args, **kwargs):
+        raise AssertionError("a verdict or export ran before its output was checked")
 
-    monkeypatch.setattr(ttrose.cli, "target_verdict", no_verdict)
+    for builder in ("target_verdict", "enumerate_structures", "id_diagram"):
+        monkeypatch.setattr(ttrose.cli, builder, no_build)
     graph = tmp_path / "mid.json"
     graph.write_text(json.dumps(MIDDLE))
     blocked = tmp_path / "blocked"
     blocked.write_text("a file, not a directory")
     commands = [(["sweep", "--rank", "3"], "sweep_r3.json"),
                 (["check-graph", str(graph), "--rank", "3"], "diagram_r3.json"),
-                (["check-graph", str(graph), "--rank", "3", "--format", "dot"], "diagram_r3.dot")]
+                (["check-graph", str(graph), "--rank", "3", "--format", "dot"], "diagram_r3.dot"),
+                (["export", "structures", str(graph), "--rank", "3"], "structures_r3.json"),
+                (["export", "diagram", str(graph), "--rank", "3", "--format", "dot"],
+                 "diagram_r3.dot")]
     for argv, name in commands:
         for via_env in (False, True):
             monkeypatch.delenv("TTROSE_CACHE_DIR", raising=False)

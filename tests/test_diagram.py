@@ -476,6 +476,16 @@ def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
         assert set(loops) == closed_walks(diagram.preliminary.edges, comp.nodes[0], 3)
 
 
+def test_find_loops_reaches_past_the_recursion_limit(catalog5):
+    # G5.17's component 0 is one node with a self-loop, so it has one loop
+    # of each length; a walk that recursed once per edge stopped near 1,000
+    target = next(e.graph() for e in catalog5 if e.id == "G5.17")
+    comp = target_verdict(target, 3).diagram.components[0]
+    assert len(comp.nodes) == 1
+    loops = find_loops(comp, comp.nodes[0], 1100)
+    assert [len(lp) for lp in loops] == list(range(1, 1101))
+
+
 def test_dot_export_is_deterministic(squeeze):
     diagram = squeeze["G5.02"].diagram
     assert diagram_to_dot(diagram) == diagram_to_dot(diagram)

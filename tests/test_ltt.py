@@ -23,8 +23,6 @@ from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import epp_elements, epp_structure, star_target, enumerate_structures
 from ttrose.ltt import (
     BLACK,
-    PURPLE,
-    RED,
     LttRegimeError,
     LttStructure,
     brute_force_birecurrent,
@@ -71,16 +69,12 @@ def test_regime_guard_rejects_wrong_periodic_count():
 
 def test_validation_flags():
     # two red edges
-    G = LttStructure(3, B_, frozenset({(1, 4, "red"), (4, 5, "red"),
-                                       (2, 3, "purple"), (2, 5, "purple"),
-                                       (2, 6, "purple"), (3, 6, "purple"),
-                                       (1, 5, "purple")}))
+    G = LttStructure(3, B_, frozenset({(1, 4), (4, 5), (2, 3), (2, 5), (2, 6), (3, 6), (1, 5)}))
     rep = validate_ltt(G)
     assert not rep.ok and any(v.startswith("ltt4") for v in rep.violations)
 
     # colored loop
-    G = LttStructure(3, B_, frozenset({(1, 4, "red"), (3, 3, "purple"),
-                                       (2, 5, "purple")}))
+    G = LttStructure(3, B_, frozenset({(1, 4), (3, 3), (2, 5)}))
     rep = validate_ltt(G)
     assert any("loop" in v for v in rep.violations)
 
@@ -94,13 +88,6 @@ def test_validation_flags():
     G = LttStructure.make(3, B_, (A, B_), [(2, 3), (2, 6), (3, 6)])
     rep = validate_ltt(G)
     assert any(v.startswith("tt1/tt3") for v in rep.violations)
-
-    # purple edge at the red vertex / red edge off the red vertex
-    G = LttStructure(3, B_, frozenset({(1, 4, "purple"), (2, 5, "red"),
-                                       (2, 3, "purple"), (2, 6, "purple"),
-                                       (3, 6, "purple"), (1, 5, "purple")}))
-    rep = validate_ltt(G)
-    assert any(v.startswith("ltt2") for v in rep.violations)
 
 
 def test_dot_export_mentions_all_edges(example_structure):
@@ -187,8 +174,7 @@ def _colored_sets(draw):
     rank = draw(st.integers(1, 4))
     n = 2 * rank
     pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True).map(sorted)
-    edges = draw(st.lists(st.tuples(pair, st.sampled_from([PURPLE, RED])), max_size=n + 2))
-    colored = frozenset((u, w, c) for (u, w), c in edges)
+    colored = frozenset(map(tuple, draw(st.lists(pair, max_size=n + 2))))
     sigma = draw(st.sampled_from(epp_elements(rank)))
     return LttStructure(rank, draw(st.integers(1, n)), colored), sigma
 
@@ -197,11 +183,11 @@ def _colored_sets(draw):
 @given(_colored_sets())
 @example((LttStructure(1, 1, frozenset()), (1, 2)))  # no colored edge: no arc in H
 @example((LttStructure(3, 2, frozenset()), (1, 2, 3, 4, 5, 6)))
-@example((LttStructure(1, 1, frozenset({(1, 2, RED)})), (2, 1)))  # H has a self-loop
-@example((LttStructure(2, 3, frozenset({(3, 4, RED), (1, 2, PURPLE), (1, 3, PURPLE)})),
+@example((LttStructure(1, 1, frozenset({(1, 2)})), (2, 1)))  # H has a self-loop
+@example((LttStructure(2, 3, frozenset({(3, 4), (1, 2), (1, 3)})),
           (3, 4, 1, 2)))  # red edge on a bar pair
-@example((LttStructure(2, 1, frozenset({(1, 3, RED), (1, 4, RED), (2, 3, PURPLE),
-                                        (2, 4, PURPLE)})), (2, 1, 4, 3)))  # several reds
+@example((LttStructure(2, 1, frozenset({(1, 3), (1, 4), (2, 3), (2, 4)})),
+          (2, 1, 4, 3)))  # several reds
 @example((ltt_of_map(EXAMPLE_MAP), (3, 4, 6, 5, 1, 2)))
 def test_birecurrency_matches_oracle_on_any_colored_set(case):
     G, sigma = case
