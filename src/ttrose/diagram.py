@@ -2,10 +2,12 @@
 
 For a candidate target graph on 2r-1 vertices we enumerate every
 indexed pair-labeled structure realizing it, keep the birecurrent ones
-as nodes, generate the extension and switch moves into the birecurrent
-structures of one base slice (red vertex 1, red edge {1, 3}), carry them
-by edge pair permutations to every other slice, and extract the maximal
-strongly connected subgraphs.  A component passes the Irreducibility
+as nodes, and extract the maximal strongly connected subgraphs of the
+extension and switch moves between them.  Birecurrency and the moves are
+decided on one representative per orbit of one base slice (red vertex 1,
+red edge {1, 3}) under K, the edge pair permutations fixing directions 1
+and 3, and carried by edge pair permutations to the rest of the orbit
+and to every other slice.  A component passes the Irreducibility
 Potential Test when every edge pair labels the red vertex of some node;
 if no component passes (in particular if there are no components at
 all), no ideally decomposed representative exists and the target is
@@ -104,19 +106,93 @@ def _slice_maps(rank: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(h[0], h[2]): h + tuple(d for d in all_directions(rank) if d not in h) for h in heads}
 
 
-def _base_slice(target: WhiteheadGraph, rank: int) -> dict[LttStructure, bool]:
-    """The structures with red vertex 1 and red edge {1, 3}, one per labeled
-    copy of the target on 2..2r (vertex k in sorted order labeled k + 2),
-    each with its birecurrency.  EPP commutes with birecurrency, and the
-    slice maps carry this slice one-to-one onto the disjoint others."""
+def _turn_bits(rank: int) -> dict[Turn, int]:
+    """Each turn's bit in a turn mask, the least turn the highest bit: of
+    two edge sets of one size, the larger mask is the earlier sorted tuple."""
+    turns = list(itertools.combinations(all_directions(rank), 2))
+    return {e: 1 << (len(turns) - 1 - i) for i, e in enumerate(turns)}
+
+
+def _k_generators(rank: int) -> list[tuple[int, ...]]:
+    """The 2r - 5 generators of K, the EPP elements fixing directions 1 and
+    3: the flips of pairs 3..r and the swaps of adjacent pairs among them."""
+    d = tuple(all_directions(rank))
+    flips = [d[:i] + (i + 2, i + 1) + d[i + 2:] for i in range(4, 2 * rank, 2)]
+    swaps = [d[:i] + (i + 3, i + 4, i + 1, i + 2) + d[i + 4:] for i in range(4, 2 * rank - 2, 2)]
+    return flips + swaps
+
+
+@dataclass(frozen=True)
+class BaseSlice:
+    """The structures with red vertex 1 and red edge {1, 3}, by index, split
+    into orbits under K; K maps the slice onto itself."""
+    edges: tuple[tuple[Turn, ...], ...]  # each structure's colored edges
+    masks: tuple[int, ...]  # and their turn mask
+    reps: tuple[int, ...]  # the index of its orbit's representative
+    lifts: tuple[tuple[int, ...], ...]  # an element of K carrying the representative onto it
+    birecurrent: tuple[bool, ...]  # decided once per orbit
+
+
+def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
+    """One structure per labeled copy of the target on 2..2r (vertex k in
+    sorted order labeled k + 2).  EPP commutes with birecurrency, so it is
+    decided on one representative per K-orbit, and the slice maps carry the
+    slice one-to-one onto the disjoint others.  K's generators act on turn
+    masks through tables over the turns of the slice that they move."""
     validate_target(target, rank)
     verts = sorted(target.vertices, key=repr)
     position = {v: i for i, v in enumerate(verts)}
     # one labeled copy per distinct edge set, so automorphisms of the
     # target never repeat a purple graph
     orbit = relabelings(len(verts), [(position[u], position[v]) for u, v in target.edges])
-    return {G: is_birecurrent(G) for G in (
-        LttStructure.make(rank, 1, (1, 3), [(i + 2, j + 2) for i, j in edges]) for edges in orbit)}
+    label = {p: (p[0] + 2, p[1] + 2) for p in {p for edges in orbit for p in edges}}
+    edges = [((1, 3), *map(label.__getitem__, edges)) for edges in orbit]
+    bits = _turn_bits(rank)
+    weight = {e: bits[e] for e in (*label.values(), (1, 3))}
+    masks = [sum(map(weight.__getitem__, E)) for E in edges]
+    index = {mask: i for i, mask in enumerate(masks)}
+    at: dict[int, list[Turn]] = {d: [] for d in all_directions(rank)}  # the slice's turns
+    for e in weight:
+        at[e[0]].append(e)
+        at[e[1]].append(e)
+    actions = []  # (g, the bits of the turns that g moves, the image of each)
+    for g in _k_generators(rank):
+        table = {}
+        for d in all_directions(rank):
+            if g[d - 1] != d:
+                for u, v in at[d]:
+                    a, b = g[u - 1], g[v - 1]
+                    table[weight[u, v]] = bits[(a, b) if a < b else (b, a)]
+        actions.append((g, sum(table), table))
+    reps = [-1] * len(edges)
+    identity = tuple(all_directions(rank))
+    lifts = [identity] * len(edges)
+    elements = {identity: identity}  # one tuple per element of K, however many members share it
+    birecurrent = [False] * len(edges)
+    for rep in range(len(edges)):
+        if reps[rep] >= 0:
+            continue
+        reps[rep] = rep
+        members = [rep]
+        for i in members:
+            for g, support, table in actions:
+                # g permutes the turns it moves, so the others keep their bits
+                moved = masks[i] & support
+                image = masks[i] ^ moved
+                while moved:
+                    low = moved & -moved
+                    image |= table[low]
+                    moved ^= low
+                j = index[image]
+                if reps[j] < 0:
+                    reps[j] = rep
+                    t = tuple(g[d - 1] for d in lifts[i])
+                    lifts[j] = elements.setdefault(t, t)
+                    members.append(j)
+        if is_birecurrent(LttStructure(rank, 1, frozenset(edges[rep]))):
+            for i in members:
+                birecurrent[i] = True
+    return BaseSlice(tuple(edges), tuple(masks), tuple(reps), tuple(lifts), tuple(birecurrent))
 
 
 def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
@@ -128,25 +204,37 @@ def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]
     return table
 
 
-def _colored_edges(structures: Iterable[LttStructure]) -> set[Turn]:
-    return {e for G in structures for e in G.colored}
-
-
-def _carry(rank: int,
-           reps: Sequence[LttStructure]) -> list[tuple[tuple[int, int], int, LttStructure]]:
-    """Each slice map's image of each base-slice structure, tagged by the
-    slice's (red vertex, red-edge end) and the structure's index, sorted
-    by red vertex, then sorted colored edges."""
-    used = _colored_edges(reps)
-    carried = []
-    for key, sigma in _slice_maps(rank).items():
-        image = _edge_table(sigma, used).__getitem__
-        carried.extend(((sigma[G.red_vertex - 1], tuple(sorted(map(image, G.colored)))), key, b)
-                       for b, G in enumerate(reps))
+def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
+           ) -> tuple[tuple[LttStructure, ...], dict[tuple[int, int], list[int]]]:
+    """Each slice map's image of each base-slice structure, given by its
+    colored edges, sorted by red vertex, then sorted colored edges; and the
+    position of each image by the slice's (red vertex, red-edge end), then
+    by the structure's index."""
+    bits = _turn_bits(rank)
+    width = len(bits)
+    full = (1 << width) - 1
+    used = {e for E in members for e in E}
+    maps = _slice_maps(rank)
+    tables = []
+    keys: list[int] = []
+    for sigma in maps.values():
+        table = _edge_table(sigma, used)
+        weight = {e: bits[f] for e, f in table.items()}.__getitem__
+        # red vertex, then the complemented mask: the earlier edge tuple first
+        high = sigma[0] << width | full
+        keys.extend(high - sum(map(weight, E)) for E in members)
+        tables.append((sigma[0], table.__getitem__))
     # the slices are disjoint, so no two sort keys are equal
-    carried.sort(key=itemgetter(0))
-    return [(key, b, LttStructure(rank, red, frozenset(edges)))
-            for (red, edges), key, b in carried]
+    n = len(members)
+    position = {key: [0] * n for key in maps}
+    rows = list(position.values())
+    nodes = []
+    for i, x in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        k, b = divmod(x, n)
+        red, image = tables[k]
+        nodes.append(LttStructure(rank, red, frozenset(map(image, members[b]))))
+        rows[k][b] = i
+    return tuple(nodes), position
 
 
 def enumerate_structures(target: WhiteheadGraph, rank: int,
@@ -156,8 +244,9 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     bar pairing and every red edge attachment away from the red vertex's
     bar partner.  Only the birecurrent ones when requested."""
     base = _base_slice(target, rank)
-    return [G for _, _, G in _carry(rank, [G for G, birecurrent in base.items()
-                                          if birecurrent or not admissible_only])]
+    nodes, _ = _carry(rank, [E for E, birecurrent in zip(base.edges, base.birecurrent)
+                             if birecurrent or not admissible_only])
+    return list(nodes)
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -201,6 +290,7 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
 class PreliminaryDiagram:
     nodes: tuple[LttStructure, ...]
     edges: tuple[GeneratingTriple, ...]  # each an extension or a switch
+    ends: tuple[tuple[int, int], ...]  # each edge's source and destination positions
 
 
 def build_preliminary(target: WhiteheadGraph, rank: int,
@@ -216,36 +306,61 @@ def build_preliminary(target: WhiteheadGraph, rank: int,
     return prelim
 
 
-def _preliminary(rank: int, base: dict[LttStructure, bool]) -> PreliminaryDiagram:
+def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     """The moves commute with EPP, so the moves into the admissible base
     structures B_b, each source written as sigma_k'(B_b'), give every edge:
     the moves into sigma_k(B_b) are sigma_k of those, and the source
     sigma_k(sigma_k'(B_b')) is sigma_k''(kappa(B_b')) for the slice k'' of
-    sigma_k o sigma_k' and kappa in the stabilizer of directions 1 and 3."""
+    sigma_k o sigma_k' and kappa in K, the stabilizer of directions 1 and 3.
+    The moves into B_b = t(R), for its orbit's representative R, are t of
+    the moves into R in the same way, so only the representatives' moves
+    are generated."""
     maps = _slice_maps(rank)
     back = {key: tuple(sigma.index(d) + 1 for d in all_directions(rank))
             for key, sigma in maps.items()}
-    reps = [G for G, birecurrent in base.items() if birecurrent]
-    rep_index = {G: b for b, G in enumerate(reps)}
-    carried = _carry(rank, reps)
-    nodes = tuple(G for _, _, G in carried)
-    position = {key: [0] * len(reps) for key in maps}
-    for i, (key, b, _) in enumerate(carried):
-        position[key][b] = i
-    # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
-    arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for b, G in enumerate(reps):
-        for t in generating_triples(G):
-            source_key = (t.source.red_vertex, t.source.attach_vertex)
-            preimage = epp_structure(back[source_key], t.source)
-            if preimage in rep_index:
-                arcs.setdefault(source_key, []).append((b, rep_index[preimage]))
-            elif preimage not in base:
+    bits = _turn_bits(rank)
+    admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
+    slot = {i: b for b, i in enumerate(admissible)}
+    index = {mask: i for i, mask in enumerate(base.masks)}
+    members = [base.edges[i] for i in admissible]
+    used = {e for E in members for e in E}
+    nodes, position = _carry(rank, members)
+    images: dict[tuple[int, ...], list[int]] = {}  # kappa -> b of kappa(B_b) by b
+
+    def image_of(kappa: tuple[int, ...]) -> list[int]:
+        if kappa not in images:
+            weight = {e: bits[f] for e, f in _edge_table(kappa, used).items()}.__getitem__
+            images[kappa] = [slot[index[sum(map(weight, E))]] for E in members]
+        return images[kappa]
+
+    # (k', b') for each move into a representative from an admissible sigma_k'(B_b')
+    moves: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for i in admissible:
+        if base.reps[i] != i:
+            continue
+        moves[i] = []
+        for move in generating_triples(LttStructure(rank, 1, frozenset(base.edges[i]))):
+            source_key = (move.source.red_vertex, move.source.attach_vertex)
+            preimage = _edge_table(back[source_key], move.source.colored).values()
+            source = index.get(sum(map(bits.__getitem__, preimage)))
+            if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
-    used = _colored_edges(reps)
-    images: dict[tuple[int, ...], list[int]] = {}  # kappa -> index of kappa(B_b) by b
+            if base.birecurrent[source]:
+                moves[i].append((source_key, slot[source]))
+    # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
+    arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    lifted: dict[tuple[int, ...], dict] = {}  # t -> k' -> (k'', kappa's images)
+    for b, i in enumerate(admissible):
+        t = base.lifts[i]
+        by_key = lifted.setdefault(t, {})
+        for key, b2 in moves[base.reps[i]]:
+            if key not in by_key:
+                key2 = (t[key[0] - 1], t[key[1] - 1])
+                by_key[key] = key2, image_of(tuple(back[key2][t[d - 1] - 1] for d in maps[key]))
+            key2, image = by_key[key]
+            arcs.setdefault(key2, []).append((b, image[b2]))
     rows: list[list[tuple[int, Generator]]] = [[] for _ in nodes]  # (dest, gen) by source
     for key, sigma in maps.items():
         dest = position[key]
@@ -253,25 +368,19 @@ def _preliminary(rank: int, base: dict[LttStructure, bool]) -> PreliminaryDiagra
         gen = Generator(rank, a=sigma[3], u=sigma[0])
         for (red, end), pairs in arcs.items():
             key2 = (sigma[red - 1], sigma[end - 1])
-            kappa = tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end])
-            if kappa not in images:
-                image = _edge_table(kappa, used).__getitem__
-                lifted = [rep_index.get(LttStructure(rank, kappa[G.red_vertex - 1],
-                                                     frozenset(map(image, G.colored))))
-                          for G in reps]
-                if None in lifted:
-                    raise RuntimeError("an EPP image of an admissible structure is not admissible")
-                images[kappa] = lifted
-            source, image_of = position[key2], images[kappa]
+            source = position[key2]
+            image = image_of(tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end]))
             for b, b2 in pairs:
-                rows[source[image_of[b2]]].append((dest[b], gen))
+                rows[source[image[b2]]].append((dest[b], gen))
     # the generator is the one entering dest, and the two moves and the
     # determining edges give distinct sources, so (source, dest) is unique
-    edges = []
-    for node, row in zip(nodes, rows):
+    edges: list[GeneratingTriple] = []
+    ends: list[tuple[int, int]] = []
+    for i, (node, row) in enumerate(zip(nodes, rows)):
         row.sort(key=itemgetter(0))
         edges.extend(GeneratingTriple(gen, node, nodes[j]) for j, gen in row)
-    return PreliminaryDiagram(nodes, tuple(edges))
+        ends.extend((i, j) for j, _ in row)
+    return PreliminaryDiagram(nodes, tuple(edges), tuple(ends))
 
 
 @dataclass(frozen=True)
@@ -304,10 +413,8 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
     nodes = preliminary.nodes
-    index = {G: i for i, G in enumerate(nodes)}
-    ends = [(index[e.source], index[e.dest]) for e in preliminary.edges]
     arcs: list[list[int]] = [[] for _ in nodes]
-    for i, j in ends:
+    for i, j in preliminary.ends:
         arcs[i].append(j)
     # disjoint sorted lists compare by their least element
     sccs = sorted(sorted(comp) for comp in tarjan_scc(len(nodes), arcs))
@@ -316,7 +423,7 @@ def id_diagram(target: WhiteheadGraph, rank: int,
         for i in comp:
             scc_of[i] = k
     scc_edges: list[list[GeneratingTriple]] = [[] for _ in sccs]
-    for e, (i, j) in zip(preliminary.edges, ends):
+    for e, (i, j) in zip(preliminary.edges, preliminary.ends):
         if scc_of[i] == scc_of[j]:
             scc_edges[scc_of[i]].append(e)
     components = tuple(DiagramComponent(tuple(nodes[i] for i in comp), tuple(comp_edges))
@@ -462,8 +569,8 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     UnachievedByIrreducibilityPotential when the test fails for every
     component, else Inconclusive (the tests are necessary, not sufficient)."""
     base = _base_slice(target, rank)
-    num_structures = len(_slice_maps(rank)) * len(base)
-    if not any(base.values()):
+    num_structures = 2 * rank * (2 * rank - 2) * len(base.edges)  # one copy per slice
+    if not any(base.birecurrent):
         return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
     prelim = _preliminary(rank, base)
     diagram = id_diagram(target, rank, preliminary=prelim)
@@ -489,13 +596,13 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
         "nodes": [G.to_json() for G in prelim.nodes],
         "edges": [
             {
-                "source": node_index[e.source],
-                "dest": node_index[e.dest],
+                "source": i,
+                "dest": j,
                 "kind": e.kind,
                 "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
-                "det": [format_direction(e.det[0]), format_direction(e.det[1])],
+                "det": list(map(format_direction, e.det)),
             }
-            for e in prelim.edges
+            for e, (i, j) in zip(prelim.edges, prelim.ends)
         ],
         "components": [
             {

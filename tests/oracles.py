@@ -205,6 +205,27 @@ def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[L
     return [sorted((structures[i] for i in c), key=sort_key) for c in classes]
 
 
+def stabilizer_of_1_and_3(rank: int) -> list[tuple[int, ...]]:
+    """K: every EPP element that fixes directions 1 and 3."""
+    return [sigma for sigma in epp_elements(rank) if (sigma[0], sigma[2]) == (1, 3)]
+
+
+def orbits_by_elements(elements: Sequence[Sequence[int]],
+                       structures: Sequence[LttStructure]) -> set[frozenset[int]]:
+    """The orbits of the structures under a group, as sets of indices, by
+    imaging every structure under every one of the group's elements."""
+    index = {G: i for i, G in enumerate(structures)}
+    return {frozenset(index[epp_structure(sigma, G)] for sigma in elements) for G in structures}
+
+
+def edge_ends(nodes: Sequence[LttStructure],
+              edges: Sequence[GeneratingTriple]) -> tuple[tuple[int, int], ...]:
+    """Each edge's source and destination positions, by looking its end
+    structures up among the nodes."""
+    index = {G: i for i, G in enumerate(nodes)}
+    return tuple((index[e.source], index[e.dest]) for e in edges)
+
+
 def preliminary_by_destination(target: WhiteheadGraph, rank: int) -> PreliminaryDiagram:
     """The preliminary diagram move by move: every move into every
     admissible structure, kept when its source is admissible, so one
@@ -220,8 +241,8 @@ def preliminary_by_destination(target: WhiteheadGraph, rank: int) -> Preliminary
             elif is_birecurrent(t.source):
                 raise RuntimeError("admissible source missing from the enumeration")
     moves.sort(key=lambda m: m[:2])
-    return PreliminaryDiagram(tuple(nodes), tuple(
-        GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves))
+    edges = tuple(GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves)
+    return PreliminaryDiagram(tuple(nodes), edges, edge_ends(nodes, edges))
 
 
 # --- the admissible map checklist I-VII ------------------------------------

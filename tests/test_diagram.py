@@ -11,12 +11,15 @@ from oracles import (
     assignment_oracle_structures,
     check_am,
     closed_walks,
+    edge_ends,
     epp_classes_of_structures,
     epp_orbits,
     is_admissible,
+    orbits_by_elements,
     preliminary_by_destination,
     random_connected_graph,
     sort_key,
+    stabilizer_of_1_and_3,
 )
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import (
@@ -25,8 +28,9 @@ from ttrose.diagram import (
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
     PreliminaryDiagram,
-    _colored_edges,
+    _base_slice,
     _edge_table,
+    _turn_bits,
     build_preliminary,
     diagram_to_dot,
     enumerate_structures,
@@ -41,17 +45,28 @@ from ttrose.diagram import (
     validate_target,
     verify_loop,
 )
-from ttrose.ltt import LttStructure, is_birecurrent
+from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.whitehead import WhiteheadGraph, relabelings
 
 
-# K5 with two pendants on one vertex (adjacent and non-adjacent twins), and
-# the 7-cycle (dihedral automorphisms and no twins)
-K5_2PEND = WhiteheadGraph.build(
-    range(7), [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)])
-C7 = WhiteheadGraph.build(range(7), [(i, (i + 1) % 7) for i in range(7)])
+# the eight rank-4 targets of the benchmark's verdict_r4 workload, among
+# them K5 with two pendants on one vertex (adjacent and non-adjacent twins),
+# the 7-cycle (dihedral automorphisms and no twins), and the star on 7
+# vertices plus two disjoint edges between leaves (160 components)
+RANK4 = {name: WhiteheadGraph.build(range(7), edges) for name, edges in {
+    "broom": [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6)],
+    "star_p1": [(0, i) for i in range(1, 7)] + [(1, 2)],
+    "star_p2": [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)],
+    "star_p3": [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4), (5, 6)],
+    "k5_2pend": [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (4, 6)],
+    "k24_pend": [(a, b) for a in (0, 1) for b in (2, 3, 4, 5)] + [(0, 6)],
+    "k34": [(a, b) for a in (0, 1, 2) for b in (3, 4, 5, 6)],
+    "c7": [(i, (i + 1) % 7) for i in range(7)],
+}.items()}
+K5_2PEND, C7, STAR_P2 = RANK4["k5_2pend"], RANK4["c7"], RANK4["star_p2"]
+P7 = WhiteheadGraph.build(range(7), [(i, i + 1) for i in range(6)])
 
 
 @pytest.fixture(scope="module")
@@ -143,9 +158,9 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
     # Tarjan emits SCCs in reverse topological order, {c, d} before {a, b}
     # here, and the components still come out in node order
     a, b, c, d = prelim.nodes[:4]
-    chain = PreliminaryDiagram((a, b, c, d), tuple(
-        GeneratingTriple(prelim.edges[0].gen, s, t)
-        for s, t in ((a, b), (b, a), (b, c), (c, d), (d, c))))
+    chain_edges = tuple(GeneratingTriple(prelim.edges[0].gen, s, t)
+                        for s, t in ((a, b), (b, a), (b, c), (c, d), (d, c)))
+    chain = PreliminaryDiagram((a, b, c, d), chain_edges, edge_ends((a, b, c, d), chain_edges))
     assert [comp.nodes for comp in id_diagram(target, 3, preliminary=chain).components] \
         == [(a, b), (c, d)]
 
@@ -158,6 +173,20 @@ def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
         build_preliminary(catalog5[1].graph(), 3, nodes=[G for G in nodes if G != edge.source])
 
 
+def test_turn_masks_order_edge_sets_of_one_size_as_sorted_tuples():
+    # the larger mask is the earlier sorted tuple, so carried nodes sort on
+    # one integer; a set with one turn swapped shares most of its prefix
+    rng = random.Random(11)
+    for rank in (2, 3, 4, 6):
+        bits = _turn_bits(rank)
+        turns = list(bits)
+        for _ in range(300):
+            a = rng.sample(turns, rng.randrange(1, len(turns)))
+            b = rng.sample(turns, len(a)) if rng.random() < 0.5 else (
+                a[1:] + [rng.choice([e for e in turns if e not in a] or a[:1])])
+            assert (sum(bits[e] for e in a) > sum(bits[e] for e in b)) == (sorted(a) < sorted(b))
+
+
 def test_preliminary_refuses_the_nodes_of_another_target(catalog5):
     # a move source that lies in no slice of the target is not an excluded
     # structure: the node list is some other target's
@@ -166,14 +195,31 @@ def test_preliminary_refuses_the_nodes_of_another_target(catalog5):
         build_preliminary(catalog5[2].graph(), 3, nodes=nodes)
 
 
+def _slice_orbits(target, rank) -> set[frozenset[LttStructure]]:
+    """The K-orbits of the structures with red vertex 1 and red edge {1, 3},
+    from the enumeration and every element of K."""
+    slice_ = [G for G in enumerate_structures(target, rank)
+              if (G.red_vertex, G.red_edge) == (1, (1, 3))]
+    return {frozenset(slice_[i] for i in orbit)
+            for orbit in orbits_by_elements(stabilizer_of_1_and_3(rank), slice_)}
+
+
+# the K-orbits of the structures with red vertex 1 and red edge {1, 3},
+# all of them and the admissible ones
+K_ORBITS = {"G5.02": (18, 1), "k5_2pend": (26, 14)}
+
+
 @pytest.mark.parametrize("name, rank", [("G5.02", 3), ("k5_2pend", 4)])
 def test_verdict_decides_birecurrency_on_the_base_slice(monkeypatch, catalog5, name, rank):
-    # once per structure with red vertex 1 and red edge {1, 3}: the slice
-    # maps carry these verdicts to the 2r(2r - 2) slices, and the
-    # preliminary diagram looks excluded sources up instead of rechecking
+    # once per K-orbit of the structures with red vertex 1 and red edge
+    # {1, 3}: K commutes with birecurrency, the slice maps carry these
+    # verdicts to the 2r(2r - 2) slices, and the preliminary diagram looks
+    # excluded sources up instead of rechecking
     import ttrose.diagram
     target = K5_2PEND if name == "k5_2pend" else next(
         e for e in catalog5 if e.id == name).graph()
+    expected = _slice_orbits(target, rank)
+    orbits, admissible = K_ORBITS[name]
     decided = []
 
     def recording(G):
@@ -183,17 +229,23 @@ def test_verdict_decides_birecurrency_on_the_base_slice(monkeypatch, catalog5, n
     monkeypatch.setattr(ttrose.diagram, "is_birecurrent", recording)
     result = target_verdict(target, rank)
     assert result.diagram is not None
-    assert all((G.red_vertex, G.red_edge) == (1, (1, 3)) for G in decided)
-    assert len(set(decided)) == len(decided) == result.num_structures // (2 * rank * (2 * rank - 2))
+    assert len(expected) == len(decided) == orbits
+    assert sorted(len(orbit & set(decided)) for orbit in expected) == [1] * orbits
+    assert sum(is_birecurrent(G) for G in decided) == admissible
 
 
 @pytest.mark.parametrize("name, rank", [("G5.02", 3), ("k5_2pend", 4)])
 def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, name, rank):
-    # once per admissible structure with red vertex 1 and red edge {1, 3}:
-    # the slice maps carry its moves to the moves into the other slices
+    # once per admissible K-orbit of the structures with red vertex 1 and
+    # red edge {1, 3}: an element of K carries the representative's moves
+    # to the moves into the rest of its orbit, and the slice maps carry
+    # those to the moves into the other slices
     import ttrose.diagram
     target = K5_2PEND if name == "k5_2pend" else next(
         e for e in catalog5 if e.id == name).graph()
+    expected = [orbit for orbit in _slice_orbits(target, rank)
+                if is_birecurrent(next(iter(orbit)))]
+    _, admissible = K_ORBITS[name]
     destinations = []
 
     def recording(G):
@@ -203,9 +255,53 @@ def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, 
     monkeypatch.setattr(ttrose.diagram, "generating_triples", recording)
     result = target_verdict(target, rank)
     assert result.diagram is not None
-    assert all((G.red_vertex, G.red_edge) == (1, (1, 3)) for G in destinations)
-    slices = 2 * rank * (2 * rank - 2)
-    assert len(set(destinations)) == len(destinations) == result.num_admissible // slices
+    assert len(expected) == len(destinations) == admissible
+    assert sorted(len(orbit & set(destinations)) for orbit in expected) == [1] * admissible
+
+
+def _rank3_and_rank4_targets(catalog5):
+    return ([(e.id, e.graph(), 3) for e in catalog5]
+            + [(name, graph, 4) for name, graph in RANK4.items()] + [("p7", P7, 4)])
+
+
+def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
+    # the orbits found with K's 2r - 5 generators are the orbits under all
+    # of K's elements; orbits smaller than K have a stabilizer, as some of
+    # G5.04's, G5.18's, G5.19's and the broom's do
+    not_free = set()
+    for name, target, rank in _rank3_and_rank4_targets(catalog5):
+        base = _base_slice(target, rank)
+        structures = [LttStructure(rank, 1, frozenset(E)) for E in base.edges]
+        assert all(validate_ltt(G) and G.red_edge == (1, 3) for G in structures)
+        stabilizer = stabilizer_of_1_and_3(rank)
+        orbits: dict[int, set[int]] = {}
+        for i, rep in enumerate(base.reps):
+            orbits.setdefault(rep, set()).add(i)
+        assert set(map(frozenset, orbits.values())) == orbits_by_elements(stabilizer, structures)
+        assert sum(map(len, orbits.values())) == len(structures)
+        assert all(len(stabilizer) % len(orbit) == 0 for orbit in orbits.values())
+        for G, rep, lift in zip(structures, base.reps, base.lifts):
+            assert lift in stabilizer and epp_structure(lift, structures[rep]) == G
+        if any(len(orbit) < len(stabilizer) for orbit in orbits.values()):
+            not_free.add(name)
+        if name == "broom":
+            assert (len(structures), len(orbits)) == (210, 45)
+    assert {"G5.04", "G5.18", "G5.19", "broom"} <= not_free
+
+
+def test_birecurrency_is_constant_on_every_k_orbit(catalog5):
+    # decided once per orbit, so every member is checked against its own
+    for _, target, rank in _rank3_and_rank4_targets(catalog5):
+        base = _base_slice(target, rank)
+        for E, birecurrent in zip(base.edges, base.birecurrent):
+            assert is_birecurrent(LttStructure(rank, 1, frozenset(E))) == birecurrent
+
+
+def test_preliminary_ends_are_the_positions_of_each_edges_structures(catalog5):
+    targets = [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (STAR_P2, 4)]
+    for target, rank in targets:
+        prelim = build_preliminary(target, rank)
+        assert prelim.ends == edge_ends(prelim.nodes, prelim.edges)
 
 
 def test_preliminary_matches_the_per_destination_oracle(catalog5):
@@ -233,7 +329,7 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
     targets += [(e.graph(), 3, 17) for e in catalog5] + [(K5_2PEND, 4, 29)]
     for target, rank, stride in targets:
         structures = enumerate_structures(target, rank)[::stride]
-        used = _colored_edges(structures)
+        used = {e for G in structures for e in G.colored}
         for sigma in epp_elements(rank):
             image = _edge_table(sigma, used).__getitem__
             for G in structures:
@@ -241,30 +337,14 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
                                     frozenset(map(image, G.colored))) == epp_structure(sigma, G)
 
 
-def test_preliminary_refuses_an_epp_image_that_is_not_admissible(monkeypatch):
-    # one admissible base-slice structure called non-birecurrent: another
-    # member of its orbit under the stabilizer of directions 1 and 3 stays
-    # admissible, so the diagram is not closed under EPP and must not be built
-    import ttrose.diagram
-    stabilizer = [sigma for sigma in epp_elements(4) if (sigma[0], sigma[2]) == (1, 3)]
-    dropped = next(G for G in enumerate_structures(K5_2PEND, 4, admissible_only=True)
-                   if (G.red_vertex, G.red_edge) == (1, (1, 3))
-                   and len({epp_structure(kappa, G) for kappa in stabilizer}) > 1)
-    monkeypatch.setattr(ttrose.diagram, "is_birecurrent",
-                        lambda G: G != dropped and is_birecurrent(G))
-    with pytest.raises(RuntimeError, match="admissible source missing|is not admissible"):
-        target_verdict(K5_2PEND, 4)
-
-
 def test_components_keep_the_order_of_a_shuffled_preliminary_diagram(squeeze):
     # id_diagram reads each edge's ends, not its place in a source-ordered
     # row; the star on 7 vertices plus two disjoint edges has 160 components
-    star_p2 = WhiteheadGraph.build(range(7), [(0, i) for i in range(1, 7)] + [(1, 2), (3, 4)])
-    for target, rank in [(squeeze["G5.02"].diagram.target, 3), (star_p2, 4)]:
+    for target, rank in [(squeeze["G5.02"].diagram.target, 3), (STAR_P2, 4)]:
         prelim = build_preliminary(target, rank)
         edges = list(prelim.edges)
         random.Random(5).shuffle(edges)
-        shuffled = PreliminaryDiagram(prelim.nodes, tuple(edges))
+        shuffled = PreliminaryDiagram(prelim.nodes, tuple(edges), edge_ends(prelim.nodes, edges))
         built, expected = id_diagram(target, rank, preliminary=shuffled), id_diagram(target, rank)
         assert len(built.components) == len(expected.components) > 1
         for comp, want in zip(built.components, expected.components):
