@@ -34,7 +34,7 @@ from .maps import (
 )
 from .moves import GeneratingTriple, generating_triples
 from .rose import MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction
-from .whitehead import WhiteheadGraph, relabelings
+from .whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -106,19 +106,13 @@ def _slice_maps(rank: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(h[0], h[2]): h + tuple(d for d in all_directions(rank) if d not in h) for h in heads}
 
 
-def _turn_bits(rank: int) -> dict[Turn, int]:
-    """Each turn's bit in a turn mask, the least turn the highest bit: of
-    two edge sets of one size, the larger mask is the earlier sorted tuple."""
-    turns = list(itertools.combinations(all_directions(rank), 2))
-    return {e: 1 << (len(turns) - 1 - i) for i, e in enumerate(turns)}
-
-
-def _k_generators(rank: int) -> list[tuple[int, ...]]:
-    """The 2r - 5 generators of K, the EPP elements fixing directions 1 and
-    3: the flips of pairs 3..r and the swaps of adjacent pairs among them."""
-    d = tuple(all_directions(rank))
-    flips = [d[:i] + (i + 2, i + 1) + d[i + 2:] for i in range(4, 2 * rank, 2)]
-    swaps = [d[:i] + (i + 3, i + 4, i + 1, i + 2) + d[i + 4:] for i in range(4, 2 * rank - 2, 2)]
+def _k_generators(rank: int) -> list[dict[int, int]]:
+    """Generators of K, the EPP elements fixing directions 1 and 3, each as
+    the image of every direction it moves: the flips of pairs 3..r and the
+    swaps of adjacent pairs among them, so 2r - 5 of them from rank 3 on
+    and none at rank 2, where K is trivial."""
+    flips = [{i: i + 1, i + 1: i} for i in range(5, 2 * rank, 2)]
+    swaps = [{i: i + 2, i + 1: i + 3, i + 2: i, i + 3: i + 1} for i in range(5, 2 * rank - 1, 2)]
     return flips + swaps
 
 
@@ -127,7 +121,7 @@ class BaseSlice:
     """The structures with red vertex 1 and red edge {1, 3}, by index, split
     into orbits under K; K maps the slice onto itself."""
     edges: tuple[tuple[Turn, ...], ...]  # each structure's colored edges
-    masks: tuple[int, ...]  # and their turn mask
+    index: dict[int, int]  # the index of each structure's turn mask
     reps: tuple[int, ...]  # the index of its orbit's representative
     lifts: tuple[tuple[int, ...], ...]  # an element of K carrying the representative onto it
     birecurrent: tuple[bool, ...]  # decided once per orbit
@@ -135,35 +129,26 @@ class BaseSlice:
 
 def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     """One structure per labeled copy of the target on 2..2r (vertex k in
-    sorted order labeled k + 2).  EPP commutes with birecurrency, so it is
+    sorted order labeled k + 2), in the order the walk under the swaps of
+    adjacent labels reaches them.  EPP commutes with birecurrency, so it is
     decided on one representative per K-orbit, and the slice maps carry the
-    slice one-to-one onto the disjoint others.  K's generators act on turn
-    masks through tables over the turns of the slice that they move."""
+    slice one-to-one onto the disjoint others.  Both walks act on turn
+    masks through the purple turns, so the red edge {1, 3} keeps its bit."""
     validate_target(target, rank)
     verts = sorted(target.vertices, key=repr)
-    position = {v: i for i, v in enumerate(verts)}
+    label = {v: i + 2 for i, v in enumerate(verts)}
+    bits = pair_bits(all_directions(rank))
+    purple = {e: bit for e, bit in bits.items() if e[0] > 1}
+    start = bits[1, 3] + sum(purple[tuple(sorted((label[u], label[v])))] for u, v in target.edges)
     # one labeled copy per distinct edge set, so automorphisms of the
-    # target never repeat a purple graph
-    orbit = relabelings(len(verts), [(position[u], position[v]) for u, v in target.edges])
-    label = {p: (p[0] + 2, p[1] + 2) for p in {p for edges in orbit for p in edges}}
-    edges = [((1, 3), *map(label.__getitem__, edges)) for edges in orbit]
-    bits = _turn_bits(rank)
-    weight = {e: bits[e] for e in (*label.values(), (1, 3))}
-    masks = [sum(map(weight.__getitem__, E)) for E in edges]
+    # target never repeat a purple graph; swapping adjacent labels
+    # generates every permutation of 2..2r
+    swaps = [mask_action({a: a + 1, a + 1: a}, purple) for a in range(2, 2 * rank)]
+    masks = list(mask_orbit(start, swaps))
+    edges = [((1, 3), *mask_pairs(mask, purple)) for mask in masks]
     index = {mask: i for i, mask in enumerate(masks)}
-    at: dict[int, list[Turn]] = {d: [] for d in all_directions(rank)}  # the slice's turns
-    for e in weight:
-        at[e[0]].append(e)
-        at[e[1]].append(e)
-    actions = []  # (g, the bits of the turns that g moves, the image of each)
-    for g in _k_generators(rank):
-        table = {}
-        for d in all_directions(rank):
-            if g[d - 1] != d:
-                for u, v in at[d]:
-                    a, b = g[u - 1], g[v - 1]
-                    table[weight[u, v]] = bits[(a, b) if a < b else (b, a)]
-        actions.append((g, sum(table), table))
+    generators = _k_generators(rank)
+    actions = [mask_action(g, purple) for g in generators]
     reps = [-1] * len(edges)
     identity = tuple(all_directions(rank))
     lifts = [identity] * len(edges)
@@ -172,27 +157,17 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     for rep in range(len(edges)):
         if reps[rep] >= 0:
             continue
-        reps[rep] = rep
-        members = [rep]
-        for i in members:
-            for g, support, table in actions:
-                # g permutes the turns it moves, so the others keep their bits
-                moved = masks[i] & support
-                image = masks[i] ^ moved
-                while moved:
-                    low = moved & -moved
-                    image |= table[low]
-                    moved ^= low
-                j = index[image]
-                if reps[j] < 0:
-                    reps[j] = rep
-                    t = tuple(g[d - 1] for d in lifts[i])
-                    lifts[j] = elements.setdefault(t, t)
-                    members.append(j)
-        if is_birecurrent(LttStructure(rank, 1, frozenset(edges[rep]))):
-            for i in members:
-                birecurrent[i] = True
-    return BaseSlice(tuple(edges), tuple(masks), tuple(reps), tuple(lifts), tuple(birecurrent))
+        orbit = mask_orbit(masks[rep], actions)
+        decided = is_birecurrent(LttStructure(rank, 1, frozenset(edges[rep])))
+        for mask, step in orbit.items():
+            i = index[mask]
+            reps[i] = rep
+            birecurrent[i] = decided
+            if step is not None:
+                parent, k = step
+                t = tuple(generators[k].get(d, d) for d in lifts[index[parent]])
+                lifts[i] = elements.setdefault(t, t)
+    return BaseSlice(tuple(edges), index, tuple(reps), tuple(lifts), tuple(birecurrent))
 
 
 def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
@@ -210,7 +185,7 @@ def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
     colored edges, sorted by red vertex, then sorted colored edges; and the
     position of each image by the slice's (red vertex, red-edge end), then
     by the structure's index."""
-    bits = _turn_bits(rank)
+    bits = pair_bits(all_directions(rank))
     width = len(bits)
     full = (1 << width) - 1
     used = {e for E in members for e in E}
@@ -318,10 +293,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     maps = _slice_maps(rank)
     back = {key: tuple(sigma.index(d) + 1 for d in all_directions(rank))
             for key, sigma in maps.items()}
-    bits = _turn_bits(rank)
+    bits = pair_bits(all_directions(rank))
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
-    index = {mask: i for i, mask in enumerate(base.masks)}
     members = [base.edges[i] for i in admissible]
     used = {e for E in members for e in E}
     nodes, position = _carry(rank, members)
@@ -330,7 +304,7 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     def image_of(kappa: tuple[int, ...]) -> list[int]:
         if kappa not in images:
             weight = {e: bits[f] for e, f in _edge_table(kappa, used).items()}.__getitem__
-            images[kappa] = [slot[index[sum(map(weight, E))]] for E in members]
+            images[kappa] = [slot[base.index[sum(map(weight, E))]] for E in members]
         return images[kappa]
 
     # (k', b') for each move into a representative from an admissible sigma_k'(B_b')
@@ -342,7 +316,7 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
         for move in generating_triples(LttStructure(rank, 1, frozenset(base.edges[i]))):
             source_key = (move.source.red_vertex, move.source.attach_vertex)
             preimage = _edge_table(back[source_key], move.source.colored).values()
-            source = index.get(sum(map(bits.__getitem__, preimage)))
+            source = base.index.get(sum(map(bits.__getitem__, preimage)))
             if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
@@ -437,13 +411,16 @@ def id_diagram(target: WhiteheadGraph, rank: int,
 @dataclass(frozen=True)
 class IpTestResult:
     per_component: tuple[bool, ...]
-    overall_unachieved: bool  # no component covers every edge pair
+
+    @property
+    def overall_unachieved(self) -> bool:
+        """No component covers every edge pair."""
+        return not any(self.per_component)
 
 
 def irreducibility_potential_test(diagram: IdDiagram) -> IpTestResult:
     all_pairs = frozenset(range(1, diagram.rank + 1))
-    verdicts = tuple(comp.pairs_covered() == all_pairs for comp in diagram.components)
-    return IpTestResult(verdicts, not any(verdicts))
+    return IpTestResult(tuple(comp.pairs_covered() == all_pairs for comp in diagram.components))
 
 
 def epp_classes(diagram: IdDiagram) -> list[list[int]]:

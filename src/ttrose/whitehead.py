@@ -4,9 +4,9 @@ The same small-graph type serves the local and stable Whitehead graphs
 of a map (vertices are direction labels), the purple part of a
 lamination train track structure, and abstract target graphs.  All
 instances here are tiny (at most a dozen vertices).  Relabeling
-problems (the labeled copies of a target, the isomorphism classes of
-the catalog) are answered by the orbit of a graph's edge tuple under
-the symmetric group, walked one adjacent transposition at a time.
+problems (the labeled copies of a target, the catalog's isomorphism
+classes, the K-orbits of a slice of structures) are orbits of an edge
+bitmask, walked breadth first under generators acting by tables.
 """
 
 from __future__ import annotations
@@ -88,28 +88,52 @@ def index_list(graph: WhiteheadGraph) -> list[Fraction]:
     return sorted(Fraction(1) - Fraction(len(c), 2) for c in graph.components())
 
 
-def relabelings(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
-    """Every distinct sorted edge tuple that relabeling the vertices
-    0..n-1 makes of the graph, the graph's own tuple first.
+def pair_bits(labels: Sequence[int]) -> dict[tuple[int, int], int]:
+    """Each pair of the sorted labels' bit in an edge mask, the least pair
+    the highest bit: of two edge sets of one size, the larger mask is the
+    earlier sorted tuple."""
+    pairs = list(itertools.combinations(labels, 2))
+    return {p: 1 << (len(pairs) - 1 - i) for i, p in enumerate(pairs)}
 
-    Breadth-first search under the n-1 adjacent transpositions, which
-    generate the symmetric group, so the cost grows with the orbit (n!
-    over the number of automorphisms), not with n!.  Every image shares
-    one tuple object per vertex pair.
-    """
-    pair = {p: p for p in itertools.combinations(range(n), 2)}
-    swaps = []
-    for i in range(n - 1):
-        t = list(range(n))
-        t[i], t[i + 1] = i + 1, i
-        swaps.append({(a, b): pair[min(t[a], t[b]), max(t[a], t[b])] for a, b in pair})
-    start = tuple(sorted(pair[tuple(sorted(e))] for e in edges))
-    seen = {start}
-    orbit = [start]
-    for g in orbit:
-        for swap in swaps:
-            img = tuple(sorted(swap[e] for e in g))
-            if img not in seen:
-                seen.add(img)
-                orbit.append(img)
+
+def mask_pairs(mask: int, bits: dict[tuple[int, int], int]) -> tuple[tuple[int, int], ...]:
+    """The pairs whose bits are set in the mask, sorted."""
+    return tuple(p for p, bit in bits.items() if mask & bit)
+
+
+Action = tuple[int, dict[int, int]]
+
+
+def mask_action(perm: dict[int, int], bits: dict[tuple[int, int], int]) -> Action:
+    """How the permutation of labels sending each key of perm to its value,
+    and fixing the others, acts on edge masks: the bits of the pairs in
+    bits that it moves, and the image bit of each; other bits are kept."""
+    table = {}
+    for (u, v), bit in bits.items():
+        if u in perm or v in perm:
+            a, b = perm.get(u, u), perm.get(v, v)
+            image = bits[(a, b) if a < b else (b, a)]
+            if image != bit:
+                table[bit] = image
+    return sum(table), table
+
+
+def mask_orbit(start: int, actions: Sequence[Action]) -> dict[int, tuple[int, int] | None]:
+    """The orbit of an edge mask under the group the actions generate,
+    breadth first from start, each member with the (parent, index of the
+    action) that first reached it, start with None.  The cost grows with
+    the orbit, not with the group."""
+    orbit: dict[int, tuple[int, int] | None] = {start: None}
+    queue = [start]
+    for mask in queue:
+        for g, (support, table) in enumerate(actions):
+            moved = mask & support
+            image = mask ^ moved
+            while moved:
+                low = moved & -moved
+                image |= table[low]
+                moved ^= low
+            if image not in orbit:
+                orbit[image] = (mask, g)
+                queue.append(image)
     return orbit

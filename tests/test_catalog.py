@@ -2,7 +2,7 @@ import pytest
 
 from oracles import canonical_edge_tuple, find_isomorphism, relabelings_by_permutations
 from ttrose.catalog import connected_simplicial_graphs
-from ttrose.whitehead import relabelings
+from ttrose.whitehead import mask_action, mask_orbit, mask_pairs, pair_bits
 
 
 def test_connected_graph_counts():
@@ -31,10 +31,13 @@ def test_entries_are_connected_and_distinct():
             assert len(g.vertices) == n
             assert g.is_connected()
             # an entry is the least of its relabelings, which are exactly
-            # the images under all n! permutations
-            orbit = relabelings(n, e.edges)
-            assert set(orbit) == relabelings_by_permutations(n, e.edges)
-            assert e.edges == min(orbit) == canonical_edge_tuple(n, e.edges)
+            # the images under all n! permutations, and the largest mask of
+            # its orbit
+            bits = pair_bits(range(n))
+            swaps = [mask_action({a: a + 1, a + 1: a}, bits) for a in range(n - 1)]
+            orbit = mask_orbit(sum(bits[p] for p in e.edges), swaps)
+            assert {mask_pairs(m, bits) for m in orbit} == relabelings_by_permutations(n, e.edges)
+            assert e.edges == mask_pairs(max(orbit), bits) == canonical_edge_tuple(n, e.edges)
         for i, e1 in enumerate(entries):
             for e2 in entries[i + 1:]:
                 assert find_isomorphism(e1.graph(), e2.graph()) is None

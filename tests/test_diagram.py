@@ -30,7 +30,6 @@ from ttrose.diagram import (
     PreliminaryDiagram,
     _base_slice,
     _edge_table,
-    _turn_bits,
     build_preliminary,
     diagram_to_dot,
     enumerate_structures,
@@ -48,7 +47,8 @@ from ttrose.diagram import (
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, generating_triples
-from ttrose.whitehead import WhiteheadGraph, relabelings
+from ttrose.rose import all_directions
+from ttrose.whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
 
 
 # the eight rank-4 targets of the benchmark's verdict_r4 workload, among
@@ -178,13 +178,14 @@ def test_turn_masks_order_edge_sets_of_one_size_as_sorted_tuples():
     # one integer; a set with one turn swapped shares most of its prefix
     rng = random.Random(11)
     for rank in (2, 3, 4, 6):
-        bits = _turn_bits(rank)
+        bits = pair_bits(all_directions(rank))
         turns = list(bits)
         for _ in range(300):
             a = rng.sample(turns, rng.randrange(1, len(turns)))
             b = rng.sample(turns, len(a)) if rng.random() < 0.5 else (
                 a[1:] + [rng.choice([e for e in turns if e not in a] or a[:1])])
             assert (sum(bits[e] for e in a) > sum(bits[e] for e in b)) == (sorted(a) < sorted(b))
+            assert mask_pairs(sum(bits[e] for e in a), bits) == tuple(sorted(a))
 
 
 def test_preliminary_refuses_the_nodes_of_another_target(catalog5):
@@ -265,11 +266,16 @@ def _rank3_and_rank4_targets(catalog5):
 
 
 def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
-    # the orbits found with K's 2r - 5 generators are the orbits under all
-    # of K's elements; orbits smaller than K have a stabilizer, as some of
-    # G5.04's, G5.18's, G5.19's and the broom's do
+    # the orbits found with K's generators are the orbits under all of K's
+    # elements; orbits smaller than K have a stabilizer, as some of G5.04's,
+    # G5.18's, G5.19's and the broom's do.  Rank 5 is the first where K
+    # permutes three pairs, so its two swaps must be composed: the star's
+    # 9 structures fall into orbits of sizes 1, 1, 1 and 6, and the star
+    # plus one edge between leaves has orbits of 1, 3, 6, 12 and 24 of the 48
+    rank5 = [("star9", star_target(5), 5), ("star9_p1", WhiteheadGraph.build(
+        range(9), [(0, i) for i in range(1, 9)] + [(1, 2)]), 5)]
     not_free = set()
-    for name, target, rank in _rank3_and_rank4_targets(catalog5):
+    for name, target, rank in _rank3_and_rank4_targets(catalog5) + rank5:
         base = _base_slice(target, rank)
         structures = [LttStructure(rank, 1, frozenset(E)) for E in base.edges]
         assert all(validate_ltt(G) and G.red_edge == (1, 3) for G in structures)
@@ -284,9 +290,14 @@ def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
             assert lift in stabilizer and epp_structure(lift, structures[rep]) == G
         if any(len(orbit) < len(stabilizer) for orbit in orbits.values()):
             not_free.add(name)
+        sizes = sorted(map(len, orbits.values()))
         if name == "broom":
             assert (len(structures), len(orbits)) == (210, 45)
-    assert {"G5.04", "G5.18", "G5.19", "broom"} <= not_free
+        if name == "star9":
+            assert (len(stabilizer), sizes) == (48, [1, 1, 1, 6])
+        if name == "star9_p1":
+            assert (len(structures), len(orbits), set(sizes)) == (252, 27, {1, 3, 6, 12, 24})
+    assert {"G5.04", "G5.18", "G5.19", "broom", "star9", "star9_p1"} <= not_free
 
 
 def test_birecurrency_is_constant_on_every_k_orbit(catalog5):
@@ -310,9 +321,11 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
     # more), which keeps the oracle's one move call per node to seconds
     targets = [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (C7, 4)]
     rng = random.Random(3)
+    bits = pair_bits(range(7))
+    swaps = [mask_action({a: a + 1, a + 1: a}, bits) for a in range(6)]
     while len(targets) < len(catalog5) + 6:
         target = random_connected_graph(rng, 7, rng.randrange(7))
-        if len(relabelings(7, list(target.edges))) <= 1260:
+        if len(mask_orbit(sum(bits[tuple(sorted(e))] for e in target.edges), swaps)) <= 1260:
             targets.append((target, 4))
     for target, rank in targets:
         built, oracle = build_preliminary(target, rank), preliminary_by_destination(target, rank)

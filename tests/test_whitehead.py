@@ -5,7 +5,17 @@ from hypothesis import strategies as st
 
 from oracles import (canonical_edge_tuple, find_isomorphism, naive_isomorphic,
                      random_connected_graph, relabelings_by_permutations)
-from ttrose.whitehead import WhiteheadGraph, relabelings
+from ttrose.whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
+
+
+def _mask(bits, edges):
+    return sum(bits[tuple(sorted(e))] for e in edges)
+
+
+def _swaps(labels, bits):
+    """The actions of the swaps of adjacent labels in a range, which
+    generate every permutation of it."""
+    return [mask_action({a: a + 1, a + 1: a}, bits) for a in labels[:-1]]
 
 
 def test_components():
@@ -53,20 +63,53 @@ def test_canonical_form_is_relabeling_invariant(seed):
     relabeled = [(perm[u], perm[v]) for u, v in g.edges]
     assert canonical_edge_tuple(n, g.edges) == canonical_edge_tuple(n, relabeled)
     # the orbit walked by adjacent transpositions is every image under
-    # the n! relabelings, each once, and its least element is the
-    # canonical form
-    orbit = relabelings(n, g.edges)
-    assert len(orbit) == len(set(orbit))
-    assert set(orbit) == relabelings_by_permutations(n, g.edges)
-    assert orbit[0] == tuple(sorted(g.edges))
-    assert min(orbit) == canonical_edge_tuple(n, g.edges) == min(relabelings(n, relabeled))
+    # the n! relabelings, each once, the graph's own first; its largest
+    # mask decodes to the canonical form
+    bits = pair_bits(range(n))
+    swaps = _swaps(range(n), bits)
+    orbit = mask_orbit(_mask(bits, g.edges), swaps)
+    assert {mask_pairs(m, bits) for m in orbit} == relabelings_by_permutations(n, g.edges)
+    assert next(iter(orbit)) == _mask(bits, g.edges) and orbit[_mask(bits, g.edges)] is None
+    assert mask_pairs(max(orbit), bits) == canonical_edge_tuple(n, g.edges)
+    assert set(mask_orbit(_mask(bits, relabeled), swaps)) == set(orbit)
+    # each later member is its recorded parent's image under the recorded
+    # swap, and the parent was reached first
+    members = list(orbit)
+    for i, (mask, step) in enumerate(orbit.items()):
+        if step is not None:
+            parent, k = step
+            swap = {k: k + 1, k + 1: k}
+            image = [(swap.get(a, a), swap.get(b, b)) for a, b in mask_pairs(parent, bits)]
+            assert members.index(parent) < i and _mask(bits, image) == mask
+
+
+def test_mask_action_tables_only_the_pairs_it_moves():
+    # the swap of 2 and 3 on 0..4 moves the 6 pairs with one end in {2, 3};
+    # (2, 3) itself and the pairs away from both keep their bits
+    bits = pair_bits(range(5))
+    support, table = mask_action({2: 3, 3: 2}, bits)
+    moved = {p for p in bits if len({2, 3} & set(p)) == 1}
+    assert support == _mask(bits, moved) and len(table) == 6
+    assert all(table[bits[a, b]] == bits[tuple(sorted({2: 3, 3: 2}.get(d, d) for d in (a, b)))]
+               for a, b in moved)
+    # a pair outside the bits is not imaged: the walk under swaps of 1..4
+    # keeps the bit of (0, 1), as the base slice keeps its red edge's
+    purple = {p: bit for p, bit in bits.items() if p[0] > 0}
+    start = bits[0, 1] + bits[1, 2]
+    orbit = mask_orbit(start, _swaps(range(1, 5), purple))
+    assert len(orbit) == 6 and all(m & bits[0, 1] for m in orbit)
 
 
 def test_relabelings_of_symmetric_graphs():
     # orbit size n! / |Aut|: the rank-8 star has 15 images, the 7-cycle
     # 7! / 14, K4 one and the empty graph on 3 vertices one
-    assert len(relabelings(15, [(0, i) for i in range(1, 15)])) == 15
-    assert len(relabelings(7, [(i, (i + 1) % 7) for i in range(7)])) == 360
-    assert relabelings(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]) == \
+    def orbit(n, edges):
+        bits = pair_bits(range(n))
+        return [mask_pairs(m, bits)
+                for m in mask_orbit(_mask(bits, edges), _swaps(range(n), bits))]
+
+    assert len(orbit(15, [(0, i) for i in range(1, 15)])) == 15
+    assert len(orbit(7, [(i, (i + 1) % 7) for i in range(7)])) == 360
+    assert orbit(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]) == \
         [((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    assert relabelings(3, []) == [()]
+    assert orbit(3, []) == [()]
