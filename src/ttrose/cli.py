@@ -220,7 +220,7 @@ def cmd_check_graph(args) -> int:
     print(f"structures: {result.num_structures} total, {result.num_admissible} birecurrent")
     if result.diagram is not None:
         print(f"ID diagram: {len(result.diagram.components)} component(s), "
-              f"{len(result.diagram.preliminary.edges)} preliminary edge(s)")
+              f"{len(result.diagram.preliminary.ends)} preliminary edge(s)")
         for i, comp in enumerate(result.diagram.components):
             census = " ".join(format_direction(d) for d in sorted(comp.red_label_census))
             passing = "pass" if result.ip.per_component[i] else "fail"
@@ -229,16 +229,16 @@ def cmd_check_graph(args) -> int:
         classes = epp_classes(result.diagram)
         print(f"EPP classes of components: {len(classes)}")
         if args.max_loop_len:
-            _report_loops(result.diagram.components, args.max_loop_len)
+            _report_loops(result.diagram, args.max_loop_len)
     print(f"verdict: {result.verdict}")
     agree = _oracle_check(target, args) if args.oracle_samples else True
     _artifact(out, args.format, result.diagram, f"diagram_r{args.rank}")
     return 0 if agree else 1
 
 
-def _report_loops(components, max_len: int) -> None:
-    for i, comp in enumerate(components):
-        loops = find_loops(comp, comp.nodes[0], max_len)
+def _report_loops(diagram, max_len: int) -> None:
+    for i, comp in enumerate(diagram.components):
+        loops = find_loops(diagram.preliminary, comp, comp.nodes[0], max_len)
         ok = sum(1 for lp in loops if verify_loop(lp).ok)
         print(f"  component {i}: {len(loops)} loop(s) of length <= {max_len} "
               f"at its first node; {ok} fully ideal")
@@ -264,6 +264,20 @@ def _catalog(n: int) -> list:
         raise SystemExit(f"error: {exc}")
 
 
+def _sweep_row(name: str, graph: WhiteheadGraph, rank: int) -> dict:
+    """One target's sweep row; its diagram is dropped on return, so a
+    sweep holds one diagram at a time."""
+    result = target_verdict(graph, rank)
+    return {
+        "id": name,
+        "edges": len(graph.edges),
+        "structures": result.num_structures,
+        "admissible": result.num_admissible,
+        "components": len(result.diagram.components) if result.diagram else 0,
+        "verdict": result.verdict,
+    }
+
+
 def cmd_sweep(args) -> int:
     n = 2 * args.rank - 1
     out = _out_dir(args)
@@ -277,17 +291,7 @@ def cmd_sweep(args) -> int:
         entries = _catalog(n)
         targets = [(e.id, e.graph()) for e in entries]
         print(f"catalog: {len(entries)} connected simplicial {n}-vertex graphs")
-    rows = []
-    for name, graph in targets:
-        result = target_verdict(graph, args.rank)
-        rows.append({
-            "id": name,
-            "edges": len(graph.edges),
-            "structures": result.num_structures,
-            "admissible": result.num_admissible,
-            "components": len(result.diagram.components) if result.diagram else 0,
-            "verdict": result.verdict,
-        })
+    rows = [_sweep_row(name, graph, args.rank) for name, graph in targets]
     width = max((len(r["id"]) for r in rows), default=len("id"))
     print(f"{'id':<{width}}  edges  structures  admissible  components  verdict")
     for r in rows:

@@ -11,7 +11,9 @@ and to every other slice.  A component passes the Irreducibility
 Potential Test when every edge pair labels the red vertex of some node;
 if no component passes (in particular if there are no components at
 all), no ideally decomposed representative exists and the target is
-unachieved.
+unachieved.  The verdict runs on integers: each node is one key, each
+edge the positions of its two nodes, and structures and moves are
+decoded only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
 from .maps import (
@@ -32,9 +35,10 @@ from .maps import (
     is_train_track,
     validate_ideal_decomposition,
 )
-from .moves import GeneratingTriple, generating_triples
-from .rose import MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction
-from .whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
+from .moves import GeneratingTriple, move_kind, move_sources
+from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
+                   turn)
+from .whitehead import WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -120,10 +124,12 @@ def _k_generators(rank: int) -> list[dict[int, int]]:
 class BaseSlice:
     """The structures with red vertex 1 and red edge {1, 3}, by index, split
     into orbits under K; K maps the slice onto itself."""
-    edges: tuple[tuple[Turn, ...], ...]  # each structure's colored edges
-    index: dict[int, int]  # the index of each structure's turn mask
+    masks: tuple[int, ...]  # each structure's turn mask
+    index: dict[int, int]  # the index of each turn mask
     reps: tuple[int, ...]  # the index of its orbit's representative
-    lifts: tuple[tuple[int, ...], ...]  # an element of K carrying the representative onto it
+    # for an admissible structure, an element of K carrying the
+    # representative onto it; None for the others, which are never carried
+    lifts: tuple[tuple[int, ...] | None, ...]
     birecurrent: tuple[bool, ...]  # decided once per orbit
 
 
@@ -133,7 +139,9 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     adjacent labels reaches them.  EPP commutes with birecurrency, so it is
     decided on one representative per K-orbit, and the slice maps carry the
     slice one-to-one onto the disjoint others.  Both walks act on turn
-    masks through the purple turns, so the red edge {1, 3} keeps its bit."""
+    masks through the purple turns, so the red edge {1, 3} keeps its bit.
+    Only the representatives are decoded, and only admissible members
+    get a lift, since only they are carried."""
     validate_target(target, rank)
     verts = sorted(target.vertices, key=repr)
     label = {v: i + 2 for i, v in enumerate(verts)}
@@ -144,34 +152,36 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     # target never repeat a purple graph; swapping adjacent labels
     # generates every permutation of 2..2r
     swaps = [mask_action({a: a + 1, a + 1: a}, purple) for a in range(2, 2 * rank)]
-    masks = list(mask_orbit(start, swaps))
-    edges = [((1, 3), *mask_pairs(mask, purple)) for mask in masks]
+    masks = tuple(mask_orbit(start, swaps))
     index = {mask: i for i, mask in enumerate(masks)}
     generators = _k_generators(rank)
     actions = [mask_action(g, purple) for g in generators]
-    reps = [-1] * len(edges)
+    reps = [-1] * len(masks)
     identity = tuple(all_directions(rank))
-    lifts = [identity] * len(edges)
+    lifts: list[tuple[int, ...] | None] = [None] * len(masks)
     elements = {identity: identity}  # one tuple per element of K, however many members share it
-    birecurrent = [False] * len(edges)
-    for rep in range(len(edges)):
+    birecurrent = [False] * len(masks)
+    for rep, mask in enumerate(masks):
         if reps[rep] >= 0:
             continue
-        orbit = mask_orbit(masks[rep], actions)
-        decided = is_birecurrent(LttStructure(rank, 1, frozenset(edges[rep])))
-        for mask, step in orbit.items():
-            i = index[mask]
+        decided = is_birecurrent(LttStructure(rank, 1, frozenset(mask_pairs(mask, bits))))
+        for member, step in mask_orbit(mask, actions).items():
+            i = index[member]
             reps[i] = rep
-            birecurrent[i] = decided
-            if step is not None:
+            if not decided:
+                continue
+            birecurrent[i] = True
+            if step is None:
+                lifts[i] = identity
+            else:
                 parent, k = step
                 t = tuple(generators[k].get(d, d) for d in lifts[index[parent]])
                 lifts[i] = elements.setdefault(t, t)
-    return BaseSlice(tuple(edges), index, tuple(reps), tuple(lifts), tuple(birecurrent))
+    return BaseSlice(masks, index, tuple(reps), tuple(lifts), tuple(birecurrent))
 
 
 def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
-    """sigma's image of each of the colored edges, as epp_structure maps it."""
+    """sigma's image of each of the colored edges, sorted."""
     table = {}
     for u, v in edges:
         a, b = sigma[u - 1], sigma[v - 1]
@@ -179,37 +189,54 @@ def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]
     return table
 
 
-def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
-           ) -> tuple[tuple[LttStructure, ...], dict[tuple[int, int], list[int]]]:
-    """Each slice map's image of each base-slice structure, given by its
-    colored edges, sorted by red vertex, then sorted colored edges; and the
-    position of each image by the slice's (red vertex, red-edge end), then
-    by the structure's index."""
+# A node is keyed by one integer: its red vertex in the bits above the
+# turn mask, then the complemented turn mask, so keys sort as the
+# structures do (red vertex, then sorted colored edges).
+
+
+def _key_layout(rank: int) -> tuple[dict[Turn, int], int, int]:
+    """Each turn's bit, the width of the turn mask, and the full mask."""
     bits = pair_bits(all_directions(rank))
-    width = len(bits)
-    full = (1 << width) - 1
+    return bits, len(bits), (1 << len(bits)) - 1
+
+
+def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
+    """The structure of each node key."""
+    bits, width, full = _key_layout(rank)
+    return tuple(LttStructure(rank, key >> width, frozenset(mask_pairs(~key & full, bits)))
+                 for key in keys)
+
+
+def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
+           ) -> tuple[tuple[int, ...], dict[tuple[int, int], list[int]]]:
+    """The key of each slice map's image of each base-slice structure,
+    given by its colored edges, in sorted order; and the position of each
+    image by the slice's (red vertex, red-edge end), then by the
+    structure's index."""
+    bits, width, full = _key_layout(rank)
     used = {e for E in members for e in E}
     maps = _slice_maps(rank)
-    tables = []
     keys: list[int] = []
     for sigma in maps.values():
-        table = _edge_table(sigma, used)
-        weight = {e: bits[f] for e, f in table.items()}.__getitem__
-        # red vertex, then the complemented mask: the earlier edge tuple first
+        weight = {e: bits[f] for e, f in _edge_table(sigma, used).items()}.__getitem__
         high = sigma[0] << width | full
         keys.extend(high - sum(map(weight, E)) for E in members)
-        tables.append((sigma[0], table.__getitem__))
-    # the slices are disjoint, so no two sort keys are equal
+    # the slices are disjoint, so no two keys are equal
     n = len(members)
     position = {key: [0] * n for key in maps}
     rows = list(position.values())
-    nodes = []
-    for i, x in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    for i, x in enumerate(order):
         k, b = divmod(x, n)
-        red, image = tables[k]
-        nodes.append(LttStructure(rank, red, frozenset(map(image, members[b]))))
         rows[k][b] = i
-    return tuple(nodes), position
+    return tuple(map(keys.__getitem__, order)), position
+
+
+def _members(base: BaseSlice, rank: int, admissible_only: bool) -> list[tuple[Turn, ...]]:
+    """The colored edges of each base-slice structure, or of each admissible one."""
+    bits = pair_bits(all_directions(rank))
+    return [mask_pairs(mask, bits) for mask, birecurrent in zip(base.masks, base.birecurrent)
+            if birecurrent or not admissible_only]
 
 
 def enumerate_structures(target: WhiteheadGraph, rank: int,
@@ -219,9 +246,8 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     bar pairing and every red edge attachment away from the red vertex's
     bar partner.  Only the birecurrent ones when requested."""
     base = _base_slice(target, rank)
-    nodes, _ = _carry(rank, [E for E, birecurrent in zip(base.edges, base.birecurrent)
-                             if birecurrent or not admissible_only])
-    return list(nodes)
+    keys, _ = _carry(rank, _members(base, rank, admissible_only))
+    return list(_decode(rank, keys))
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -253,28 +279,58 @@ def _epp_generators(rank: int) -> list[tuple[int, ...]]:
                                for i in range(0, 2 * rank - 2, 2)]
 
 
-def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
-    colored = frozenset(tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in G.colored)
-    return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
-
-
 # --- the preliminary diagram and its strongly connected components --------
 
 
 @dataclass(frozen=True)
 class PreliminaryDiagram:
-    nodes: tuple[LttStructure, ...]
-    edges: tuple[GeneratingTriple, ...]  # each an extension or a switch
-    ends: tuple[tuple[int, int], ...]  # each edge's source and destination positions
+    """Nodes by their keys, in sorted order, and edges by the positions of
+    their source and destination, in that order.  The structures and the
+    moves are decoded from these when first read."""
+    rank: int
+    keys: tuple[int, ...]
+    ends: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def nodes(self) -> tuple[LttStructure, ...]:
+        return _decode(self.rank, self.keys)
+
+    @cached_property
+    def red_ends(self) -> tuple[tuple[int, int], ...]:
+        """Each node's red vertex and its red edge's purple end, read off its key."""
+        bits, width, _ = _key_layout(self.rank)
+        pair_of = {bit: p for p, bit in bits.items()}
+        at = {d: sum(bit for p, bit in bits.items() if d in p) for d in all_directions(self.rank)}
+        out = []
+        for key in self.keys:
+            red = key >> width
+            u, v = pair_of[~key & at[red]]
+            out.append((red, u + v - red))
+        return tuple(out)
+
+    @cached_property
+    def entering(self) -> tuple[Generator, ...]:
+        """The generator entering each node, a = bar(purple end), u = red
+        vertex, one object per generator."""
+        gens: dict[tuple[int, int], Generator] = {}
+        return tuple(gens.setdefault(e, Generator(self.rank, a=bar(e[1]), u=e[0]))
+                     for e in self.red_ends)
+
+    @cached_property
+    def edges(self) -> tuple[GeneratingTriple, ...]:
+        """Each edge as a move, whose generator is the one entering its
+        destination."""
+        nodes, entering = self.nodes, self.entering
+        return tuple(GeneratingTriple(entering[j], nodes[i], nodes[j]) for i, j in self.ends)
 
 
 def build_preliminary(target: WhiteheadGraph, rank: int,
                       nodes: Sequence[LttStructure] | None = None) -> PreliminaryDiagram:
     """Nodes are the admissible structures; each move into a node is an
-    edge whenever its source is admissible.  Edges hold the node objects
-    and are ordered by their source's, then their destination's, position.
-    A given node list is checked against the admissible structures, not
-    used: one that differs raises RuntimeError."""
+    edge whenever its source is admissible.  Edges are ordered by their
+    source's, then their destination's, position.  A given node list is
+    checked against the admissible structures, not used: one that differs
+    raises RuntimeError."""
     prelim = _preliminary(rank, _base_slice(target, rank))
     if nodes is not None and tuple(nodes) != prelim.nodes:
         raise RuntimeError("admissible source missing from the enumeration")
@@ -296,9 +352,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     bits = pair_bits(all_directions(rank))
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
-    members = [base.edges[i] for i in admissible]
+    members = _members(base, rank, admissible_only=True)
     used = {e for E in members for e in E}
-    nodes, position = _carry(rank, members)
+    keys, position = _carry(rank, members)
     images: dict[tuple[int, ...], list[int]] = {}  # kappa -> b of kappa(B_b) by b
 
     def image_of(kappa: tuple[int, ...]) -> list[int]:
@@ -309,13 +365,13 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
 
     # (k', b') for each move into a representative from an admissible sigma_k'(B_b')
     moves: dict[int, list[tuple[tuple[int, int], int]]] = {}
-    for i in admissible:
+    for b, i in enumerate(admissible):
         if base.reps[i] != i:
             continue
         moves[i] = []
-        for move in generating_triples(LttStructure(rank, 1, frozenset(base.edges[i]))):
-            source_key = (move.source.red_vertex, move.source.attach_vertex)
-            preimage = _edge_table(back[source_key], move.source.colored).values()
+        for red, end, colored in move_sources(LttStructure(rank, 1, frozenset(members[b]))):
+            source_key = (red, end)
+            preimage = _edge_table(back[source_key], colored).values()
             source = base.index.get(sum(map(bits.__getitem__, preimage)))
             if source is None:
                 # construction preserves the purple graph up to labels, so
@@ -335,36 +391,33 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
                 by_key[key] = key2, image_of(tuple(back[key2][t[d - 1] - 1] for d in maps[key]))
             key2, image = by_key[key]
             arcs.setdefault(key2, []).append((b, image[b2]))
-    rows: list[list[tuple[int, Generator]]] = [[] for _ in nodes]  # (dest, gen) by source
+    # each node's destinations, as the int objects position holds, so the
+    # ends share them; the generator is the one entering dest, and the two
+    # moves and the determining edges give distinct sources, so
+    # (source, dest) is unique
+    rows: list[list[int]] = [[] for _ in keys]
     for key, sigma in maps.items():
         dest = position[key]
-        # sigma carries the generator entering the base slice, a = 4, u = 1
-        gen = Generator(rank, a=sigma[3], u=sigma[0])
         for (red, end), pairs in arcs.items():
             key2 = (sigma[red - 1], sigma[end - 1])
             source = position[key2]
             image = image_of(tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end]))
             for b, b2 in pairs:
-                rows[source[image[b2]]].append((dest[b], gen))
-    # the generator is the one entering dest, and the two moves and the
-    # determining edges give distinct sources, so (source, dest) is unique
-    edges: list[GeneratingTriple] = []
+                rows[source[image[b2]]].append(dest[b])
     ends: list[tuple[int, int]] = []
-    for i, (node, row) in enumerate(zip(nodes, rows)):
-        row.sort(key=itemgetter(0))
-        edges.extend(GeneratingTriple(gen, node, nodes[j]) for j, gen in row)
-        ends.extend((i, j) for j, _ in row)
-    return PreliminaryDiagram(nodes, tuple(edges), tuple(ends))
+    for i, row in enumerate(rows):
+        row.sort()
+        ends.extend(zip(itertools.repeat(i), row))
+    return PreliminaryDiagram(rank, keys, tuple(ends))
 
 
 @dataclass(frozen=True)
 class DiagramComponent:
-    nodes: tuple[LttStructure, ...]
-    edges: tuple[GeneratingTriple, ...]
-
-    @property
-    def red_label_census(self) -> frozenset[int]:
-        return frozenset(G.red_vertex for G in self.nodes)
+    """A strongly connected component: its nodes' and its edges' positions
+    in the preliminary diagram, and the red vertices of its nodes."""
+    nodes: tuple[int, ...]
+    edges: tuple[int, ...]
+    red_label_census: frozenset[int]
 
     def pairs_covered(self) -> frozenset[int]:
         return frozenset(edge_index(d) for d in self.red_label_census)
@@ -386,22 +439,25 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     ordered by their first node."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
-    nodes = preliminary.nodes
-    arcs: list[list[int]] = [[] for _ in nodes]
+    keys = preliminary.keys
+    arcs: list[list[int]] = [[] for _ in keys]
     for i, j in preliminary.ends:
         arcs[i].append(j)
     # disjoint sorted lists compare by their least element
-    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(nodes), arcs))
-    scc_of = [0] * len(nodes)
+    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(keys), arcs))
+    scc_of = [0] * len(keys)
     for k, comp in enumerate(sccs):
         for i in comp:
             scc_of[i] = k
-    scc_edges: list[list[GeneratingTriple]] = [[] for _ in sccs]
-    for e, (i, j) in zip(preliminary.edges, preliminary.ends):
+    scc_edges: list[list[int]] = [[] for _ in sccs]
+    for e, (i, j) in enumerate(preliminary.ends):
         if scc_of[i] == scc_of[j]:
             scc_edges[scc_of[i]].append(e)
-    components = tuple(DiagramComponent(tuple(nodes[i] for i in comp), tuple(comp_edges))
-                       for comp, comp_edges in zip(sccs, scc_edges) if comp_edges)
+    width = _key_layout(rank)[1]
+    components = tuple(
+        DiagramComponent(tuple(comp), tuple(comp_edges),
+                         frozenset(keys[i] >> width for i in comp))
+        for comp, comp_edges in zip(sccs, scc_edges) if comp_edges)
     return IdDiagram(rank, target, preliminary, components)
 
 
@@ -428,11 +484,19 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     order of their least index.  The diagram commutes with EPP, so an
     element sending one node of C1 into C2 carries C1 onto C2, edges
     included: a class is closed under EPP's generators by mapping one node
-    per component, so it costs r images per component.  An image in no
-    component means the diagram is not closed under EPP, and raises
-    RuntimeError."""
-    component_of = {G: i for i, comp in enumerate(diagram.components) for G in comp.nodes}
-    generators = _epp_generators(diagram.rank)
+    per component, so it costs r images per component.  A node is imaged
+    on its key, its red vertex by the element and its turn mask by the
+    element's mask_action, and found among the sorted keys by bisection.
+    An image in no component means the diagram is not closed under EPP,
+    and raises RuntimeError."""
+    keys = diagram.preliminary.keys
+    bits, width, full = _key_layout(diagram.rank)
+    generators = [(sigma, mask_action({d: s for d, s in enumerate(sigma, 1) if d != s}, bits))
+                  for sigma in _epp_generators(diagram.rank)]
+    component_of = [-1] * len(keys)
+    for i, comp in enumerate(diagram.components):
+        for x in comp.nodes:
+            component_of[x] = i
     classes: list[list[int]] = []
     classed: set[int] = set()
     for i in range(len(diagram.components)):
@@ -441,9 +505,12 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
         members = [i]
         classed.add(i)
         for k in members:
-            for sigma in generators:
-                j = component_of.get(epp_structure(sigma, diagram.components[k].nodes[0]))
-                if j is None:
+            key = keys[diagram.components[k].nodes[0]]
+            for sigma, action in generators:
+                image = sigma[(key >> width) - 1] << width | ~mask_image(~key & full, action) & full
+                x = bisect_left(keys, image)
+                j = component_of[x] if x < len(keys) and keys[x] == image else -1
+                if j < 0:
                     raise RuntimeError("an EPP image of a component node lies in no component")
                 if j not in classed:
                     classed.add(j)
@@ -455,19 +522,21 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
 # --- loops -----------------------------------------------------------------
 
 
-def find_loops(comp: DiagramComponent, node: LttStructure,
+def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent, node: int,
                max_len: int) -> list[tuple[GeneratingTriple, ...]]:
-    """Closed edge paths based at a node of the component, up to the given
-    length, in depth-first order.  A closed walk never leaves its node's
-    strongly connected component, so the component's edges are all it can
-    use.  The walk keeps its own stack, so a long loop needs no recursion."""
-    out_edges: dict[LttStructure, list[GeneratingTriple]] = {}
+    """Closed edge paths based at a node of the component, given by its
+    position, up to the given length, in depth-first order.  A closed walk
+    never leaves its node's strongly connected component, so the
+    component's edges are all it can use.  The walk keeps its own stack,
+    so a long loop needs no recursion."""
+    ends = preliminary.ends
+    out_edges: dict[int, list[int]] = {}
     for e in comp.edges:
-        out_edges.setdefault(e.source, []).append(e)
-    loops: list[tuple[GeneratingTriple, ...]] = []
-    path: list[GeneratingTriple] = []
+        out_edges.setdefault(ends[e][0], []).append(e)
+    loops: list[tuple[int, ...]] = []
+    path: list[int] = []
 
-    def successors(current: LttStructure):
+    def successors(current: int):
         return iter(out_edges.get(current, ()) if len(path) < max_len else ())
 
     stack = [successors(node)]  # the edges not yet tried at each node of the path
@@ -479,10 +548,11 @@ def find_loops(comp: DiagramComponent, node: LttStructure,
                 path.pop()
             continue
         path.append(e)
-        if e.dest == node:
+        if ends[e][1] == node:
             loops.append(tuple(path))
-        stack.append(successors(e.dest))
-    return loops
+        stack.append(successors(ends[e][1]))
+    edges = preliminary.edges if loops else ()
+    return [tuple(edges[e] for e in loop) for loop in loops]
 
 
 @dataclass(frozen=True)
@@ -546,14 +616,14 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     UnachievedByIrreducibilityPotential when the test fails for every
     component, else Inconclusive (the tests are necessary, not sufficient)."""
     base = _base_slice(target, rank)
-    num_structures = 2 * rank * (2 * rank - 2) * len(base.edges)  # one copy per slice
+    num_structures = 2 * rank * (2 * rank - 2) * len(base.masks)  # one copy per slice
     if not any(base.birecurrent):
         return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
     prelim = _preliminary(rank, base)
     diagram = id_diagram(target, rank, preliminary=prelim)
     ip = irreducibility_potential_test(diagram)
     verdict = UNACHIEVED_IRREDUCIBILITY if ip.overall_unachieved else INCONCLUSIVE
-    return VerdictResult(verdict, num_structures, len(prelim.nodes), diagram, ip)
+    return VerdictResult(verdict, num_structures, len(prelim.keys), diagram, ip)
 
 
 # --- export -----------------------------------------------------------------
@@ -564,9 +634,21 @@ def _node_id(G: LttStructure) -> str:
     return digest[:10]
 
 
+def _labeled_edges(prelim: PreliminaryDiagram, edges: Iterable[int]
+                   ) -> Iterator[tuple[int, int, str | None, Generator, Turn]]:
+    """Each edge's source and destination positions, kind, generator and
+    determining edge, as its GeneratingTriple gives them, read off the
+    red edges of its two nodes."""
+    red_ends, entering = prelim.red_ends, prelim.entering
+    for e in edges:
+        i, j = prelim.ends[e]
+        gen = entering[j]
+        red, end = red_ends[i]
+        yield i, j, move_kind(gen, red), gen, turn(gen.a, end)
+
+
 def diagram_to_json(diagram: IdDiagram) -> dict:
     prelim = diagram.preliminary
-    node_index = {G: i for i, G in enumerate(prelim.nodes)}
     return {
         "rank": diagram.rank,
         "target": target_to_json(diagram.target),
@@ -575,15 +657,15 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
             {
                 "source": i,
                 "dest": j,
-                "kind": e.kind,
-                "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
-                "det": list(map(format_direction, e.det)),
+                "kind": kind,
+                "gen": {"a": format_direction(gen.a), "u": format_direction(gen.u)},
+                "det": list(map(format_direction, det)),
             }
-            for e, (i, j) in zip(prelim.edges, prelim.ends)
+            for i, j, kind, gen, det in _labeled_edges(prelim, range(len(prelim.ends)))
         ],
         "components": [
             {
-                "nodes": [node_index[G] for G in comp.nodes],
+                "nodes": list(comp.nodes),
                 "red_label_census": sorted(format_direction(d)
                                            for d in comp.red_label_census),
                 "pairs_covered": sorted(comp.pairs_covered()),
@@ -596,16 +678,17 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
 def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:
     """Components with hashed node ids; a legend comment line spells out
     each node's structure."""
+    prelim = diagram.preliminary
     comps = diagram.components
-    ids = {G: _node_id(G) for comp in comps for G in comp.nodes}
+    nodes = prelim.nodes
+    ids = {i: _node_id(nodes[i]) for comp in comps for i in comp.nodes}
     lines = [f'digraph "{name}" {{']
     for ci, comp in enumerate(comps):
         lines.append(f'  subgraph cluster_{ci} {{ label="component {ci}";')
-        lines.extend(f'    "{ids[G]}" [shape=box];' for G in comp.nodes)
+        lines.extend(f'    "{ids[i]}" [shape=box];' for i in comp.nodes)
         lines.append("  }")
-    for e in (e for comp in comps for e in comp.edges):
-        label = f"{e.kind[:3]} {e.gen}"
-        lines.append(f'  "{ids[e.source]}" -> "{ids[e.dest]}" [label="{label}"];')
+    for i, j, kind, gen, _ in _labeled_edges(prelim, (e for comp in comps for e in comp.edges)):
+        lines.append(f'  "{ids[i]}" -> "{ids[j]}" [label="{kind[:3]} {gen}"];')
     lines.append("}")
-    lines.extend(f"// {ids[G]} = {G}" for comp in comps for G in comp.nodes)
+    lines.extend(f"// {ids[i]} = {nodes[i]}" for comp in comps for i in comp.nodes)
     return "\n".join(lines) + "\n"

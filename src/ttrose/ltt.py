@@ -210,49 +210,47 @@ def transition_digraph(G: LttStructure) -> TransitionDigraph:
 
 
 def tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological order."""
+    """Iterative Tarjan; components in reverse topological order.  Each
+    node on the walk keeps an iterator over its arcs and its place on the
+    node stack.  A node that joins a component gets an index past every
+    other, so a later arc into it lowers no lowlink and no on-stack flag
+    is needed."""
     index_of = [-1] * num_nodes
     lowlink = [0] * num_nodes
-    on_stack = [False] * num_nodes
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
     for root in range(num_nodes):
-        if index_of[root] != -1:
+        if index_of[root] >= 0:
             continue
-        work = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        work = [(root, iter(arcs[root]), len(stack))]
+        stack.append(root)
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(arcs[v])):
-                w = arcs[v][i]
-                if index_of[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+            v, successors, place = work[-1]
+            for w in successors:
+                if index_of[w] < 0:
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    work.append((w, iter(arcs[w]), len(stack)))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+                if index_of[w] < lowlink[v]:
+                    lowlink[v] = index_of[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index_of[v]:
+                    comp = stack[place:]
+                    del stack[place:]
+                    for w in comp:
+                        index_of[w] = num_nodes
+                    sccs.append(comp)
     return sccs
 
 

@@ -3,9 +3,10 @@
 Given a destination structure, its red vertex and red edge determine
 the generator entering it; each purple edge at the twice-achieved
 direction then determines one extension and one switch producing a
-candidate source structure.  generating_triples returns every move whose
-source is a valid structure; a triple is admissible exactly when it is
-such a move and both of its structures are birecurrent.
+candidate source structure.  move_sources gives every move's source that
+is a valid structure, and generating_triples the moves themselves; a
+triple is admissible exactly when it is such a move and both of its
+structures are birecurrent.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .ltt import LttStructure
 from .maps import Generator
-from .rose import Turn, bar, turn
+from .rose import Direction, Turn, bar, turn
 
 
 @dataclass(frozen=True)
@@ -27,13 +28,7 @@ class GeneratingTriple:
 
     @property
     def kind(self) -> str | None:
-        """'extension' when the source red vertex is the pre-unachieved
-        direction, 'switch' when it is the pre-twice-achieved one."""
-        if self.source.red_vertex == self.gen.u:
-            return "extension"
-        if self.source.red_vertex == self.gen.a:
-            return "switch"
-        return None
+        return move_kind(self.gen, self.source.red_vertex)
 
     @property
     def det(self) -> Turn:
@@ -41,6 +36,16 @@ class GeneratingTriple:
         triple: from the twice-achieved direction to the purple end of the
         source's red edge (the endpoint both moves attach the red edge to)."""
         return turn(self.dest.twice_achieved, self.source.attach_vertex)
+
+
+def move_kind(gen: Generator, source_red: Direction) -> str | None:
+    """'extension' when the source's red vertex is the pre-unachieved
+    direction u, 'switch' when it is the pre-twice-achieved one a."""
+    if source_red == gen.u:
+        return "extension"
+    if source_red == gen.a:
+        return "switch"
+    return None
 
 
 def entering_generator(G: LttStructure) -> Generator:
@@ -58,21 +63,20 @@ def determining_edges(G: LttStructure) -> list[Turn]:
     return out
 
 
-def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
-    """Every move into G, which must pass validate_ltt: for each
-    determining edge {a, d_l} in order, the extension and then the switch.
-    The extension keeps the red vertex u and the purple part and attaches
-    the red edge {u, d_l}; the switch makes a the red vertex, attaches the
-    red edge {a, d_l} and renames a to u in the purple part.  All of them
-    share the generator entering G.
+def move_sources(G: LttStructure) -> list[tuple[Direction, Direction, frozenset[Turn]]]:
+    """The source of every move into G, which must pass validate_ltt, as
+    its red vertex, the purple end of its red edge and its colored edges:
+    for each determining edge {a, d_l} in order, the extension and then the
+    switch.  The extension keeps the red vertex u and the purple part and
+    attaches the red edge {u, d_l}; the switch makes a the red vertex,
+    attaches the red edge {a, d_l} and renames a to u in the purple part.
 
     Both moves keep every colored edge but the red one, so a source is
     invalid exactly when its red edge joins a bar pair (d_l = bar(u) for
     the extension, d_l = bar(a) for the switch) or it leaves bare the red
     edge's old purple end bar(a); those moves are left out."""
     dets = determining_edges(G)
-    gen = entering_generator(G)
-    u, a = gen.u, gen.a
+    u, a = G.red_vertex, G.twice_achieved
     purple = G.purple_edges
     old_end = bar(a)
     if not any(old_end in e for e in purple):
@@ -84,9 +88,15 @@ def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
     for x, y in dets:
         d_l = y if x == a else x
         if d_l != bar(u):
-            out.append(GeneratingTriple(
-                gen, LttStructure(G.rank, u, purple | {turn(u, d_l)}), G))
+            out.append((u, d_l, purple | {turn(u, d_l)}))
         if d_l != old_end:
-            out.append(GeneratingTriple(
-                gen, LttStructure(G.rank, a, renamed | {turn(a, d_l)}), G))
+            out.append((a, d_l, renamed | {turn(a, d_l)}))
     return out
+
+
+def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
+    """Every move into G, in move_sources' order; all of them share the
+    generator entering G."""
+    gen = entering_generator(G)
+    return [GeneratingTriple(gen, LttStructure(G.rank, red, colored), G)
+            for red, _, colored in move_sources(G)]

@@ -118,6 +118,18 @@ def mask_action(perm: dict[int, int], bits: dict[tuple[int, int], int]) -> Actio
     return sum(table), table
 
 
+def mask_image(mask: int, action: Action) -> int:
+    """The image of an edge mask under a mask_action."""
+    support, table = action
+    moved = mask & support
+    image = mask ^ moved
+    while moved:
+        low = moved & -moved
+        image |= table[low]
+        moved ^= low
+    return image
+
+
 def mask_orbit(start: int, actions: Sequence[Action]) -> dict[int, tuple[int, int] | None]:
     """The orbit of an edge mask under the group the actions generate,
     breadth first from start, each member with the (parent, index of the
@@ -126,13 +138,8 @@ def mask_orbit(start: int, actions: Sequence[Action]) -> dict[int, tuple[int, in
     orbit: dict[int, tuple[int, int] | None] = {start: None}
     queue = [start]
     for mask in queue:
-        for g, (support, table) in enumerate(actions):
-            moved = mask & support
-            image = mask ^ moved
-            while moved:
-                low = moved & -moved
-                image |= table[low]
-                moved ^= low
+        for g, action in enumerate(actions):
+            image = mask_image(mask, action)
             if image not in orbit:
                 orbit[image] = (mask, g)
                 queue.append(image)

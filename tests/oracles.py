@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements, epp_structure
+from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
 from ttrose.maps import Generator, RoseMap, apply_map
 from ttrose.moves import GeneratingTriple, generating_triples
@@ -184,21 +184,37 @@ def sort_key(G: LttStructure) -> tuple:
     return (G.rank, G.red_vertex, tuple(sorted(G.colored)))
 
 
+def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
+    """The structure's image under an edge pair permutation, given as the
+    image of each direction: its red vertex and every colored edge mapped."""
+    colored = frozenset(tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in G.colored)
+    return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
+
+
 def epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:
     """Indices of the node sets grouped by EPP orbit: two sets share a
-    class exactly when some element carries one onto the other.  Each set
-    is keyed by the least sorted key of its images; classes come in key
-    order."""
+    class exactly when some element carries one onto the other.  A set
+    joins the first class whose first set some element carries onto it,
+    every element tried, node by node, once it sends the first set's
+    first node into the set.  Classes come in order of their first set."""
     sigmas = epp_elements(rank)
-    classes: dict[tuple, list[int]] = {}
+    classes: list[list[int]] = []
     for i, nodes in enumerate(node_sets):
-        key = min(tuple(sorted(sort_key(epp_structure(s, G)) for G in nodes)) for s in sigmas)
-        classes.setdefault(key, []).append(i)
-    return [v for _, v in sorted(classes.items())]
+        found = frozenset(nodes)
+        for members in classes:
+            first = node_sets[members[0]]
+            if len(first) == len(found) and any(
+                    epp_structure(s, first[0]) in found
+                    and {epp_structure(s, G) for G in first} == found for s in sigmas):
+                members.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
 
 
 def epp_classes_of_structures(structures: Sequence[LttStructure]) -> list[list[LttStructure]]:
-    """Group structures into EPP orbits; classes and members canonically ordered."""
+    """Group structures into EPP orbits, each class's members in sort_key order."""
     if not structures:
         return []
     classes = epp_orbits(structures[0].rank, [(G,) for G in structures])
@@ -226,23 +242,40 @@ def edge_ends(nodes: Sequence[LttStructure],
     return tuple((index[e.source], index[e.dest]) for e in edges)
 
 
-def preliminary_by_destination(target: WhiteheadGraph, rank: int) -> PreliminaryDiagram:
-    """The preliminary diagram move by move: every move into every
-    admissible structure, kept when its source is admissible, so one
-    generating_triples call per node; a source outside the node list
-    that is birecurrent raises RuntimeError."""
+def node_key(G: LttStructure) -> int:
+    """A node's key as the preliminary diagram stores it: the red vertex
+    above the complement of the turn mask, in which the least turn of the
+    2r directions has the highest bit."""
+    turns = list(itertools.combinations(all_directions(G.rank), 2))
+    mask = sum(1 << (len(turns) - 1 - turns.index(e)) for e in G.colored)
+    return G.red_vertex << len(turns) | ((1 << len(turns)) - 1 - mask)
+
+
+def preliminary_of(rank: int, nodes: Sequence[LttStructure],
+                   edges: Sequence[GeneratingTriple]) -> PreliminaryDiagram:
+    """The preliminary diagram on the nodes, in their order, with the edges,
+    in theirs: the nodes' keys and the edges' ends."""
+    return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), edge_ends(nodes, edges))
+
+
+def preliminary_by_destination(target: WhiteheadGraph, rank: int
+                               ) -> tuple[PreliminaryDiagram, tuple[GeneratingTriple, ...]]:
+    """The preliminary diagram move by move, and its edges as the moves
+    found: every move into every admissible structure, kept when its
+    source is admissible, so one generating_triples call per node; a
+    source outside the node list that is birecurrent raises RuntimeError."""
     nodes = enumerate_structures(target, rank, admissible_only=True)
     index = {G: i for i, G in enumerate(nodes)}
     moves = []
     for j, dest in enumerate(nodes):
         for t in generating_triples(dest):
             if t.source in index:
-                moves.append((index[t.source], j, t.gen))
+                moves.append((index[t.source], j, t))
             elif is_birecurrent(t.source):
                 raise RuntimeError("admissible source missing from the enumeration")
     moves.sort(key=lambda m: m[:2])
-    edges = tuple(GeneratingTriple(gen, nodes[i], nodes[j]) for i, j, gen in moves)
-    return PreliminaryDiagram(tuple(nodes), edges, edge_ends(nodes, edges))
+    edges = tuple(t for _, _, t in moves)
+    return preliminary_of(rank, nodes, edges), edges
 
 
 # --- the admissible map checklist I-VII ------------------------------------

@@ -371,6 +371,29 @@ def test_out_dir_is_made_only_for_an_artifact(tmp_path, monkeypatch, capsys):
         assert not (tmp_path / "new").exists()
 
 
+def test_sweep_holds_one_diagram_at_a_time(monkeypatch, capsys):
+    # each target's diagram is freed before the next verdict starts, so a
+    # full rank-4 sweep peaks at its largest diagram, not the sum of two
+    import gc
+    import weakref
+
+    import ttrose.cli
+    from ttrose.diagram import target_verdict
+
+    results, alive = [], []
+
+    def recording(target, rank):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in results))
+        result = target_verdict(target, rank)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(ttrose.cli, "target_verdict", recording)
+    assert main(["sweep", "--rank", "3"]) == 0
+    assert alive == [0] * 21
+
+
 def test_export_structures_and_catalog(tmp_path, capsys):
     assert main(["export", "catalog", "--rank", "3", "--format", "json",
                  "--out", str(tmp_path)]) == 0

@@ -14,9 +14,11 @@ from oracles import (
     edge_ends,
     epp_classes_of_structures,
     epp_orbits,
+    epp_structure,
     is_admissible,
     orbits_by_elements,
     preliminary_by_destination,
+    preliminary_of,
     random_connected_graph,
     sort_key,
     stabilizer_of_1_and_3,
@@ -27,15 +29,14 @@ from ttrose.diagram import (
     UNACHIEVED_BIRECURRENCY,
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
-    PreliminaryDiagram,
     _base_slice,
     _edge_table,
     build_preliminary,
     diagram_to_dot,
+    diagram_to_json,
     enumerate_structures,
     epp_classes,
     epp_elements,
-    epp_structure,
     find_loops,
     id_diagram,
     irreducibility_potential_test,
@@ -46,9 +47,10 @@ from ttrose.diagram import (
 )
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
-from ttrose.moves import GeneratingTriple, generating_triples
-from ttrose.rose import all_directions
-from ttrose.whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
+from ttrose.moves import GeneratingTriple, entering_generator, generating_triples, move_sources
+from ttrose.rose import all_directions, format_direction
+from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
+                              pair_bits)
 
 
 # the eight rank-4 targets of the benchmark's verdict_r4 workload, among
@@ -150,8 +152,7 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
     ends = [(position[id(e.source)], position[id(e.dest)]) for e in prelim.edges]
     assert all(p < q for p, q in zip(ends, ends[1:]))
     # components: nodes in position order, components in order of their first node
-    comps = [[position[id(G)] for G in comp.nodes]
-             for comp in id_diagram(target, 3, preliminary=prelim).components]
+    comps = [list(comp.nodes) for comp in id_diagram(target, 3, preliminary=prelim).components]
     assert len(comps) > 1
     assert all(c == sorted(c) for c in comps)
     assert all(c[0] < d[0] for c, d in zip(comps, comps[1:]))
@@ -160,9 +161,10 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
     a, b, c, d = prelim.nodes[:4]
     chain_edges = tuple(GeneratingTriple(prelim.edges[0].gen, s, t)
                         for s, t in ((a, b), (b, a), (b, c), (c, d), (d, c)))
-    chain = PreliminaryDiagram((a, b, c, d), chain_edges, edge_ends((a, b, c, d), chain_edges))
+    chain = preliminary_of(3, (a, b, c, d), chain_edges)
+    assert chain.nodes == (a, b, c, d)
     assert [comp.nodes for comp in id_diagram(target, 3, preliminary=chain).components] \
-        == [(a, b), (c, d)]
+        == [(0, 1), (2, 3)]
 
 
 def test_preliminary_rejects_an_incomplete_enumeration(catalog5):
@@ -251,18 +253,71 @@ def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, 
 
     def recording(G):
         destinations.append(G)
-        return generating_triples(G)
+        return move_sources(G)
 
-    monkeypatch.setattr(ttrose.diagram, "generating_triples", recording)
+    monkeypatch.setattr(ttrose.diagram, "move_sources", recording)
     result = target_verdict(target, rank)
     assert result.diagram is not None
     assert len(expected) == len(destinations) == admissible
     assert sorted(len(orbit & set(destinations)) for orbit in expected) == [1] * admissible
 
 
+@pytest.mark.parametrize("name", ["k5_2pend", "p7"])
+def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
+    # the verdict reads node keys and edge ends only: the SCC pass the
+    # ends, the IP test the red vertices off the keys.  The only structures
+    # built are the base slice's representatives, one per K-orbit for
+    # birecurrency and one more per admissible orbit for its moves
+    import ttrose.diagram
+    import ttrose.moves
+    target = P7 if name == "p7" else RANK4[name]
+    base = _base_slice(target, 4)
+    orbits = set(base.reps)
+    calls = {"decode": 0, "move": 0, "structure": 0}
+
+    def counting(kind, build):
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            return build(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(ttrose.diagram, "_decode", counting("decode", ttrose.diagram._decode))
+    monkeypatch.setattr(ttrose.diagram, "GeneratingTriple", counting("move", GeneratingTriple))
+    monkeypatch.setattr(ttrose.moves, "GeneratingTriple", counting("move", GeneratingTriple))
+    monkeypatch.setattr(ttrose.diagram, "LttStructure", counting("structure", LttStructure))
+    result = target_verdict(target, 4)
+    prelim = result.diagram.preliminary
+    assert (calls["decode"], calls["move"]) == (0, 0)
+    assert calls["structure"] == len(orbits) + sum(base.birecurrent[i] for i in orbits)
+    assert not {"nodes", "edges", "red_ends", "entering"} & set(vars(prelim))
+    # the structures are decoded once, when first read
+    assert len(prelim.nodes) == len(prelim.keys) == result.num_admissible
+    assert prelim.nodes is prelim.nodes and calls["decode"] == 1
+
+
+def test_json_edges_read_kind_and_det_off_the_node_keys(catalog5):
+    # diagram_to_json labels each edge from its two nodes' red edges, read
+    # off their keys; the decoded moves derive the same from the structures
+    for target, rank in [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (STAR_P2, 4)]:
+        diagram = id_diagram(target, rank)
+        prelim = diagram.preliminary
+        assert prelim.red_ends == tuple((G.red_vertex, G.attach_vertex) for G in prelim.nodes)
+        assert all(e.gen == entering_generator(e.dest) for e in prelim.edges)
+        expected = [{"source": i, "dest": j, "kind": e.kind,
+                     "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
+                     "det": list(map(format_direction, e.det))}
+                    for (i, j), e in zip(prelim.ends, prelim.edges)]
+        assert diagram_to_json(diagram)["edges"] == expected
+
+
 def _rank3_and_rank4_targets(catalog5):
     return ([(e.id, e.graph(), 3) for e in catalog5]
             + [(name, graph, 4) for name, graph in RANK4.items()] + [("p7", P7, 4)])
+
+
+def _slice_structures(base, rank) -> list[LttStructure]:
+    bits = pair_bits(all_directions(rank))
+    return [LttStructure(rank, 1, frozenset(mask_pairs(mask, bits))) for mask in base.masks]
 
 
 def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
@@ -271,14 +326,19 @@ def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
     # G5.18's, G5.19's and the broom's do.  Rank 5 is the first where K
     # permutes three pairs, so its two swaps must be composed: the star's
     # 9 structures fall into orbits of sizes 1, 1, 1 and 6, and the star
-    # plus one edge between leaves has orbits of 1, 3, 6, 12 and 24 of the 48
+    # plus one edge between leaves has orbits of 1, 3, 6, 12 and 24 of the
+    # 48; K_{4,5} has 12 admissible orbits of 3 to 12 members, so lifts
+    # composed of both swaps and the flips are checked.  Only admissible
+    # members are carried, so only they have a lift
     rank5 = [("star9", star_target(5), 5), ("star9_p1", WhiteheadGraph.build(
-        range(9), [(0, i) for i in range(1, 9)] + [(1, 2)]), 5)]
+        range(9), [(0, i) for i in range(1, 9)] + [(1, 2)]), 5),
+        ("k45", WhiteheadGraph.build(range(9), [(a, b) for a in range(4) for b in range(4, 9)]), 5)]
     not_free = set()
     for name, target, rank in _rank3_and_rank4_targets(catalog5) + rank5:
         base = _base_slice(target, rank)
-        structures = [LttStructure(rank, 1, frozenset(E)) for E in base.edges]
+        structures = _slice_structures(base, rank)
         assert all(validate_ltt(G) and G.red_edge == (1, 3) for G in structures)
+        assert base.index == {mask: i for i, mask in enumerate(base.masks)}
         stabilizer = stabilizer_of_1_and_3(rank)
         orbits: dict[int, set[int]] = {}
         for i, rep in enumerate(base.reps):
@@ -286,8 +346,12 @@ def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
         assert set(map(frozenset, orbits.values())) == orbits_by_elements(stabilizer, structures)
         assert sum(map(len, orbits.values())) == len(structures)
         assert all(len(stabilizer) % len(orbit) == 0 for orbit in orbits.values())
-        for G, rep, lift in zip(structures, base.reps, base.lifts):
-            assert lift in stabilizer and epp_structure(lift, structures[rep]) == G
+        for G, rep, lift, birecurrent in zip(structures, base.reps, base.lifts,
+                                             base.birecurrent):
+            if birecurrent:
+                assert lift in stabilizer and epp_structure(lift, structures[rep]) == G
+            else:
+                assert lift is None
         if any(len(orbit) < len(stabilizer) for orbit in orbits.values()):
             not_free.add(name)
         sizes = sorted(map(len, orbits.values()))
@@ -297,15 +361,18 @@ def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
             assert (len(stabilizer), sizes) == (48, [1, 1, 1, 6])
         if name == "star9_p1":
             assert (len(structures), len(orbits), set(sizes)) == (252, 27, {1, 3, 6, 12, 24})
-    assert {"G5.04", "G5.18", "G5.19", "broom", "star9", "star9_p1"} <= not_free
+        if name == "k45":
+            admissible = sorted(len(orbit) for orbit in orbits.values() if base.birecurrent[min(orbit)])
+            assert (len(structures), len(orbits), admissible) == (126, 15, [3] * 4 + [6, 8] + [12] * 6)
+    assert {"G5.04", "G5.18", "G5.19", "broom", "star9", "star9_p1", "k45"} <= not_free
 
 
 def test_birecurrency_is_constant_on_every_k_orbit(catalog5):
     # decided once per orbit, so every member is checked against its own
     for _, target, rank in _rank3_and_rank4_targets(catalog5):
         base = _base_slice(target, rank)
-        for E, birecurrent in zip(base.edges, base.birecurrent):
-            assert is_birecurrent(LttStructure(rank, 1, frozenset(E))) == birecurrent
+        for G, birecurrent in zip(_slice_structures(base, rank), base.birecurrent):
+            assert is_birecurrent(G) == birecurrent
 
 
 def test_preliminary_ends_are_the_positions_of_each_edges_structures(catalog5):
@@ -328,8 +395,9 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
         if len(mask_orbit(sum(bits[tuple(sorted(e))] for e in target.edges), swaps)) <= 1260:
             targets.append((target, 4))
     for target, rank in targets:
-        built, oracle = build_preliminary(target, rank), preliminary_by_destination(target, rank)
-        assert (built.nodes, built.edges) == (oracle.nodes, oracle.edges)
+        built, (oracle, moves) = build_preliminary(target, rank), preliminary_by_destination(target, rank)
+        assert (built.keys, built.ends) == (oracle.keys, oracle.ends)
+        assert (built.nodes, built.edges) == (oracle.nodes, moves)
 
 
 def test_edge_tables_image_structures_as_epp_does(catalog5):
@@ -357,14 +425,15 @@ def test_components_keep_the_order_of_a_shuffled_preliminary_diagram(squeeze):
         prelim = build_preliminary(target, rank)
         edges = list(prelim.edges)
         random.Random(5).shuffle(edges)
-        shuffled = PreliminaryDiagram(prelim.nodes, tuple(edges), edge_ends(prelim.nodes, edges))
+        shuffled = preliminary_of(rank, prelim.nodes, edges)
+        assert shuffled.edges == tuple(edges)
         built, expected = id_diagram(target, rank, preliminary=shuffled), id_diagram(target, rank)
         assert len(built.components) == len(expected.components) > 1
         for comp, want in zip(built.components, expected.components):
             assert comp.nodes == want.nodes
-            inside = set(comp.nodes)
-            assert comp.edges == tuple(e for e in edges
-                                       if e.source in inside and e.dest in inside)
+            inside = {prelim.nodes[i] for i in comp.nodes}
+            assert tuple(edges[e] for e in comp.edges) == tuple(
+                e for e in edges if e.source in inside and e.dest in inside)
 
 
 def test_verdict_counts_match_the_enumeration(catalog5):
@@ -384,7 +453,8 @@ def test_components_are_strongly_connected(squeeze):
     for comp in diagram.components:
         adjacency = {}
         for e in comp.edges:
-            adjacency.setdefault(e.source, set()).add(e.dest)
+            i, j = diagram.preliminary.ends[e]
+            adjacency.setdefault(i, set()).add(j)
         for start in comp.nodes:
             seen = {start}
             stack = [start]
@@ -400,7 +470,8 @@ def test_components_are_strongly_connected(squeeze):
 def test_census_soundness(squeeze):
     diagram = squeeze["G5.02"].diagram
     for comp in diagram.components:
-        assert comp.red_label_census == {G.red_vertex for G in comp.nodes}
+        assert comp.red_label_census == {diagram.preliminary.nodes[i].red_vertex
+                                         for i in comp.nodes}
 
 
 def test_verdicts(squeeze):
@@ -459,14 +530,22 @@ def test_flagged_graph_component_shapes(squeeze):
     assert len(epp_classes(mid)) == 1
 
 
+def _decoded(diagram, comp) -> tuple[list[LttStructure], list[GeneratingTriple]]:
+    """The component's nodes and edges, as structures and moves."""
+    prelim = diagram.preliminary
+    return [prelim.nodes[i] for i in comp.nodes], [prelim.edges[e] for e in comp.edges]
+
+
 def _epp_carries(sigma, comp, other) -> bool:
-    """sigma maps the nodes and the edges (source, dest, gen) of comp onto other's."""
-    if {epp_structure(sigma, G) for G in comp.nodes} != set(other.nodes):
+    """sigma maps the nodes and the edges (source, dest, gen) of comp, each
+    given as its decoded nodes and edges, onto other's."""
+    (nodes, edges), (other_nodes, other_edges) = comp, other
+    if {epp_structure(sigma, G) for G in nodes} != set(other_nodes):
         return False
     mapped = {(epp_structure(sigma, e.source), epp_structure(sigma, e.dest),
                Generator(e.gen.rank, a=sigma[e.gen.a - 1], u=sigma[e.gen.u - 1]))
-              for e in comp.edges}
-    return mapped == {(e.source, e.dest, e.gen) for e in other.edges}
+              for e in edges}
+    return mapped == {(e.source, e.dest, e.gen) for e in other_edges}
 
 
 @pytest.mark.parametrize("gid, num_components, num_classes",
@@ -476,7 +555,7 @@ def test_epp_classes_match_full_component_isomorphism(catalog5, gid, num_compone
     # classes keyed by node orbits agree with the full check on nodes and edges
     entry = next(e for e in catalog5 if e.id == gid)
     diagram = target_verdict(entry.graph(), 3).diagram
-    comps = diagram.components
+    comps = [_decoded(diagram, comp) for comp in diagram.components]
     classes = epp_classes(diagram)
     assert (len(comps), len(classes)) == (num_components, num_classes)
     assert sorted(i for c in classes for i in c) == list(range(len(comps)))
@@ -486,17 +565,16 @@ def test_epp_classes_match_full_component_isomorphism(catalog5, gid, num_compone
         for i in cls:
             assert any(_epp_carries(s, first, comps[i]) for s in sigmas)
     for c1, c2 in itertools.combinations(classes, 2):
-        nodes2 = set(comps[c2[0]].nodes)
-        assert not any({epp_structure(s, G) for G in comps[c1[0]].nodes} == nodes2
+        nodes2 = set(comps[c2[0]][0])
+        assert not any({epp_structure(s, G) for G in comps[c1[0]][0]} == nodes2
                        for s in sigmas)
 
 
 def _check_against_node_set_orbits(diagram) -> list[list[int]]:
     classes = epp_classes(diagram)
-    oracle = epp_orbits(diagram.rank, [comp.nodes for comp in diagram.components])
-    assert {frozenset(c) for c in classes} == {frozenset(c) for c in oracle}
-    assert all(c == sorted(c) for c in classes)
-    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    oracle = epp_orbits(diagram.rank, [_decoded(diagram, comp)[0]
+                                       for comp in diagram.components])
+    assert classes == oracle
     return classes
 
 
@@ -509,11 +587,16 @@ def test_epp_classes_match_node_set_orbits_rank3(catalog5):
 
 
 def test_epp_classes_match_node_set_orbits_rank4():
-    # the star on 7 vertices plus two edges between leaves
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (3, 4)]
-    diagram = target_verdict(WhiteheadGraph.build(range(7), edges), 4).diagram
-    classes = _check_against_node_set_orbits(diagram)
-    assert (len(diagram.components), len(classes)) == (160, 3)
+    # the node keys of one node per component are imaged by EPP's
+    # generators acting on turn masks; the oracle images every node of
+    # each class's first component by every element of EPP.  The star on
+    # 7 vertices plus two edges between leaves has 160 components in 3
+    # classes, P7 577 in 3
+    counts = {}
+    for name, target in [*RANK4.items(), ("p7", P7)]:
+        diagram = target_verdict(target, 4).diagram
+        counts[name] = (len(diagram.components), len(_check_against_node_set_orbits(diagram)))
+    assert counts["star_p2"] == (160, 3) and counts["p7"] == (577, 3)
 
 
 def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
@@ -532,11 +615,11 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
     diagram = target_verdict(k11, 6).diagram
     images = []
 
-    def counting(sigma, G):
-        images.append(sigma)
-        return epp_structure(sigma, G)
+    def counting(mask, action):
+        images.append(mask)
+        return mask_image(mask, action)
 
-    monkeypatch.setattr(ttrose.diagram, "epp_structure", counting)
+    monkeypatch.setattr(ttrose.diagram, "mask_image", counting)
     assert len(epp_classes(diagram)) == 1
     assert 0 < len(images) <= 6 * len(diagram.components)
 
@@ -544,14 +627,14 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
 def test_loops_and_reports(squeeze):
     diagram = squeeze["G5.04"].diagram
     comp = diagram.components[0]
-    loops = find_loops(comp, comp.nodes[0], 4)
+    loops = find_loops(diagram.preliminary, comp, comp.nodes[0], 4)
     assert loops
     for lp in loops[:40]:
         report = verify_loop(lp)
         assert report.train_track  # diagram loops compose without cancellation here
     with pytest.raises(ValueError):
         verify_loop([])
-    open_edge = next(e for e in comp.edges if e.source != e.dest)
+    open_edge = next(e for e in _decoded(diagram, comp)[1] if e.source != e.dest)
     with pytest.raises(ValueError):
         verify_loop([open_edge])  # not closed
     with pytest.raises(ValueError):
@@ -563,19 +646,21 @@ def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
     # so searching the component alone misses none of them
     diagram = squeeze["G5.02"].diagram
     assert len(diagram.components) == 12
+    prelim = diagram.preliminary
     for comp in diagram.components:
-        loops = find_loops(comp, comp.nodes[0], 3)
+        loops = find_loops(prelim, comp, comp.nodes[0], 3)
         assert len(loops) == len(set(loops))
-        assert set(loops) == closed_walks(diagram.preliminary.edges, comp.nodes[0], 3)
+        assert set(loops) == closed_walks(prelim.edges, prelim.nodes[comp.nodes[0]], 3)
 
 
 def test_find_loops_reaches_past_the_recursion_limit(catalog5):
     # G5.17's component 0 is one node with a self-loop, so it has one loop
     # of each length; a walk that recursed once per edge stopped near 1,000
     target = next(e.graph() for e in catalog5 if e.id == "G5.17")
-    comp = target_verdict(target, 3).diagram.components[0]
+    diagram = target_verdict(target, 3).diagram
+    comp = diagram.components[0]
     assert len(comp.nodes) == 1
-    loops = find_loops(comp, comp.nodes[0], 1100)
+    loops = find_loops(diagram.preliminary, comp, comp.nodes[0], 1100)
     assert [len(lp) for lp in loops] == list(range(1, 1101))
 
 

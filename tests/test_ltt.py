@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EXAMPLE_MAP,
+    epp_structure,
     map_realizes_images_smoothly,
     matches_target,
     node_head,
@@ -20,7 +21,7 @@ from oracles import (
     trapped_direction,
 )
 from ttrose.catalog import connected_simplicial_graphs
-from ttrose.diagram import epp_elements, epp_structure, star_target, enumerate_structures
+from ttrose.diagram import epp_elements, star_target, enumerate_structures
 from ttrose.ltt import (
     BLACK,
     LttRegimeError,
