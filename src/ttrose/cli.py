@@ -219,12 +219,14 @@ def cmd_check_graph(args) -> int:
     print(f"target: {len(target.vertices)} vertices, {len(target.edges)} edges")
     print(f"structures: {result.num_structures} total, {result.num_admissible} birecurrent")
     if result.diagram is not None:
+        prelim = result.diagram.preliminary
         print(f"ID diagram: {len(result.diagram.components)} component(s), "
-              f"{len(result.diagram.preliminary.ends)} preliminary edge(s)")
+              f"{sum(map(len, prelim.rows))} preliminary edge(s)")
         for i, comp in enumerate(result.diagram.components):
             census = " ".join(format_direction(d) for d in sorted(comp.red_label_census))
             passing = "pass" if result.ip.per_component[i] else "fail"
-            print(f"  component {i}: {len(comp.nodes)} nodes, {len(comp.edges)} edges, "
+            edges = sum(1 for _ in prelim.edge_ends(comp.nodes))
+            print(f"  component {i}: {len(comp.nodes)} nodes, {edges} edges, "
                   f"red labels {{{census}}} -> {passing}")
         classes = epp_classes(result.diagram)
         print(f"EPP classes of components: {len(classes)}")
@@ -283,15 +285,9 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     if out is not None:
         _check_writable(out / f"sweep_r{args.rank}.json")
-    if args.rank >= 4 and not args.full:
-        entries = None
-        targets = [("star", star_target(args.rank))]
-        print(f"rank {args.rank}: star-only mode (use --full for the whole catalog)")
-    else:
-        entries = _catalog(n)
-        targets = [(e.id, e.graph()) for e in entries]
-        print(f"catalog: {len(entries)} connected simplicial {n}-vertex graphs")
-    rows = [_sweep_row(name, graph, args.rank) for name, graph in targets]
+    entries = _catalog(n)
+    print(f"catalog: {len(entries)} connected simplicial {n}-vertex graphs")
+    rows = [_sweep_row(e.id, e.graph(), args.rank) for e in entries]
     width = max((len(r["id"]) for r in rows), default=len("id"))
     print(f"{'id':<{width}}  edges  structures  admissible  components  verdict")
     for r in rows:
@@ -389,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the verdict over the whole graph catalog")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--full", action="store_true",
-                   help="sweep the full catalog even at rank >= 4 (slow)")
     p.add_argument("--out", help="directory for the machine-readable results")
     p.set_defaults(func=cmd_sweep)
 

@@ -12,8 +12,9 @@ Potential Test when every edge pair labels the red vertex of some node;
 if no component passes (in particular if there are no components at
 all), no ideally decomposed representative exists and the target is
 unachieved.  The verdict runs on integers: each node is one key, each
-edge the positions of its two nodes, and structures and moves are
-decoded only when a caller reads them.
+edge the positions of its two nodes, kept as each node's sorted row of
+destinations, and structures and moves are decoded only when a caller
+reads them.
 """
 
 from __future__ import annotations
@@ -284,12 +285,29 @@ def _epp_generators(rank: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PreliminaryDiagram:
-    """Nodes by their keys, in sorted order, and edges by the positions of
-    their source and destination, in that order.  The structures and the
-    moves are decoded from these when first read."""
+    """Nodes by their keys, in sorted order, and each node's row: the
+    positions of its edges' destinations, in sorted order.  An edge is its
+    (source, destination) pair; edges are ordered by source, then by
+    destination.  The structures and the moves are decoded from these
+    when first read."""
     rank: int
     keys: tuple[int, ...]
-    ends: tuple[tuple[int, int], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def edge_ends(self, nodes: Sequence[int] | None = None) -> Iterator[tuple[int, int]]:
+        """Each edge's (source, destination) positions, in edge order; only
+        those with both ends among the given nodes, in sorted order, when
+        given."""
+        if nodes is None:
+            for i, row in enumerate(self.rows):
+                for j in row:
+                    yield i, j
+            return
+        inside = set(nodes)
+        for i in nodes:
+            for j in self.rows[i]:
+                if j in inside:
+                    yield i, j
 
     @cached_property
     def nodes(self) -> tuple[LttStructure, ...]:
@@ -321,7 +339,7 @@ class PreliminaryDiagram:
         """Each edge as a move, whose generator is the one entering its
         destination."""
         nodes, entering = self.nodes, self.entering
-        return tuple(GeneratingTriple(entering[j], nodes[i], nodes[j]) for i, j in self.ends)
+        return tuple(GeneratingTriple(entering[j], nodes[i], nodes[j]) for i, j in self.edge_ends())
 
 
 def build_preliminary(target: WhiteheadGraph, rank: int,
@@ -392,9 +410,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
             key2, image = by_key[key]
             arcs.setdefault(key2, []).append((b, image[b2]))
     # each node's destinations, as the int objects position holds, so the
-    # ends share them; the generator is the one entering dest, and the two
-    # moves and the determining edges give distinct sources, so
-    # (source, dest) is unique
+    # rows share them; the generator is the one entering dest, and the two
+    # moves and the determining edges give distinct sources, so no row
+    # repeats a destination
     rows: list[list[int]] = [[] for _ in keys]
     for key, sigma in maps.items():
         dest = position[key]
@@ -404,19 +422,14 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
             image = image_of(tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end]))
             for b, b2 in pairs:
                 rows[source[image[b2]]].append(dest[b])
-    ends: list[tuple[int, int]] = []
-    for i, row in enumerate(rows):
-        row.sort()
-        ends.extend(zip(itertools.repeat(i), row))
-    return PreliminaryDiagram(rank, keys, tuple(ends))
+    return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows))
 
 
 @dataclass(frozen=True)
 class DiagramComponent:
-    """A strongly connected component: its nodes' and its edges' positions
-    in the preliminary diagram, and the red vertices of its nodes."""
+    """A strongly connected component: its nodes' positions in the
+    preliminary diagram, and the red vertices of its nodes."""
     nodes: tuple[int, ...]
-    edges: tuple[int, ...]
     red_label_census: frozenset[int]
 
     def pairs_covered(self) -> frozenset[int]:
@@ -434,30 +447,17 @@ class IdDiagram:
 def id_diagram(target: WhiteheadGraph, rank: int,
                preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
-    preliminary diagram (keeping components that carry at least one edge),
-    each in node order with its edges in the preliminary diagram's order,
-    ordered by their first node."""
+    preliminary diagram that carry an edge (two or more nodes, or one with
+    a self-loop), each in node order, ordered by their first node."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
-    keys = preliminary.keys
-    arcs: list[list[int]] = [[] for _ in keys]
-    for i, j in preliminary.ends:
-        arcs[i].append(j)
+    keys, rows = preliminary.keys, preliminary.rows
     # disjoint sorted lists compare by their least element
-    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(keys), arcs))
-    scc_of = [0] * len(keys)
-    for k, comp in enumerate(sccs):
-        for i in comp:
-            scc_of[i] = k
-    scc_edges: list[list[int]] = [[] for _ in sccs]
-    for e, (i, j) in enumerate(preliminary.ends):
-        if scc_of[i] == scc_of[j]:
-            scc_edges[scc_of[i]].append(e)
+    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(keys), rows)
+                  if len(comp) > 1 or comp[0] in rows[comp[0]])
     width = _key_layout(rank)[1]
-    components = tuple(
-        DiagramComponent(tuple(comp), tuple(comp_edges),
-                         frozenset(keys[i] >> width for i in comp))
-        for comp, comp_edges in zip(sccs, scc_edges) if comp_edges)
+    components = tuple(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp))
+                       for comp in sccs)
     return IdDiagram(rank, target, preliminary, components)
 
 
@@ -526,18 +526,16 @@ def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent, node: in
                max_len: int) -> list[tuple[GeneratingTriple, ...]]:
     """Closed edge paths based at a node of the component, given by its
     position, up to the given length, in depth-first order.  A closed walk
-    never leaves its node's strongly connected component, so the
-    component's edges are all it can use.  The walk keeps its own stack,
-    so a long loop needs no recursion."""
-    ends = preliminary.ends
-    out_edges: dict[int, list[int]] = {}
-    for e in comp.edges:
-        out_edges.setdefault(ends[e][0], []).append(e)
-    loops: list[tuple[int, ...]] = []
-    path: list[int] = []
+    never leaves its node's strongly connected component, so it walks the
+    rows inside the component only.  The walk keeps its own stack, so a
+    long loop needs no recursion.  Only the edges of the loops found, and
+    their nodes, are decoded, each once."""
+    rows, inside = preliminary.rows, set(comp.nodes)
+    loops: list[tuple[tuple[int, int], ...]] = []
+    path: list[tuple[int, int]] = []
 
-    def successors(current: int):
-        return iter(out_edges.get(current, ()) if len(path) < max_len else ())
+    def successors(i: int) -> Iterator[tuple[int, int]]:
+        return ((i, j) for j in (rows[i] if len(path) < max_len else ()) if j in inside)
 
     stack = [successors(node)]  # the edges not yet tried at each node of the path
     while stack:
@@ -548,11 +546,15 @@ def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent, node: in
                 path.pop()
             continue
         path.append(e)
-        if ends[e][1] == node:
+        if e[1] == node:
             loops.append(tuple(path))
-        stack.append(successors(ends[e][1]))
-    edges = preliminary.edges if loops else ()
-    return [tuple(edges[e] for e in loop) for loop in loops]
+        stack.append(successors(e[1]))
+    edges = {e for loop in loops for e in loop}
+    used = sorted({i for e in edges for i in e})
+    structure = dict(zip(used, _decode(preliminary.rank, [preliminary.keys[i] for i in used])))
+    moves = {(i, j): GeneratingTriple(preliminary.entering[j], structure[i], structure[j])
+             for i, j in edges}
+    return [tuple(map(moves.__getitem__, loop)) for loop in loops]
 
 
 @dataclass(frozen=True)
@@ -634,14 +636,13 @@ def _node_id(G: LttStructure) -> str:
     return digest[:10]
 
 
-def _labeled_edges(prelim: PreliminaryDiagram, edges: Iterable[int]
+def _labeled_edges(prelim: PreliminaryDiagram, ends: Iterable[tuple[int, int]]
                    ) -> Iterator[tuple[int, int, str | None, Generator, Turn]]:
     """Each edge's source and destination positions, kind, generator and
     determining edge, as its GeneratingTriple gives them, read off the
     red edges of its two nodes."""
     red_ends, entering = prelim.red_ends, prelim.entering
-    for e in edges:
-        i, j = prelim.ends[e]
+    for i, j in ends:
         gen = entering[j]
         red, end = red_ends[i]
         yield i, j, move_kind(gen, red), gen, turn(gen.a, end)
@@ -661,7 +662,7 @@ def diagram_to_json(diagram: IdDiagram) -> dict:
                 "gen": {"a": format_direction(gen.a), "u": format_direction(gen.u)},
                 "det": list(map(format_direction, det)),
             }
-            for i, j, kind, gen, det in _labeled_edges(prelim, range(len(prelim.ends)))
+            for i, j, kind, gen, det in _labeled_edges(prelim, prelim.edge_ends())
         ],
         "components": [
             {
@@ -687,7 +688,8 @@ def diagram_to_dot(diagram: IdDiagram, name: str = "id_diagram") -> str:
         lines.append(f'  subgraph cluster_{ci} {{ label="component {ci}";')
         lines.extend(f'    "{ids[i]}" [shape=box];' for i in comp.nodes)
         lines.append("  }")
-    for i, j, kind, gen, _ in _labeled_edges(prelim, (e for comp in comps for e in comp.edges)):
+    ends = (e for comp in comps for e in prelim.edge_ends(comp.nodes))
+    for i, j, kind, gen, _ in _labeled_edges(prelim, ends):
         lines.append(f'  "{ids[i]}" -> "{ids[j]}" [label="{kind[:3]} {gen}"];')
     lines.append("}")
     lines.extend(f"// {ids[i]} = {nodes[i]}" for comp in comps for i in comp.nodes)

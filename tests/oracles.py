@@ -234,12 +234,15 @@ def orbits_by_elements(elements: Sequence[Sequence[int]],
     return {frozenset(index[epp_structure(sigma, G)] for sigma in elements) for G in structures}
 
 
-def edge_ends(nodes: Sequence[LttStructure],
-              edges: Sequence[GeneratingTriple]) -> tuple[tuple[int, int], ...]:
-    """Each edge's source and destination positions, by looking its end
-    structures up among the nodes."""
+def edge_rows(nodes: Sequence[LttStructure],
+              edges: Sequence[GeneratingTriple]) -> tuple[tuple[int, ...], ...]:
+    """Each node's sorted destination positions, by looking every edge's
+    end structures up among the nodes."""
     index = {G: i for i, G in enumerate(nodes)}
-    return tuple((index[e.source], index[e.dest]) for e in edges)
+    rows: list[list[int]] = [[] for _ in nodes]
+    for e in edges:
+        rows[index[e.source]].append(index[e.dest])
+    return tuple(tuple(sorted(row)) for row in rows)
 
 
 def node_key(G: LttStructure) -> int:
@@ -253,9 +256,9 @@ def node_key(G: LttStructure) -> int:
 
 def preliminary_of(rank: int, nodes: Sequence[LttStructure],
                    edges: Sequence[GeneratingTriple]) -> PreliminaryDiagram:
-    """The preliminary diagram on the nodes, in their order, with the edges,
-    in theirs: the nodes' keys and the edges' ends."""
-    return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), edge_ends(nodes, edges))
+    """The preliminary diagram on the nodes, in their order, with the
+    edges: the nodes' keys and each node's row of destinations."""
+    return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), edge_rows(nodes, edges))
 
 
 def preliminary_by_destination(target: WhiteheadGraph, rank: int

@@ -121,7 +121,7 @@ def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):
 
 def test_catalog_past_rank_4_is_one_line_error(tmp_path):
     # the catalog stops at 7 vertices; rank 5 would walk 2^36 edge sets
-    for argv in (["export", "catalog", "--out", str(tmp_path)], ["sweep", "--full"]):
+    for argv in (["export", "catalog", "--out", str(tmp_path)], ["sweep"]):
         run = subprocess.run([sys.executable, "-m", "ttrose.cli", *argv, "--rank", "5"],
                              capture_output=True, text=True, timeout=60)
         assert run.returncode == 1

@@ -11,7 +11,7 @@ from oracles import (
     assignment_oracle_structures,
     check_am,
     closed_walks,
-    edge_ends,
+    edge_rows,
     epp_classes_of_structures,
     epp_orbits,
     epp_structure,
@@ -264,8 +264,8 @@ def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, 
 
 @pytest.mark.parametrize("name", ["k5_2pend", "p7"])
 def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
-    # the verdict reads node keys and edge ends only: the SCC pass the
-    # ends, the IP test the red vertices off the keys.  The only structures
+    # the verdict reads node keys and rows only: the SCC pass the rows,
+    # the IP test the red vertices off the keys.  The only structures
     # built are the base slice's representatives, one per K-orbit for
     # birecurrency and one more per admissible orbit for its moves
     import ttrose.diagram
@@ -289,7 +289,8 @@ def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
     prelim = result.diagram.preliminary
     assert (calls["decode"], calls["move"]) == (0, 0)
     assert calls["structure"] == len(orbits) + sum(base.birecurrent[i] for i in orbits)
-    assert not {"nodes", "edges", "red_ends", "entering"} & set(vars(prelim))
+    # nothing is cached: the diagram holds only its fields
+    assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
     # the structures are decoded once, when first read
     assert len(prelim.nodes) == len(prelim.keys) == result.num_admissible
     assert prelim.nodes is prelim.nodes and calls["decode"] == 1
@@ -306,7 +307,7 @@ def test_json_edges_read_kind_and_det_off_the_node_keys(catalog5):
         expected = [{"source": i, "dest": j, "kind": e.kind,
                      "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
                      "det": list(map(format_direction, e.det))}
-                    for (i, j), e in zip(prelim.ends, prelim.edges)]
+                    for (i, j), e in zip(prelim.edge_ends(), prelim.edges)]
         assert diagram_to_json(diagram)["edges"] == expected
 
 
@@ -379,7 +380,10 @@ def test_preliminary_ends_are_the_positions_of_each_edges_structures(catalog5):
     targets = [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (STAR_P2, 4)]
     for target, rank in targets:
         prelim = build_preliminary(target, rank)
-        assert prelim.ends == edge_ends(prelim.nodes, prelim.edges)
+        assert prelim.rows == edge_rows(prelim.nodes, prelim.edges)
+        position = {G: i for i, G in enumerate(prelim.nodes)}
+        assert list(prelim.edge_ends()) == [(position[e.source], position[e.dest])
+                                            for e in prelim.edges]
 
 
 def test_preliminary_matches_the_per_destination_oracle(catalog5):
@@ -396,7 +400,7 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
             targets.append((target, 4))
     for target, rank in targets:
         built, (oracle, moves) = build_preliminary(target, rank), preliminary_by_destination(target, rank)
-        assert (built.keys, built.ends) == (oracle.keys, oracle.ends)
+        assert (built.keys, built.rows) == (oracle.keys, oracle.rows)
         assert (built.nodes, built.edges) == (oracle.nodes, moves)
 
 
@@ -418,22 +422,21 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
                                     frozenset(map(image, G.colored))) == epp_structure(sigma, G)
 
 
-def test_components_keep_the_order_of_a_shuffled_preliminary_diagram(squeeze):
-    # id_diagram reads each edge's ends, not its place in a source-ordered
-    # row; the star on 7 vertices plus two disjoint edges has 160 components
+def test_component_edges_are_the_oracles_moves_inside_it(squeeze):
+    # read off the rows inside each component, the edges are the moves the
+    # per-destination oracle finds with both ends in it, in the oracle's
+    # order; the star on 7 vertices plus two disjoint edges has 160
+    # components
     for target, rank in [(squeeze["G5.02"].diagram.target, 3), (STAR_P2, 4)]:
-        prelim = build_preliminary(target, rank)
-        edges = list(prelim.edges)
-        random.Random(5).shuffle(edges)
-        shuffled = preliminary_of(rank, prelim.nodes, edges)
-        assert shuffled.edges == tuple(edges)
-        built, expected = id_diagram(target, rank, preliminary=shuffled), id_diagram(target, rank)
-        assert len(built.components) == len(expected.components) > 1
-        for comp, want in zip(built.components, expected.components):
-            assert comp.nodes == want.nodes
+        diagram = id_diagram(target, rank)
+        prelim = diagram.preliminary
+        oracle, moves = preliminary_by_destination(target, rank)
+        assert oracle.nodes == prelim.nodes and len(diagram.components) > 1
+        move_at = dict(zip(prelim.edge_ends(), prelim.edges))
+        for comp in diagram.components:
             inside = {prelim.nodes[i] for i in comp.nodes}
-            assert tuple(edges[e] for e in comp.edges) == tuple(
-                e for e in edges if e.source in inside and e.dest in inside)
+            assert [move_at[e] for e in prelim.edge_ends(comp.nodes)] \
+                == [e for e in moves if e.source in inside and e.dest in inside]
 
 
 def test_verdict_counts_match_the_enumeration(catalog5):
@@ -452,8 +455,7 @@ def test_components_are_strongly_connected(squeeze):
     diagram = squeeze["G5.02"].diagram
     for comp in diagram.components:
         adjacency = {}
-        for e in comp.edges:
-            i, j = diagram.preliminary.ends[e]
+        for i, j in diagram.preliminary.edge_ends(comp.nodes):
             adjacency.setdefault(i, set()).add(j)
         for start in comp.nodes:
             seen = {start}
@@ -524,7 +526,8 @@ def test_diagram_commutes_with_epp(squeeze):
 def test_flagged_graph_component_shapes(squeeze):
     mid = squeeze["G5.02"].diagram
     assert len(mid.components) == 12
-    assert all(len(c.nodes) == 2 and len(c.edges) == 4 for c in mid.components)
+    assert all(len(c.nodes) == 2 and len(list(mid.preliminary.edge_ends(c.nodes))) == 4
+               for c in mid.components)
     assert all(len(c.red_label_census) == 2 and len(c.pairs_covered()) == 2
                for c in mid.components)
     assert len(epp_classes(mid)) == 1
@@ -533,7 +536,9 @@ def test_flagged_graph_component_shapes(squeeze):
 def _decoded(diagram, comp) -> tuple[list[LttStructure], list[GeneratingTriple]]:
     """The component's nodes and edges, as structures and moves."""
     prelim = diagram.preliminary
-    return [prelim.nodes[i] for i in comp.nodes], [prelim.edges[e] for e in comp.edges]
+    inside = set(comp.nodes)
+    return [prelim.nodes[i] for i in comp.nodes], [
+        e for (i, j), e in zip(prelim.edge_ends(), prelim.edges) if i in inside and j in inside]
 
 
 def _epp_carries(sigma, comp, other) -> bool:
@@ -651,6 +656,29 @@ def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
         loops = find_loops(prelim, comp, comp.nodes[0], 3)
         assert len(loops) == len(set(loops))
         assert set(loops) == closed_walks(prelim.edges, prelim.nodes[comp.nodes[0]], 3)
+
+
+def test_find_loops_decodes_only_the_edges_of_its_loops(monkeypatch, squeeze):
+    # one move per distinct edge of the loops it returns, each loop edge
+    # being one of them; the diagram's nodes and edges are never all decoded
+    import ttrose.diagram
+    diagram = target_verdict(squeeze["G5.04"].diagram.target, 3).diagram
+    prelim = diagram.preliminary
+    built = []
+
+    def recording(*args):
+        built.append(GeneratingTriple(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ttrose.diagram, "GeneratingTriple", recording)
+    found = 0
+    for comp in diagram.components:
+        del built[:]
+        loops = find_loops(prelim, comp, comp.nodes[0], 4)
+        found += len(loops)
+        assert {id(e) for lp in loops for e in lp} == set(map(id, built))
+        assert len(set(built)) == len(built)
+    assert found and not {"nodes", "edges"} & set(vars(prelim))
 
 
 def test_find_loops_reaches_past_the_recursion_limit(catalog5):
