@@ -2,8 +2,9 @@
 
 Edge sets are walked as masks in order with a table of those already
 seen: the first unseen connected one opens a class, and its orbit under
-the swaps of adjacent vertices is marked seen.  n = 5 takes a fraction
-of a second and n = 7 about 15 s on 2 CPUs; n = 9 (rank 5) is refused.
+the transposition of vertices 0 and 1 and the cycle through all of them
+is marked seen.  n = 5 takes a fraction of a second and n = 7 about
+10 s on 2 CPUs; n = 9 (rank 5) is refused.
 Entries carry a canonical edge tuple so catalogs are stable across runs.
 """
 
@@ -11,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
+from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits,
+                        relabeling_generators)
 
 MAX_VERTICES = 7
 
@@ -54,8 +56,7 @@ def connected_simplicial_graphs(n: int) -> list[GraphCatalogEntry]:
         raise ValueError(f"the graph catalog stops at {MAX_VERTICES} vertices "
                          f"(rank {(MAX_VERTICES + 1) // 2}), not {n}")
     bits = pair_bits(range(n))
-    # the swaps of adjacent vertices generate every relabeling
-    swaps = [mask_action({a: a + 1, a + 1: a}, bits) for a in range(n - 1)]
+    relabelings = [mask_action(g, bits) for g in relabeling_generators(range(n))]
     seen = bytearray(1 << len(bits))
     canon = []
     for mask in range(len(seen)):
@@ -67,7 +68,7 @@ def connected_simplicial_graphs(n: int) -> list[GraphCatalogEntry]:
             adj[b].add(a)
         if any(not adj[v] for v in range(n)) or not _is_connected(n, adj):
             continue
-        orbit = mask_orbit(mask, swaps)
+        orbit = mask_orbit(mask, relabelings)
         for image in orbit:
             seen[image] = 1
         canon.append(mask_pairs(max(orbit), bits))

@@ -39,7 +39,8 @@ from .maps import (
 from .moves import GeneratingTriple, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
-from .whitehead import WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits
+from .whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits,
+                        relabeling_generators)
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -78,6 +79,9 @@ def target_from_json(data: dict) -> WhiteheadGraph:
     if not all(isinstance(e, list) and len(e) == 2 for e in data["edges"]):
         raise InvalidTargetGraph("every edge must be a list of two vertices")
     edges = [tuple(e) for e in data["edges"]]
+    # True == 1, so a boolean vertex would merge silently with 1 (or 0)
+    if any(isinstance(v, bool) for v in [*data.get("vertices", ()), *itertools.chain(*edges)]):
+        raise InvalidTargetGraph("a vertex must not be a boolean")
     try:
         vertices = set(data.get("vertices", ()))
         for e in edges:
@@ -111,14 +115,17 @@ def _slice_maps(rank: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(h[0], h[2]): h + tuple(d for d in all_directions(rank) if d not in h) for h in heads}
 
 
-def _k_generators(rank: int) -> list[dict[int, int]]:
-    """Generators of K, the EPP elements fixing directions 1 and 3, each as
-    the image of every direction it moves: the flips of pairs 3..r and the
-    swaps of adjacent pairs among them, so 2r - 5 of them from rank 3 on
-    and none at rank 2, where K is trivial."""
-    flips = [{i: i + 1, i + 1: i} for i in range(5, 2 * rank, 2)]
-    swaps = [{i: i + 2, i + 1: i + 3, i + 2: i, i + 3: i + 1} for i in range(5, 2 * rank - 1, 2)]
-    return flips + swaps
+def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
+    """Generators of the signed permutations of bar pairs first..last, each
+    as the image of every direction it moves: the flip of the first pair,
+    then the swap of the first two and the cycle of all of them with
+    orientation kept, as relabeling_generators gives them on the pairs.
+    None for an empty run."""
+    if last < first:
+        return []
+    flip = {2 * first - 1: 2 * first, 2 * first: 2 * first - 1}
+    return [flip] + [{2 * i - e: 2 * j - e for i, j in g.items() for e in (1, 0)}
+                     for g in relabeling_generators(range(first, last + 1))]
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,12 @@ class BaseSlice:
 
 def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     """One structure per labeled copy of the target on 2..2r (vertex k in
-    sorted order labeled k + 2), in the order the walk under the swaps of
-    adjacent labels reaches them.  EPP commutes with birecurrency, so it is
-    decided on one representative per K-orbit, and the slice maps carry the
-    slice one-to-one onto the disjoint others.  Both walks act on turn
+    sorted order labeled k + 2), in the order the walk under the
+    transposition of labels 2 and 3 and the cycle through 2..2r reaches
+    them.  EPP commutes with birecurrency, so it is decided on one
+    representative per K-orbit, walked under the flip of pair 3, the swap
+    of pairs 3 and 4 and the cycle of pairs 3..r, and the slice maps carry
+    the slice one-to-one onto the disjoint others.  Both walks act on turn
     masks through the purple turns, so the red edge {1, 3} keeps its bit.
     Only the representatives are decoded, and only admissible members
     get a lift, since only they are carried."""
@@ -150,12 +159,11 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     purple = {e: bit for e, bit in bits.items() if e[0] > 1}
     start = bits[1, 3] + sum(purple[tuple(sorted((label[u], label[v])))] for u, v in target.edges)
     # one labeled copy per distinct edge set, so automorphisms of the
-    # target never repeat a purple graph; swapping adjacent labels
-    # generates every permutation of 2..2r
-    swaps = [mask_action({a: a + 1, a + 1: a}, purple) for a in range(2, 2 * rank)]
-    masks = tuple(mask_orbit(start, swaps))
+    # target never repeat a purple graph
+    relabelings = [mask_action(g, purple) for g in relabeling_generators(range(2, 2 * rank + 1))]
+    masks = tuple(mask_orbit(start, relabelings))
     index = {mask: i for i, mask in enumerate(masks)}
-    generators = _k_generators(rank)
+    generators = _pair_generators(3, rank)  # K: the signed permutations of pairs 3..r
     actions = [mask_action(g, purple) for g in generators]
     reps = [-1] * len(masks)
     identity = tuple(all_directions(rank))
@@ -270,14 +278,6 @@ def epp_elements(rank: int) -> list[tuple[int, ...]]:
                 sigma[2 * i - 1] = bwd
             out.append(tuple(sigma))
     return out
-
-
-def _epp_generators(rank: int) -> list[tuple[int, ...]]:
-    """The flip of pair 1 and the r - 1 swaps of adjacent bar pairs, which
-    generate EPP."""
-    d = tuple(all_directions(rank))
-    return [(2, 1, *d[2:])] + [d[:i] + (i + 3, i + 4, i + 1, i + 2) + d[i + 4:]
-                               for i in range(0, 2 * rank - 2, 2)]
 
 
 # --- the preliminary diagram and its strongly connected components --------
@@ -483,16 +483,16 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     """Indices of EPP-isomorphic components, each class sorted, classes in
     order of their least index.  The diagram commutes with EPP, so an
     element sending one node of C1 into C2 carries C1 onto C2, edges
-    included: a class is closed under EPP's generators by mapping one node
-    per component, so it costs r images per component.  A node is imaged
-    on its key, its red vertex by the element and its turn mask by the
-    element's mask_action, and found among the sorted keys by bisection.
+    included: a class is closed under EPP's generators (a flip, a swap and
+    a cycle of bar pairs) by mapping one node per component, so it costs
+    at most three images per component.  A node is imaged on its key, its
+    red vertex by the element and its turn mask by the element's
+    mask_action, and found among the sorted keys by bisection.
     An image in no component means the diagram is not closed under EPP,
     and raises RuntimeError."""
     keys = diagram.preliminary.keys
     bits, width, full = _key_layout(diagram.rank)
-    generators = [(sigma, mask_action({d: s for d, s in enumerate(sigma, 1) if d != s}, bits))
-                  for sigma in _epp_generators(diagram.rank)]
+    generators = [(g, mask_action(g, bits)) for g in _pair_generators(1, diagram.rank)]
     component_of = [-1] * len(keys)
     for i, comp in enumerate(diagram.components):
         for x in comp.nodes:
@@ -506,8 +506,9 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
         classed.add(i)
         for k in members:
             key = keys[diagram.components[k].nodes[0]]
-            for sigma, action in generators:
-                image = sigma[(key >> width) - 1] << width | ~mask_image(~key & full, action) & full
+            red = key >> width
+            for g, action in generators:
+                image = g.get(red, red) << width | ~mask_image(~key & full, action) & full
                 x = bisect_left(keys, image)
                 j = component_of[x] if x < len(keys) and keys[x] == image else -1
                 if j < 0:

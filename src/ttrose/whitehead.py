@@ -6,7 +6,8 @@ lamination train track structure, and abstract target graphs.  All
 instances here are tiny (at most a dozen vertices).  Relabeling
 problems (the labeled copies of a target, the catalog's isomorphism
 classes, the K-orbits of a slice of structures) are orbits of an edge
-bitmask, walked breadth first under generators acting by tables.
+bitmask, walked breadth first under generators acting by tables: two
+generate every permutation of a set of labels.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ def pair_bits(labels: Sequence[int]) -> dict[tuple[int, int], int]:
 def mask_pairs(mask: int, bits: dict[tuple[int, int], int]) -> tuple[tuple[int, int], ...]:
     """The pairs whose bits are set in the mask, sorted."""
     return tuple(p for p, bit in bits.items() if mask & bit)
+
+
+def relabeling_generators(labels: Sequence[int]) -> list[dict[int, int]]:
+    """The transposition of the first two labels and the cycle through all
+    of them, each as the image of every label it moves: they generate every
+    permutation of the labels (the cycle is left out for two labels, where
+    it is the transposition, and both for fewer)."""
+    if len(labels) < 2:
+        return []
+    swap = {labels[0]: labels[1], labels[1]: labels[0]}
+    if len(labels) == 2:
+        return [swap]
+    return [swap, dict(zip(labels, [*labels[1:], labels[0]]))]
 
 
 Action = tuple[int, dict[int, int]]

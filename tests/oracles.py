@@ -226,6 +226,23 @@ def stabilizer_of_1_and_3(rank: int) -> list[tuple[int, ...]]:
     return [sigma for sigma in epp_elements(rank) if (sigma[0], sigma[2]) == (1, 3)]
 
 
+def group_closure(generators: Sequence[dict[int, int]], points: Sequence[int]
+                  ) -> set[tuple[int, ...]]:
+    """Every element of the group the generators generate, each generator
+    the image of every point it moves, as the tuple of images of the
+    points: products of generators, breadth first from the identity."""
+    identity = tuple(points)
+    elements = {identity}
+    queue = [identity]
+    for sigma in queue:
+        for g in generators:
+            image = tuple(g.get(x, x) for x in sigma)
+            if image not in elements:
+                elements.add(image)
+                queue.append(image)
+    return elements
+
+
 def orbits_by_elements(elements: Sequence[Sequence[int]],
                        structures: Sequence[LttStructure]) -> set[frozenset[int]]:
     """The orbits of the structures under a group, as sets of indices, by

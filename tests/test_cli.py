@@ -105,6 +105,13 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("invalid target graph: ")
         assert captured.err.count("\n") == 1
+    # true == 1 in Python: [0, true] would merge into a 5-vertex path,
+    # and [1, true] would read as a loop edge at 1
+    for payload in ({"edges": [[0, True], [1, 2], [2, 3], [3, 4]]}, {"edges": [[0, 1], [1, True]]},
+                    {"vertices": [False], "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}):
+        path.write_text(json.dumps(payload))
+        assert main(["check-graph", str(path), "--rank", "3"]) == 2
+        assert capsys.readouterr() == ("", "invalid target graph: a vertex must not be a boolean\n")
 
 
 def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):

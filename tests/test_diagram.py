@@ -15,6 +15,7 @@ from oracles import (
     epp_classes_of_structures,
     epp_orbits,
     epp_structure,
+    group_closure,
     is_admissible,
     orbits_by_elements,
     preliminary_by_destination,
@@ -31,6 +32,7 @@ from ttrose.diagram import (
     InvalidTargetGraph,
     _base_slice,
     _edge_table,
+    _pair_generators,
     build_preliminary,
     diagram_to_dot,
     diagram_to_json,
@@ -325,12 +327,13 @@ def test_base_slice_k_orbits_match_every_element_of_k(catalog5):
     # the orbits found with K's generators are the orbits under all of K's
     # elements; orbits smaller than K have a stabilizer, as some of G5.04's,
     # G5.18's, G5.19's and the broom's do.  Rank 5 is the first where K
-    # permutes three pairs, so its two swaps must be composed: the star's
+    # permutes three pairs, so its generators are the flip of pair 3, the
+    # swap of pairs 3 and 4 and the cycle of pairs 3, 4 and 5: the star's
     # 9 structures fall into orbits of sizes 1, 1, 1 and 6, and the star
     # plus one edge between leaves has orbits of 1, 3, 6, 12 and 24 of the
     # 48; K_{4,5} has 12 admissible orbits of 3 to 12 members, so lifts
-    # composed of both swaps and the flips are checked.  Only admissible
-    # members are carried, so only they have a lift
+    # composed of the flip, the swap and the cycle are checked.  Only
+    # admissible members are carried, so only they have a lift
     rank5 = [("star9", star_target(5), 5), ("star9_p1", WhiteheadGraph.build(
         range(9), [(0, i) for i in range(1, 9)] + [(1, 2)]), 5),
         ("k45", WhiteheadGraph.build(range(9), [(a, b) for a in range(4) for b in range(4, 9)]), 5)]
@@ -612,9 +615,24 @@ def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
         epp_classes(broken)
 
 
+def test_pair_generators_generate_k_and_epp():
+    # a flip, a swap and a cycle of bar pairs, fewer when the run is too
+    # short for them to differ: on pairs 3..r they generate K, 384
+    # elements at rank 6, and on pairs 1..r all of EPP
+    for rank in range(2, 7):
+        generators = _pair_generators(3, rank)
+        assert len(generators) == min(rank - 2, 3)
+        assert group_closure(generators, all_directions(rank)) == set(stabilizer_of_1_and_3(rank))
+    assert len(stabilizer_of_1_and_3(6)) == 384
+    for rank in range(1, 6):
+        generators = _pair_generators(1, rank)
+        assert len(generators) == min(rank, 3)
+        assert group_closure(generators, all_directions(rank)) == set(epp_elements(rank))
+
+
 def test_epp_classes_map_r_images_per_component(monkeypatch):
-    # closing a class under EPP's r generators costs r images per
-    # component, not one per element of EPP (46,080 at rank 6)
+    # closing a class under EPP's three generators costs at most three
+    # images per component, not one per element of EPP (46,080 at rank 6)
     import ttrose.diagram
     k11 = WhiteheadGraph.build(range(11), itertools.combinations(range(11), 2))
     diagram = target_verdict(k11, 6).diagram
@@ -626,7 +644,7 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
 
     monkeypatch.setattr(ttrose.diagram, "mask_image", counting)
     assert len(epp_classes(diagram)) == 1
-    assert 0 < len(images) <= 6 * len(diagram.components)
+    assert 0 < len(images) <= 3 * len(diagram.components)
 
 
 def test_loops_and_reports(squeeze):

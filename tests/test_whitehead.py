@@ -1,11 +1,17 @@
+import itertools
+import math
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (canonical_edge_tuple, find_isomorphism, naive_isomorphic,
+from oracles import (canonical_edge_tuple, find_isomorphism, group_closure, naive_isomorphic,
                      random_connected_graph, relabelings_by_permutations)
-from ttrose.whitehead import WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits
+from ttrose.catalog import connected_simplicial_graphs
+from ttrose.diagram import _base_slice
+from ttrose.rose import all_directions
+from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits,
+                              relabeling_generators)
 
 
 def _mask(bits, edges):
@@ -14,7 +20,8 @@ def _mask(bits, edges):
 
 def _swaps(labels, bits):
     """The actions of the swaps of adjacent labels in a range, which
-    generate every permutation of it."""
+    generate every permutation of it: the oracle for the library's two
+    relabeling generators."""
     return [mask_action({a: a + 1, a + 1: a}, bits) for a in labels[:-1]]
 
 
@@ -113,3 +120,38 @@ def test_relabelings_of_symmetric_graphs():
     assert orbit(4, [(a, b) for a in range(4) for b in range(a + 1, 4)]) == \
         [((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
     assert orbit(3, []) == [()]
+
+
+def test_relabeling_generators_generate_every_permutation():
+    # the transposition of the first two labels and the cycle through all
+    # of them: all (2r - 1)! permutations of 2..2r, the labels of a
+    # rank-r target in the base slice, from two generators
+    for rank in (2, 3, 4):
+        labels = range(2, 2 * rank + 1)
+        generators = relabeling_generators(labels)
+        assert len(generators) == 2
+        closure = group_closure(generators, labels)
+        assert closure == set(itertools.permutations(labels))
+        assert len(closure) == math.factorial(2 * rank - 1)
+    assert relabeling_generators(range(1)) == []
+    assert relabeling_generators(range(2)) == [{0: 1, 1: 0}]
+
+
+def test_relabeling_walk_reaches_the_adjacent_swap_orbit():
+    # the two generators reach what the swaps of adjacent labels reach:
+    # every relabeling of each 5- and 6-vertex catalog graph, and the
+    # labeled copies of each rank-3 target on 2..6 that its base slice
+    # holds, the red edge {1, 3} kept
+    for n in (5, 6):
+        bits = pair_bits(range(n))
+        relabelings = [mask_action(g, bits) for g in relabeling_generators(range(n))]
+        for entry in connected_simplicial_graphs(n):
+            mask = _mask(bits, entry.edges)
+            assert set(mask_orbit(mask, relabelings)) == set(mask_orbit(mask, _swaps(range(n), bits)))
+    bits = pair_bits(all_directions(3))
+    purple = {p: bit for p, bit in bits.items() if p[0] > 1}
+    for entry in connected_simplicial_graphs(5):
+        start = bits[1, 3] + _mask(bits, [(u + 2, v + 2) for u, v in entry.edges])
+        masks = _base_slice(entry.graph(), 3).masks
+        orbit = mask_orbit(start, _swaps(range(2, 7), purple))
+        assert masks[0] == start and len(masks) == len(orbit) and set(masks) == set(orbit)
