@@ -125,7 +125,7 @@ def _load_json(source: str) -> dict:
 def _load_map(source: str) -> RoseMap:
     data = _load_json(source)
     try:
-        return RoseMap.from_strings(int(data["rank"]), data["images"])
+        return RoseMap.from_strings(data["rank"], data["images"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"error: bad rose map input: {exc}")
 
@@ -413,10 +413,16 @@ def main(argv=None) -> int:
         if getattr(args, flag, 0) < 0:
             raise SystemExit(f"error: --{flag.replace('_', '-')} must be non-negative")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except InvalidTargetGraph as exc:
         print(f"invalid target graph: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`); devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -453,7 +453,7 @@ def id_diagram(target: WhiteheadGraph, rank: int,
         preliminary = build_preliminary(target, rank)
     keys, rows = preliminary.keys, preliminary.rows
     # disjoint sorted lists compare by their least element
-    sccs = sorted(sorted(comp) for comp in tarjan_scc(len(keys), rows)
+    sccs = sorted(sorted(comp) for comp in tarjan_scc(rows)
                   if len(comp) > 1 or comp[0] in rows[comp[0]])
     width = _key_layout(rank)[1]
     components = tuple(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp))

@@ -209,12 +209,13 @@ def transition_digraph(G: LttStructure) -> TransitionDigraph:
     return TransitionDigraph(edges, nodes, arcs)
 
 
-def tarjan_scc(num_nodes: int, arcs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components in reverse topological order.  Each
-    node on the walk keeps an iterator over its arcs and its place on the
-    node stack.  A node that joins a component gets an index past every
-    other, so a later arc into it lowers no lowlink and no on-stack flag
-    is needed."""
+def tarjan_scc(arcs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan on the nodes 0..len(arcs)-1; components in reverse
+    topological order.  Each node on the walk keeps an iterator over its
+    arcs and its place on the node stack.  A node that joins a component
+    gets an index past every other, so a later arc into it lowers no
+    lowlink and no on-stack flag is needed."""
+    num_nodes = len(arcs)
     index_of = [-1] * num_nodes
     lowlink = [0] * num_nodes
     stack: list[int] = []
@@ -279,7 +280,7 @@ def is_birecurrent(G: LttStructure) -> bool:
         arcs[w].append(u ^ 1)
         needs.append((1 << u | 1 << (w ^ 1), 1 << w | 1 << (u ^ 1)))
     evens = ((1 << n) - 1) // 3  # one bit per bar pair
-    for comp in tarjan_scc(n, arcs):
+    for comp in tarjan_scc(arcs):
         if len(comp) == 1 and comp[0] not in arcs[comp[0]]:
             continue  # a lone black edge supports no biinfinite line
         S = sum(1 << h for h in comp)

@@ -62,13 +62,19 @@ class RoseMap:
 
     @staticmethod
     def from_strings(rank: int, words: Mapping[str, str] | Sequence[str]) -> "RoseMap":
+        """Petal images keyed by letter or in petal order; a letter past the
+        rank, or one string for all the words, is a ValueError."""
+        check_rank(rank)
+        if isinstance(words, str):
+            raise ValueError(f"expected a word per petal, not the string {words!r}")
         if isinstance(words, Mapping):
-            items = [words[format_direction(forward_direction(i))] for i in range(1, rank + 1)]
-        else:
-            items = list(words)
-        if len(items) != rank:
-            raise ValueError(f"expected {rank} edge images, got {len(items)}")
-        return RoseMap(rank, tuple(parse_word(w, rank) for w in items))
+            letters = [format_direction(forward_direction(i)) for i in range(1, rank + 1)]
+            if unknown := sorted(words.keys() - set(letters)):
+                raise ValueError(f"no petal {unknown[0]!r} at rank {rank}")
+            words = [words[letter] for letter in letters]
+        if len(words) != rank:
+            raise ValueError(f"expected {rank} edge images, got {len(words)}")
+        return RoseMap(rank, tuple(parse_word(w, rank) for w in words))
 
     @staticmethod
     def identity(rank: int) -> "RoseMap":

@@ -20,7 +20,7 @@ MAX_RANK = len(_LETTERS)
 
 
 def check_rank(rank: int) -> int:
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:  # True == 1
         raise ValueError(f"rank must be a positive integer, got {rank!r}")
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} exceeds the supported maximum {MAX_RANK}")

@@ -77,6 +77,21 @@ def test_analyze_map_parse_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze-map", str(path)])
     assert str(exc.value).startswith("error: bad rose map input")
+    # each was misread: rank 2.7 as 2, true as 1, "ab" as the words a and b,
+    # and petal c dropped at rank 2
+    for payload, reason in (({"rank": 2.7, "images": {"a": "a", "b": "b"}},
+                             "rank must be a positive integer, got 2.7"),
+                            ({"rank": True, "images": {"a": "a"}},
+                             "rank must be a positive integer, got True"),
+                            ({"rank": 2, "images": "ab"},
+                             "expected a word per petal, not the string 'ab'"),
+                            ({"rank": 2, "images": {"a": "a", "b": "b", "c": "c"}},
+                             "no petal 'c' at rank 2")):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-map", str(path)])
+        assert str(exc.value) == f"error: bad rose map input: {reason}"
+    assert capsys.readouterr().out == ""
 
 
 def test_check_graph_star(capsys):
@@ -93,6 +108,22 @@ def test_check_graph_flagged(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict: UnachievedByIrreducibilityPotential" in out
     assert "EPP classes of components: 1" in out
+
+
+def test_check_graph_loops(tmp_path, capsys):
+    # G5.04, inconclusive at rank 3: its three components pass IP, and no
+    # short loop at a first node is fully ideal
+    path = tmp_path / "g5_04.json"
+    path.write_text(json.dumps({"edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [1, 4]]}))
+    assert main(["check-graph", str(path), "--rank", "3", "--max-loop-len", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5:] == [
+        "EPP classes of components: 1",
+        "  component 0: 9 loop(s) of length <= 3 at its first node; 0 fully ideal",
+        "  component 1: 15 loop(s) of length <= 3 at its first node; 0 fully ideal",
+        "  component 2: 6 loop(s) of length <= 3 at its first node; 0 fully ideal",
+        "verdict: Inconclusive",
+    ]
 
 
 def test_check_graph_invalid_exit_code(tmp_path, capsys):
@@ -135,6 +166,21 @@ def test_catalog_past_rank_4_is_one_line_error(tmp_path):
         assert run.stdout == ""
         assert run.stderr == "error: the graph catalog stops at 7 vertices (rank 4), not 9\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_is_not_a_traceback(unbuffered):
+    # as `ttrose sweep --rank 3 | head -1` once the reader has gone; with
+    # stdout unbuffered the first print fails, else the flush at the end
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "ttrose.cli", "sweep", "--rank", "3"],
+                             stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                             env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (1, "")
 
 
 def test_rank_1_maps_are_still_analyzed(tmp_path, capsys):
