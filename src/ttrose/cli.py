@@ -125,8 +125,12 @@ def _load_json(source: str) -> dict:
 def _load_map(source: str) -> RoseMap:
     data = _load_json(source)
     try:
+        if not isinstance(data, dict):
+            raise ValueError('expected an object with "rank" and "images"')
+        if missing := [key for key in ("rank", "images") if key not in data]:
+            raise ValueError(f'missing key "{missing[0]}"')
         return RoseMap.from_strings(data["rank"], data["images"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(f"error: bad rose map input: {exc}")
 
 
@@ -211,6 +215,8 @@ def cmd_check_graph(args) -> int:
     if args.format and _out_dir(args) is None:
         raise SystemExit("error: --format selects the artifacts to write; give --out "
                          "or set TTROSE_CACHE_DIR")
+    if args.seed is not None and not args.oracle_samples:
+        raise SystemExit("error: --seed seeds the oracle's samples; give --oracle-samples")
     target = _load_target(args)
     out = _out_dir(args)
     if out is not None:
@@ -249,7 +255,7 @@ def _report_loops(diagram, max_len: int) -> None:
 def _oracle_check(target, args) -> bool:
     """Does is_birecurrent agree with the brute-force oracle on the samples?"""
     structures = enumerate_structures(target, args.rank)
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     samples = structures if len(structures) <= args.oracle_samples \
         else rng.sample(structures, args.oracle_samples)
     bad = [G for G in samples if is_birecurrent(G) != brute_force_birecurrent(G)]
@@ -378,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-samples", type=int, default=0,
                    help="cross-check birecurrency against the brute-force oracle "
                         "on this many sampled structures")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=int,
+                   help="seed for the --oracle-samples sample (default 0)")
     p.add_argument("--out", help="directory for DOT/JSON artifacts")
     p.add_argument("--format", choices=("dot", "json"), help="restrict artifact format")
     p.set_defaults(func=cmd_check_graph)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map, tarjan_scc
+from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map
 from .maps import (
     FoldDecomposition,
     Generator,
@@ -40,7 +40,7 @@ from .moves import GeneratingTriple, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
 from .whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits,
-                        relabeling_generators)
+                        relabeling_generators, tarjan_scc)
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -483,13 +483,13 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     """Indices of EPP-isomorphic components, each class sorted, classes in
     order of their least index.  The diagram commutes with EPP, so an
     element sending one node of C1 into C2 carries C1 onto C2, edges
-    included: a class is closed under EPP's generators (a flip, a swap and
-    a cycle of bar pairs) by mapping one node per component, so it costs
-    at most three images per component.  A node is imaged on its key, its
-    red vertex by the element and its turn mask by the element's
-    mask_action, and found among the sorted keys by bisection.
-    An image in no component means the diagram is not closed under EPP,
-    and raises RuntimeError."""
+    included: a class is the mask_orbit of a component index under EPP's
+    generators (a flip, a swap and a cycle of bar pairs), each acting on
+    one node of the component, so it costs at most three images per
+    component.  A node is imaged on its key, its red vertex by the element
+    and its turn mask by the element's mask_action, and found among the
+    sorted keys by bisection.  An image in no component means the diagram
+    is not closed under EPP, and raises RuntimeError."""
     keys = diagram.preliminary.keys
     bits, width, full = _key_layout(diagram.rank)
     generators = [(g, mask_action(g, bits)) for g in _pair_generators(1, diagram.rank)]
@@ -497,26 +497,24 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     for i, comp in enumerate(diagram.components):
         for x in comp.nodes:
             component_of[x] = i
+
+    def component_image(k: int, generator: tuple) -> int:
+        g, action = generator
+        key = keys[diagram.components[k].nodes[0]]
+        red = key >> width
+        image = g.get(red, red) << width | ~mask_image(~key & full, action) & full
+        x = bisect_left(keys, image)
+        if x == len(keys) or keys[x] != image or component_of[x] < 0:
+            raise RuntimeError("an EPP image of a component node lies in no component")
+        return component_of[x]
+
     classes: list[list[int]] = []
     classed: set[int] = set()
     for i in range(len(diagram.components)):
-        if i in classed:
-            continue
-        members = [i]
-        classed.add(i)
-        for k in members:
-            key = keys[diagram.components[k].nodes[0]]
-            red = key >> width
-            for g, action in generators:
-                image = g.get(red, red) << width | ~mask_image(~key & full, action) & full
-                x = bisect_left(keys, image)
-                j = component_of[x] if x < len(keys) and keys[x] == image else -1
-                if j < 0:
-                    raise RuntimeError("an EPP image of a component node lies in no component")
-                if j not in classed:
-                    classed.add(j)
-                    members.append(j)
-        classes.append(sorted(members))
+        if i not in classed:
+            orbit = mask_orbit(i, generators, component_image)
+            classed.update(orbit)
+            classes.append(sorted(orbit))
     return classes
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
 from .rose import Direction, Turn, all_directions, bar, format_direction
+from .whitehead import tarjan_scc
 
 PURPLE = "purple"
 RED = "red"
@@ -207,52 +208,6 @@ def transition_digraph(G: LttStructure) -> TransitionDigraph:
                        if black[k2] != black[k] and nodes[k2] != (i, 1 - o))
                  for k, (i, o) in enumerate(nodes))
     return TransitionDigraph(edges, nodes, arcs)
-
-
-def tarjan_scc(arcs: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Iterative Tarjan on the nodes 0..len(arcs)-1; components in reverse
-    topological order.  Each node on the walk keeps an iterator over its
-    arcs and its place on the node stack.  A node that joins a component
-    gets an index past every other, so a later arc into it lowers no
-    lowlink and no on-stack flag is needed."""
-    num_nodes = len(arcs)
-    index_of = [-1] * num_nodes
-    lowlink = [0] * num_nodes
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(num_nodes):
-        if index_of[root] >= 0:
-            continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        work = [(root, iter(arcs[root]), len(stack))]
-        stack.append(root)
-        while work:
-            v, successors, place = work[-1]
-            for w in successors:
-                if index_of[w] < 0:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    work.append((w, iter(arcs[w]), len(stack)))
-                    stack.append(w)
-                    break
-                if index_of[w] < lowlink[v]:
-                    lowlink[v] = index_of[w]
-            else:
-                work.pop()
-                low = lowlink[v]
-                if work:
-                    parent = work[-1][0]
-                    if low < lowlink[parent]:
-                        lowlink[parent] = low
-                if low == index_of[v]:
-                    comp = stack[place:]
-                    del stack[place:]
-                    for w in comp:
-                        index_of[w] = num_nodes
-                    sccs.append(comp)
-    return sccs
 
 
 def is_birecurrent(G: LttStructure) -> bool:

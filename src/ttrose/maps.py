@@ -63,17 +63,25 @@ class RoseMap:
     @staticmethod
     def from_strings(rank: int, words: Mapping[str, str] | Sequence[str]) -> "RoseMap":
         """Petal images keyed by letter or in petal order; a letter past the
-        rank, or one string for all the words, is a ValueError."""
+        rank, a petal with no image, an image that is not a string, or one
+        string for all the words, is a ValueError."""
         check_rank(rank)
         if isinstance(words, str):
             raise ValueError(f"expected a word per petal, not the string {words!r}")
+        letters = [format_direction(forward_direction(i)) for i in range(1, rank + 1)]
         if isinstance(words, Mapping):
-            letters = [format_direction(forward_direction(i)) for i in range(1, rank + 1)]
             if unknown := sorted(words.keys() - set(letters)):
                 raise ValueError(f"no petal {unknown[0]!r} at rank {rank}")
+            if missing := [letter for letter in letters if letter not in words]:
+                raise ValueError(f"no image for petal {missing[0]!r}")
             words = [words[letter] for letter in letters]
+        elif not isinstance(words, Sequence):
+            raise ValueError(f"expected a word per petal, not {words!r}")
         if len(words) != rank:
             raise ValueError(f"expected {rank} edge images, got {len(words)}")
+        for letter, word in zip(letters, words):
+            if not isinstance(word, str):
+                raise ValueError(f"the image of petal {letter!r} is not a string: {word!r}")
         return RoseMap(rank, tuple(parse_word(w, rank) for w in words))
 
     @staticmethod
@@ -119,30 +127,27 @@ def direction_map(m: RoseMap) -> dict[Direction, Direction]:
     return {d: m.word_of(d)[0] for d in all_directions(m.rank)}
 
 
+def _stable_power(dg: Mapping[Direction, Direction]) -> dict[Direction, Direction]:
+    """Dg^n on the n = 2r directions.  Within n steps every direction
+    reaches its cycle of Dg, so the image is the periodic directions; the
+    fibers of Dg^k only coarsen as k grows, and their number, the size of
+    the image, stops falling by k = n, so the fibers are the gates."""
+    power = {d: d for d in dg}
+    for _ in range(len(dg)):
+        power = {d: dg[x] for d, x in power.items()}
+    return power
+
+
 def periodic_and_fixed_directions(m: RoseMap) -> tuple[frozenset[int], frozenset[int]]:
     dg = direction_map(m)
-    n = 2 * m.rank
-    periodic = set()
-    for d in all_directions(m.rank):
-        x = d
-        for _ in range(n):
-            x = dg[x]
-            if x == d:
-                periodic.add(d)
-                break
-    fixed = frozenset(d for d in all_directions(m.rank) if dg[d] == d)
-    return frozenset(periodic), fixed
+    fixed = frozenset(d for d, x in dg.items() if x == d)
+    return frozenset(_stable_power(dg).values()), fixed
 
 
 def gates(m: RoseMap) -> tuple[frozenset[int], ...]:
-    """The fibers of Dg^(2r).  Fibers of Dg^k only coarsen as k grows,
-    and their number, the size of Dg^k's image, stops falling by k = 2r."""
-    dg = direction_map(m)
+    """The fibers of Dg^(2r)."""
     fibers: dict[int, set[int]] = {}
-    for d in all_directions(m.rank):
-        x = d
-        for _ in range(2 * m.rank):
-            x = dg[x]
+    for d, x in _stable_power(direction_map(m)).items():
         fibers.setdefault(x, set()).add(d)
     return tuple(sorted((frozenset(f) for f in fibers.values()), key=min))
 

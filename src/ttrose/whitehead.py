@@ -1,13 +1,15 @@
-"""Simple vertex-labeled graphs: Whitehead graphs, index lists, relabelings.
+"""Simple vertex-labeled graphs and the package's two traversals.
 
 The same small-graph type serves the local and stable Whitehead graphs
 of a map (vertices are direction labels), the purple part of a
-lamination train track structure, and abstract target graphs.  All
-instances here are tiny (at most a dozen vertices).  Relabeling
-problems (the labeled copies of a target, the catalog's isomorphism
-classes, the K-orbits of a slice of structures) are orbits of an edge
-bitmask, walked breadth first under generators acting by tables: two
-generate every permutation of a set of labels.
+lamination train track structure, and abstract target graphs.
+tarjan_scc finds strongly connected components: a graph's connected
+components, and those of the birecurrency digraph and of the ID diagram
+(hundreds of thousands of arcs).  mask_orbit walks an orbit breadth
+first: of an edge bitmask under relabelings acting by tables, two of
+which generate every permutation of a set of labels (the labeled copies
+of a target, the catalog's isomorphism classes, the K-orbits of a slice
+of structures), and of a component index under EPP.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 Vertex = Hashable
 
@@ -50,27 +52,16 @@ class WhiteheadGraph:
         return WhiteheadGraph(vs, frozenset(es))
 
     def components(self) -> list[frozenset]:
-        """Connected components, sorted for determinism."""
-        seen: set = set()
-        comps = []
-        adj = {v: set() for v in self.vertices}
+        """Connected components, ordered by their first vertex in repr
+        order: the strongly connected components with each edge taken both
+        ways, one per root of the walk."""
+        order = sorted(self.vertices, key=repr)
+        position = {v: i for i, v in enumerate(order)}
+        arcs: list[list[int]] = [[] for _ in order]
         for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        for v in sorted(self.vertices, key=repr):
-            if v in seen:
-                continue
-            stack = [v]
-            comp = set()
-            while stack:
-                x = stack.pop()
-                if x in comp:
-                    continue
-                comp.add(x)
-                stack.extend(adj[x] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+            arcs[position[a]].append(position[b])
+            arcs[position[b]].append(position[a])
+        return [frozenset(order[i] for i in comp) for comp in tarjan_scc(arcs)]
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -79,6 +70,52 @@ class WhiteheadGraph:
 
     def sorted_edges(self) -> list[tuple]:
         return sorted(self.edges, key=repr)
+
+
+def tarjan_scc(arcs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Iterative Tarjan on the nodes 0..len(arcs)-1; components in reverse
+    topological order.  Each node on the walk keeps an iterator over its
+    arcs and its place on the node stack.  A node that joins a component
+    gets an index past every other, so a later arc into it lowers no
+    lowlink and no on-stack flag is needed."""
+    num_nodes = len(arcs)
+    index_of = [-1] * num_nodes
+    lowlink = [0] * num_nodes
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(num_nodes):
+        if index_of[root] >= 0:
+            continue
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        work = [(root, iter(arcs[root]), len(stack))]
+        stack.append(root)
+        while work:
+            v, successors, place = work[-1]
+            for w in successors:
+                if index_of[w] < 0:
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    work.append((w, iter(arcs[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if index_of[w] < lowlink[v]:
+                    lowlink[v] = index_of[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index_of[v]:
+                    comp = stack[place:]
+                    del stack[place:]
+                    for w in comp:
+                        index_of[w] = num_nodes
+                    sccs.append(comp)
+    return sccs
 
 
 def index_list(graph: WhiteheadGraph) -> list[Fraction]:
@@ -144,17 +181,19 @@ def mask_image(mask: int, action: Action) -> int:
     return image
 
 
-def mask_orbit(start: int, actions: Sequence[Action]) -> dict[int, tuple[int, int] | None]:
-    """The orbit of an edge mask under the group the actions generate,
-    breadth first from start, each member with the (parent, index of the
-    action) that first reached it, start with None.  The cost grows with
-    the orbit, not with the group."""
+def mask_orbit(start: int, actions: Sequence,
+               image: Callable = mask_image) -> dict[int, tuple[int, int] | None]:
+    """The orbit of start under the group the actions generate, breadth
+    first, each member with the (parent, index of the action) that first
+    reached it, start with None.  image(member, action) is the action on
+    a member, by default a mask_action's on an edge mask.  The cost grows
+    with the orbit, not with the group."""
     orbit: dict[int, tuple[int, int] | None] = {start: None}
     queue = [start]
-    for mask in queue:
+    for member in queue:
         for g, action in enumerate(actions):
-            image = mask_image(mask, action)
-            if image not in orbit:
-                orbit[image] = (mask, g)
-                queue.append(image)
+            found = image(member, action)
+            if found not in orbit:
+                orbit[found] = (member, g)
+                queue.append(found)
     return orbit

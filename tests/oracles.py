@@ -59,6 +59,40 @@ def gates_by_definition(m: RoseMap) -> tuple[frozenset[int], ...]:
     return tuple(sorted(parts, key=min))
 
 
+def periodic_by_definition(m: RoseMap) -> frozenset[int]:
+    """The directions that Dg, read off the edge images, returns to
+    themselves within 2r steps."""
+    periodic = set()
+    for d in all_directions(m.rank):
+        x = d
+        for _ in range(2 * m.rank):
+            x = m.word_of(x)[0]
+            if x == d:
+                periodic.add(d)
+    return frozenset(periodic)
+
+
+def components_by_bfs(graph: WhiteheadGraph) -> list[frozenset]:
+    """Connected components by breadth-first search over the edge list,
+    each grown from its first vertex in repr order."""
+    seen: set = set()
+    comps = []
+    for start in sorted(graph.vertices, key=repr):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for v in comp:
+            for edge in graph.edges:
+                if v in edge:
+                    w = edge[1] if edge[0] == v else edge[0]
+                    if w not in seen:
+                        seen.add(w)
+                        comp.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
 def substitute_and_reduce(outer: RoseMap, word) -> tuple:
     """Word substitution with scan-and-restart free reduction (independent
     of the stack-based tighten)."""

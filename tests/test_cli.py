@@ -56,6 +56,14 @@ def test_analyze_map_identity(tmp_path, capsys):
     assert "train track: yes" in out
     assert "LW edges: (none)" in out
     assert "not constructed" in out
+    assert "final homeomorphism" not in out
+    # the petal swap has no fold: its decomposition is the homeomorphism alone
+    path.write_text(json.dumps({"rank": 2, "images": {"a": "b", "b": "a"}}))
+    assert main(["analyze-map", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["fold decomposition: 0 proper full folds: (none)",
+                          "final homeomorphism: a->b b->a",
+                          "decomposition round-trip: exact"]
 
 
 def test_analyze_map_non_train_track(tmp_path, capsys):
@@ -86,11 +94,23 @@ def test_analyze_map_parse_error(tmp_path, capsys):
                             ({"rank": 2, "images": "ab"},
                              "expected a word per petal, not the string 'ab'"),
                             ({"rank": 2, "images": {"a": "a", "b": "b", "c": "c"}},
-                             "no petal 'c' at rank 2")):
+                             "no petal 'c' at rank 2"),
+                            # each printed Python's own exception text
+                            ({"images": {}}, 'missing key "rank"'),
+                            ({"rank": 2}, 'missing key "images"'),
+                            ({"rank": 26, "images": {}}, "no image for petal 'a'"),
+                            ({"rank": 2, "images": {"a": 5, "b": "b"}},
+                             "the image of petal 'a' is not a string: 5"),
+                            ([], 'expected an object with "rank" and "images"')):
         path.write_text(json.dumps(payload))
         with pytest.raises(SystemExit) as exc:
             main(["analyze-map", str(path)])
         assert str(exc.value) == f"error: bad rose map input: {reason}"
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze-map", str(missing)])
+    assert str(exc.value) == \
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
     assert capsys.readouterr().out == ""
 
 
@@ -108,6 +128,11 @@ def test_check_graph_flagged(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict: UnachievedByIrreducibilityPotential" in out
     assert "EPP classes of components: 1" in out
+    # any hashable names: 0 and "a" do not compare, so their edge is sorted
+    # by repr, and the graph with vertex 1 named "a" reports as it does
+    path.write_text(json.dumps({"edges": [[0, "a"], [0, 2], [0, 3], [0, 4], ["a", 2]]}))
+    assert main(["check-graph", str(path), "--rank", "3"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_check_graph_loops(tmp_path, capsys):
@@ -136,6 +161,9 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("invalid target graph: ")
         assert captured.err.count("\n") == 1
+    path.write_text(json.dumps({"edges": [[0, 1]], "vertices": 5}))
+    assert main(["check-graph", str(path), "--rank", "3"]) == 2
+    assert capsys.readouterr() == ("", 'invalid target graph: "vertices" must be a list\n')
     # true == 1 in Python: [0, true] would merge into a 5-vertex path,
     # and [1, true] would read as a loop edge at 1
     for payload in ({"edges": [[0, True], [1, 2], [2, 3], [3, 4]]}, {"edges": [[0, 1], [1, True]]},
@@ -229,6 +257,9 @@ def test_target_file_and_star_are_refused_together(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command + [str(path), "--star", "--rank", "3", "--out", str(out)])
         assert str(exc.value) == "error: give a target graph file or --star, not both"
+    with pytest.raises(SystemExit) as exc:
+        main(["check-graph", "--rank", "3"])
+    assert str(exc.value) == "error: provide a target graph JSON file or --star"
     assert capsys.readouterr().out == ""
     assert not out.exists()
 
@@ -299,6 +330,12 @@ def test_check_graph_oracle_samples(capsys):
                  "--oracle-samples", "30", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "birecurrency oracle agreement: 30/30" in out
+    # only the oracle's sample reads the seed; alone it went unread, exit 0
+    for extra in ([], ["--oracle-samples", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-graph", "--star", "--rank", "3", "--seed", "5"] + extra)
+        assert str(exc.value) == "error: --seed seeds the oracle's samples; give --oracle-samples"
+    assert capsys.readouterr().out == ""
 
 
 def test_oracle_disagreement_exits_1(monkeypatch, capsys):
@@ -472,6 +509,10 @@ def test_export_unknown_format(tmp_path, capsys):
         code = exc.value.code
         assert isinstance(code, str) and code.startswith("error: ") and "\n" not in code
     assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "catalog", "--rank", "3", "--format", "dot", "--out", str(tmp_path)])
+    assert str(exc.value) == "error: the catalog exports as json only"
+    assert not list(tmp_path.iterdir())
     for argv in (["--version"], ["sweep", "--help"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -12,6 +12,7 @@ from oracles import (
     closure_by_iteration,
     compose_generators,
     gates_by_definition,
+    periodic_by_definition,
     random_clean_composite,
     random_generator,
     substitute_and_reduce,
@@ -214,6 +215,7 @@ def test_gates_match_their_definition():
         maps.append(random_clean_composite(rng, rank, rng.randrange(1, 8))[0])
     for m in maps:
         assert gates(m) == gates_by_definition(m)
+        assert periodic_and_fixed_directions(m)[0] == periodic_by_definition(m)
 
 
 def test_closure_identity_and_single_generator():

@@ -5,8 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (canonical_edge_tuple, find_isomorphism, group_closure, naive_isomorphic,
-                     random_connected_graph, relabelings_by_permutations)
+from oracles import (canonical_edge_tuple, components_by_bfs, find_isomorphism, group_closure,
+                     naive_isomorphic, random_connected_graph, relabelings_by_permutations)
 from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import _base_slice
 from ttrose.rose import all_directions
@@ -30,6 +30,20 @@ def test_components():
     assert sorted(map(sorted, g.components())) == [[0, 1], [2, 3], [4]]
     assert not g.is_connected()
     assert WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]).is_connected()
+
+
+def test_components_match_breadth_first_search():
+    # at most as many edges as vertices leaves isolated vertices common, and
+    # the names mix types that do not compare, so the edges sort by repr
+    rng = random.Random(11)
+    names = [0, 1, 2, 3, 2.5, "a", "b", (0, 1), None]
+    for _ in range(300):
+        vertices = rng.sample(names, rng.randrange(len(names) + 1))
+        pairs = list(itertools.combinations(vertices, 2))
+        edges = rng.sample(pairs, rng.randint(0, min(len(pairs), len(vertices))))
+        g = WhiteheadGraph.build(vertices, edges)
+        assert g.components() == components_by_bfs(g)
+        assert g.is_connected() == (len(components_by_bfs(g)) <= 1)
 
 
 def test_isomorphism_basics():
