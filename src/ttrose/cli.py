@@ -1,6 +1,11 @@
 """Command line surface: analyze maps, test target graphs, sweep catalogs,
 export artifacts.
 
+Each command and export kind declares only the arguments it reads, so
+argparse refuses any other as a usage error; check-graph also refuses
+--seed unless --oracle-samples draws a sample smaller than all the
+structures, and --format with nowhere to write.
+
 Exit codes: 0 when a verdict or report was produced, 2 for an invalid
 target graph, 1 for other input errors (usage errors included) and for
 a disagreement with the birecurrency oracle.  Output is deterministic
@@ -127,6 +132,8 @@ def _load_map(source: str) -> RoseMap:
     try:
         if not isinstance(data, dict):
             raise ValueError('expected an object with "rank" and "images"')
+        if unknown := sorted(data.keys() - {"rank", "images"}):
+            raise ValueError(f'unknown key "{unknown[0]}"')
         if missing := [key for key in ("rank", "images") if key not in data]:
             raise ValueError(f'missing key "{missing[0]}"')
         return RoseMap.from_strings(data["rank"], data["images"])
@@ -136,14 +143,7 @@ def _load_map(source: str) -> RoseMap:
 
 def _load_target(args) -> WhiteheadGraph:
     """The validated target; InvalidTargetGraph reaches main as exit code 2."""
-    if args.star and args.input:
-        raise SystemExit("error: give a target graph file or --star, not both")
-    if args.star:
-        target = star_target(args.rank)
-    elif not args.input:
-        raise SystemExit("error: provide a target graph JSON file or --star")
-    else:
-        target = target_from_json(_load_json(args.input))
+    target = star_target(args.rank) if args.star else target_from_json(_load_json(args.input))
     validate_target(target, args.rank)
     return target
 
@@ -222,6 +222,9 @@ def cmd_check_graph(args) -> int:
     if out is not None:
         _check_writable(out / f"diagram_r{args.rank}.{args.format or 'json'}")
     result = target_verdict(target, args.rank)
+    if args.seed is not None and args.oracle_samples >= result.num_structures:
+        raise SystemExit(f"error: --oracle-samples {args.oracle_samples} checks all "
+                         f"{result.num_structures} structures, so --seed goes unread; drop it")
     print(f"target: {len(target.vertices)} vertices, {len(target.edges)} edges")
     print(f"structures: {result.num_structures} total, {result.num_admissible} birecurrent")
     if result.diagram is not None:
@@ -306,54 +309,49 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    if args.what == "map-ltt" and args.rank is not None:
-        raise SystemExit("error: export map-ltt takes its rank from the map, drop --rank")
-    unread = {"catalog": ("input", "star", "admissible_only"),
-              "diagram": ("admissible_only",),
-              "map-ltt": ("star", "admissible_only")}.get(args.what, ())
-    for name in unread:
-        if getattr(args, name):
-            shown = "an input file" if name == "input" else "--" + name.replace("_", "-")
-            raise SystemExit(f"error: export {args.what} does not read {shown}, drop it")
-    if args.rank is None:
-        args.rank = 3
-    if args.what == "catalog" and args.format != "json":
-        raise SystemExit("error: the catalog exports as json only")
-    stem = {"catalog": f"catalog_n{2 * args.rank - 1}",
-            "structures": f"structures_r{args.rank}"
-                          + ("_admissible" if args.admissible_only else ""),
-            "diagram": f"diagram_r{args.rank}",
-            "map-ltt": "ltt"}[args.what]
+def _export_path(args, stem: str) -> Path:
+    """The one file an export writes, checked before it is built."""
     path = (_out_dir(args) or Path(".")) / f"{stem}.{args.format}"
-    # read the input, then check the one file this kind writes before building it
-    if args.what == "map-ltt":
-        if not args.input:
-            raise SystemExit("error: provide a rose map JSON file")
-        m = _load_map(args.input)
-    elif args.what != "catalog":
-        target = _load_target(args)
     _check_writable(path)
-    if args.what == "catalog":
-        _write_json(path, [e.to_json() for e in _catalog(2 * args.rank - 1)])
-    elif args.what == "structures":
-        structures = enumerate_structures(target, args.rank,
-                                          admissible_only=args.admissible_only)
-        if args.format == "json":
-            _write_json(path, [G.to_json() for G in structures])
-        else:
-            _write(path, "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures)))
-    elif args.what == "diagram":
-        _artifact(path.parent, args.format, id_diagram(target, args.rank), stem)
+    return path
+
+
+def cmd_export_diagram(args) -> int:
+    target = _load_target(args)
+    path = _export_path(args, f"diagram_r{args.rank}")
+    _artifact(path.parent, args.format, id_diagram(target, args.rank), path.stem)
+    return 0
+
+
+def cmd_export_structures(args) -> int:
+    target = _load_target(args)
+    path = _export_path(args, f"structures_r{args.rank}"
+                              + ("_admissible" if args.admissible_only else ""))
+    structures = enumerate_structures(target, args.rank, admissible_only=args.admissible_only)
+    if args.format == "json":
+        _write_json(path, [G.to_json() for G in structures])
     else:
-        try:
-            G = ltt_of_map(m)
-        except LttRegimeError as exc:
-            raise SystemExit(f"error: {exc}")
-        if args.format == "json":
-            _write_json(path, G.to_json())
-        else:
-            _write(path, ltt_to_dot(G))
+        _write(path, "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures)))
+    return 0
+
+
+def cmd_export_catalog(args) -> int:
+    path = _export_path(args, f"catalog_n{2 * args.rank - 1}")
+    _write_json(path, [e.to_json() for e in _catalog(2 * args.rank - 1)])
+    return 0
+
+
+def cmd_export_map_ltt(args) -> int:
+    m = _load_map(args.input)
+    path = _export_path(args, "ltt")
+    try:
+        G = ltt_of_map(m)
+    except LttRegimeError as exc:
+        raise SystemExit(f"error: {exc}")
+    if args.format == "json":
+        _write_json(path, G.to_json())
+    else:
+        _write(path, ltt_to_dot(G))
     return 0
 
 
@@ -375,37 +373,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to a rose map JSON file, or - for stdin")
     p.set_defaults(func=cmd_analyze_map)
 
-    p = sub.add_parser("check-graph", help="run the unachievability tests on a target graph")
-    p.add_argument("input", nargs="?", help="path to a target graph JSON file")
-    p.add_argument("--star", action="store_true", help="use the 2r-2 edge star target")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-loop-len", type=int, default=0,
-                   help="also enumerate and verify loops up to this length")
-    p.add_argument("--oracle-samples", type=int, default=0,
-                   help="cross-check birecurrency against the brute-force oracle "
-                        "on this many sampled structures")
-    p.add_argument("--seed", type=int,
-                   help="seed for the --oracle-samples sample (default 0)")
-    p.add_argument("--out", help="directory for DOT/JSON artifacts")
-    p.add_argument("--format", choices=("dot", "json"), help="restrict artifact format")
-    p.set_defaults(func=cmd_check_graph)
+    check = sub.add_parser("check-graph", help="run the unachievability tests on a target graph")
+    check.add_argument("--rank", type=int, required=True)
+    check.add_argument("--max-loop-len", type=int, default=0,
+                       help="also enumerate and verify loops up to this length")
+    check.add_argument("--oracle-samples", type=int, default=0,
+                       help="cross-check birecurrency against the brute-force oracle "
+                            "on this many sampled structures")
+    check.add_argument("--seed", type=int,
+                       help="seed for the --oracle-samples sample (default 0)")
+    check.add_argument("--out", help="directory for DOT/JSON artifacts")
+    check.add_argument("--format", choices=("dot", "json"), help="restrict artifact format")
+    check.set_defaults(func=cmd_check_graph)
 
     p = sub.add_parser("sweep", help="run the verdict over the whole graph catalog")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--out", help="directory for the machine-readable results")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("export", help="emit DOT/JSON artifacts")
-    p.add_argument("what", choices=("diagram", "structures", "catalog", "map-ltt"))
-    p.add_argument("input", nargs="?", help="input file for graph/map based exports")
-    p.add_argument("--star", action="store_true")
-    p.add_argument("--rank", type=int,
-                   help="rank of the target (default 3); map-ltt reads it from the map")
-    p.add_argument("--admissible-only", action="store_true",
-                   help="restrict structure exports to birecurrent structures")
-    p.add_argument("--format", choices=("dot", "json"), default="json")
-    p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_export)
+    kinds = sub.add_parser("export", help="emit DOT/JSON artifacts").add_subparsers(
+        metavar="KIND", required=True)
+    diagram = kinds.add_parser("diagram", help="the ID diagram of a target graph")
+    structures = kinds.add_parser("structures", help="the ltt structures of a target graph")
+    catalog = kinds.add_parser("catalog", help="the connected simplicial (2r-1)-vertex graphs")
+    map_ltt = kinds.add_parser("map-ltt", help="the ltt structure of a rose map")
+    map_ltt.add_argument("input", help="path to a rose map JSON file, or - for stdin")
+    for p in (check, diagram, structures):
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("input", nargs="?",
+                            help="path to a target graph JSON file, or - for stdin")
+        source.add_argument("--star", action="store_true", help="use the 2r-2 edge star target")
+    for p in (diagram, structures, catalog):
+        p.add_argument("--rank", type=int, default=3, help="rank r (default 3)")
+    structures.add_argument("--admissible-only", action="store_true",
+                            help="only the birecurrent structures")
+    for p, func in ((diagram, cmd_export_diagram), (structures, cmd_export_structures),
+                    (catalog, cmd_export_catalog), (map_ltt, cmd_export_map_ltt)):
+        p.add_argument("--format", choices=("json",) if p is catalog else ("dot", "json"),
+                       default="json")
+        p.add_argument("--out", help="output directory")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -61,24 +61,19 @@ class RoseMap:
                 raise ValueError(f"image of edge {i} is not tight: {format_word(word)}")
 
     @staticmethod
-    def from_strings(rank: int, words: Mapping[str, str] | Sequence[str]) -> "RoseMap":
-        """Petal images keyed by letter or in petal order; a letter past the
-        rank, a petal with no image, an image that is not a string, or one
-        string for all the words, is a ValueError."""
+    def from_strings(rank: int, words: Mapping[str, str]) -> "RoseMap":
+        """Petal images keyed by letter; words that are not a mapping, a
+        letter past the rank, a petal with no image, or an image that is
+        not a string, is a ValueError."""
         check_rank(rank)
-        if isinstance(words, str):
-            raise ValueError(f"expected a word per petal, not the string {words!r}")
+        if not isinstance(words, Mapping):
+            raise ValueError(f"expected an object of petal images, not {words!r}")
         letters = [format_direction(forward_direction(i)) for i in range(1, rank + 1)]
-        if isinstance(words, Mapping):
-            if unknown := sorted(words.keys() - set(letters)):
-                raise ValueError(f"no petal {unknown[0]!r} at rank {rank}")
-            if missing := [letter for letter in letters if letter not in words]:
-                raise ValueError(f"no image for petal {missing[0]!r}")
-            words = [words[letter] for letter in letters]
-        elif not isinstance(words, Sequence):
-            raise ValueError(f"expected a word per petal, not {words!r}")
-        if len(words) != rank:
-            raise ValueError(f"expected {rank} edge images, got {len(words)}")
+        if unknown := sorted(words.keys() - set(letters)):
+            raise ValueError(f"no petal {unknown[0]!r} at rank {rank}")
+        if missing := [letter for letter in letters if letter not in words]:
+            raise ValueError(f"no image for petal {missing[0]!r}")
+        words = [words[letter] for letter in letters]
         for letter, word in zip(letters, words):
             if not isinstance(word, str):
                 raise ValueError(f"the image of petal {letter!r} is not a string: {word!r}")

@@ -86,15 +86,19 @@ def test_analyze_map_parse_error(tmp_path, capsys):
         main(["analyze-map", str(path)])
     assert str(exc.value).startswith("error: bad rose map input")
     # each was misread: rank 2.7 as 2, true as 1, "ab" as the words a and b,
-    # and petal c dropped at rank 2
+    # petal c dropped at rank 2, and a misspelt key left unread
     for payload, reason in (({"rank": 2.7, "images": {"a": "a", "b": "b"}},
                              "rank must be a positive integer, got 2.7"),
                             ({"rank": True, "images": {"a": "a"}},
                              "rank must be a positive integer, got True"),
                             ({"rank": 2, "images": "ab"},
-                             "expected a word per petal, not the string 'ab'"),
+                             "expected an object of petal images, not 'ab'"),
+                            ({"rank": 2, "images": ["ab", "b"]},
+                             "expected an object of petal images, not ['ab', 'b']"),
                             ({"rank": 2, "images": {"a": "a", "b": "b", "c": "c"}},
                              "no petal 'c' at rank 2"),
+                            ({"rank": 2, "images": {"a": "ab", "b": "b"}, "imgs": {"a": "a"}},
+                             'unknown key "imgs"'),
                             # each printed Python's own exception text
                             ({"images": {}}, 'missing key "rank"'),
                             ({"rank": 2}, 'missing key "images"'),
@@ -230,19 +234,23 @@ def test_negative_counts_are_one_line_errors(capsys):
 def test_map_ltt_without_structure_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "id.json"
     path.write_text(json.dumps({"rank": 2, "images": {"a": "a", "b": "b"}}))
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["export", "map-ltt", str(path), "--out", str(tmp_path)])
+        main(["export", "map-ltt", str(path), "--out", str(out)])
     assert str(exc.value).startswith("error: expected exactly 1 nonperiodic direction")
     with pytest.raises(SystemExit) as exc:
-        main(["export", "map-ltt", "--out", str(tmp_path)])
-    assert str(exc.value) == "error: provide a rose map JSON file"
+        main(["export", "map-ltt", "--out", str(out)])
+    assert exc.value.code == "error: the following arguments are required: input"
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
 
 
 def test_map_ltt_refuses_a_rank(example_map_file, tmp_path, capsys):
     # the map carries its rank, so an explicit --rank would go unread
     with pytest.raises(SystemExit) as exc:
         main(["export", "map-ltt", example_map_file, "--rank", "7", "--out", str(tmp_path)])
-    assert str(exc.value) == "error: export map-ltt takes its rank from the map, drop --rank"
+    assert exc.value.code == "error: unrecognized arguments: --rank 7"
+    assert capsys.readouterr().out == ""
     assert not (tmp_path / "ltt.json").exists()
     assert main(["export", "map-ltt", example_map_file, "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "ltt.json").read_text())["rank"] == 3
@@ -256,10 +264,10 @@ def test_target_file_and_star_are_refused_together(tmp_path, capsys):
     for command in (["check-graph"], ["export", "structures"], ["export", "diagram"]):
         with pytest.raises(SystemExit) as exc:
             main(command + [str(path), "--star", "--rank", "3", "--out", str(out)])
-        assert str(exc.value) == "error: give a target graph file or --star, not both"
-    with pytest.raises(SystemExit) as exc:
-        main(["check-graph", "--rank", "3"])
-    assert str(exc.value) == "error: provide a target graph JSON file or --star"
+        assert exc.value.code == "error: argument --star: not allowed with argument input"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--rank", "3", "--out", str(out)])
+        assert exc.value.code == "error: one of the arguments input --star is required"
     assert capsys.readouterr().out == ""
     assert not out.exists()
 
@@ -270,7 +278,7 @@ def test_export_refuses_arguments_its_kind_never_reads(example_map_file, tmp_pat
     path.write_text(json.dumps({"edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}))
     out = tmp_path / "out"
     cases = [
-        (["catalog", str(path), "--star", "--rank", "3"], "an input file"),
+        (["catalog", str(path), "--star", "--rank", "3"], f"{path} --star"),
         (["catalog", "--star", "--rank", "3"], "--star"),
         (["catalog", "--admissible-only"], "--admissible-only"),
         (["diagram", str(path), "--rank", "3", "--admissible-only"], "--admissible-only"),
@@ -280,9 +288,25 @@ def test_export_refuses_arguments_its_kind_never_reads(example_map_file, tmp_pat
     for argv, shown in cases:
         with pytest.raises(SystemExit) as exc:
             main(["export"] + argv + ["--out", str(out)])
-        assert str(exc.value) == f"error: export {argv[0]} does not read {shown}, drop it"
+        assert exc.value.code == f"error: unrecognized arguments: {shown}"
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("diagram", ["input", "--star", "--rank", "--format", "--out"]),
+    ("structures", ["input", "--star", "--rank", "--admissible-only", "--format", "--out"]),
+    ("catalog", ["--rank", "--format", "--out"]),
+    ("map-ltt", ["input", "--format", "--out"]),
+])
+def test_export_kind_help_lists_only_its_options(kind, options, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", kind, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    listed = [line.split()[0] for line in out.splitlines()
+              if line.startswith("  ") and not line.startswith("   ")]
+    assert sorted(listed) == sorted(["-h,"] + options)
 
 
 _VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
@@ -300,17 +324,23 @@ _TARGET = (st.fixed_dictionaries({"edges": st.lists(st.sampled_from([[0, 1], [0,
 
 
 @settings(max_examples=60, deadline=None)
-@given(target=_TARGET, rank=st.just(2) | st.sampled_from([-1, 0, 1, 3, 27]),
+@given(target=_TARGET, rank=st.just(2) | st.sampled_from([None, -1, 0, 1, 3, 27]),
        command=st.sampled_from([["check-graph"], ["export", "structures"],
-                                ["export", "diagram"], ["sweep"]]))
-def test_cli_fails_cleanly_on_random_input(target, rank, command):
-    # rank 2 targets run the whole pipeline; rank 3 only sweeps or rejects
-    # a target that is not on 5 vertices, so each call stays fast
+                                ["export", "diagram"], ["export", "catalog"],
+                                ["export", "map-ltt"], ["sweep"]]),
+       extra=st.lists(st.sampled_from([("--star",), ("--admissible-only",), ("--format", "dot")]),
+                      unique=True))
+def test_cli_fails_cleanly_on_random_input(target, rank, command, extra):
+    # rank 2 targets run the whole pipeline; rank 3 only sweeps, writes the
+    # 21-graph catalog or rejects a target that is not on 5 vertices, so
+    # each call stays fast; map-ltt, which takes no --rank, reads the target
+    # as a map and refuses it
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "target.json"
         path.write_text(json.dumps(target))
-        argv = command + ([] if command == ["sweep"] else [str(path)])
-        argv += ["--rank", str(rank), "--out", str(Path(tmp) / "out")]
+        argv = command + ([] if command in (["sweep"], ["export", "catalog"]) else [str(path)])
+        argv += [] if rank is None else ["--rank", str(rank)]
+        argv += ["--out", str(Path(tmp) / "out")] + [arg for option in extra for arg in option]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -335,6 +365,12 @@ def test_check_graph_oracle_samples(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check-graph", "--star", "--rank", "3", "--seed", "5"] + extra)
         assert str(exc.value) == "error: --seed seeds the oracle's samples; give --oracle-samples"
+    # a sample of at least all 120 structures checks each one, so --seed 1
+    # and --seed 2 printed the same 120/120 and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["check-graph", "--star", "--rank", "3", "--oracle-samples", "500", "--seed", "1"])
+    assert exc.value.code == \
+        "error: --oracle-samples 500 checks all 120 structures, so --seed goes unread; drop it"
     assert capsys.readouterr().out == ""
 
 
@@ -503,6 +539,8 @@ def test_export_unknown_format(tmp_path, capsys):
                   "--out", str(tmp_path)],
                  ["check-graph", "--star", "--rank", "x"],
                  ["sweep", "--rank", "3", "--bogus"],
+                 # an export kind's options follow the kind
+                 ["export", "--rank", "4", "catalog", "--out", str(tmp_path)],
                  []):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -511,7 +549,10 @@ def test_export_unknown_format(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     with pytest.raises(SystemExit) as exc:
         main(["export", "catalog", "--rank", "3", "--format", "dot", "--out", str(tmp_path)])
-    assert str(exc.value) == "error: the catalog exports as json only"
+    # Python 3.12.8 and later print the choices without quotes
+    invalid = "error: argument --format: invalid choice: 'dot' (choose from {})"
+    assert exc.value.code in (invalid.format("'json'"), invalid.format("json"))
+    assert capsys.readouterr().out == ""
     assert not list(tmp_path.iterdir())
     for argv in (["--version"], ["sweep", "--help"]):
         with pytest.raises(SystemExit) as exc:
