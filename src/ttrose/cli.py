@@ -398,11 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     catalog = kinds.add_parser("catalog", help="the connected simplicial (2r-1)-vertex graphs")
     map_ltt = kinds.add_parser("map-ltt", help="the ltt structure of a rose map")
     map_ltt.add_argument("input", help="path to a rose map JSON file, or - for stdin")
+    one = "; exactly one of input and --star is required"
     for p in (check, diagram, structures):
         source = p.add_mutually_exclusive_group(required=True)
+        # the usage line shows both as optional, so each help says otherwise
         source.add_argument("input", nargs="?",
-                            help="path to a target graph JSON file, or - for stdin")
-        source.add_argument("--star", action="store_true", help="use the 2r-2 edge star target")
+                            help="path to a target graph JSON file, or - for stdin" + one)
+        source.add_argument("--star", action="store_true",
+                            help="use the 2r-2 edge star target" + one)
     for p in (diagram, structures, catalog):
         p.add_argument("--rank", type=int, default=3, help="rank r (default 3)")
     structures.add_argument("--admissible-only", action="store_true",

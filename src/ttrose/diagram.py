@@ -120,7 +120,7 @@ def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
     as the image of every direction it moves: the flip of the first pair,
     then the swap of the first two and the cycle of all of them with
     orientation kept, as relabeling_generators gives them on the pairs.
-    None for an empty run."""
+    No generators for an empty run."""
     if last < first:
         return []
     flip = {2 * first - 1: 2 * first, 2 * first: 2 * first - 1}
@@ -589,14 +589,14 @@ def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
         details.append(f"composite is not a train track (illegal turn {tt.witness})")
     ideal = validate_ideal_decomposition(dec)
     details.extend(ideal.details)
-    basepoint = edges[0].source
     matches = False
-    try:
-        matches = ltt_of_map(composite) == basepoint
-        if not matches:
-            details.append("structure of the composite differs from the basepoint")
-    except LttRegimeError as exc:
-        details.append(f"composite has no structure: {exc}")
+    if tt.ok:  # else ltt_of_map would report the illegal turn again
+        try:
+            matches = ltt_of_map(composite) == edges[0].source
+            if not matches:
+                details.append("structure of the composite differs from the basepoint")
+        except LttRegimeError as exc:
+            details.append(f"composite has no structure: {exc}")
     return LoopReport(tt.ok, ideal, matches, tuple(details))
 
 

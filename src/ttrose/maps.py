@@ -345,50 +345,40 @@ def _finish_permutation(rank: int, images: tuple[Word, ...]) -> tuple[int, ...] 
 
 
 def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
-    """Greedily fold illegal turns into proper full folds of roses.
+    """Fold m along the first proper full fold in canonical turn order
+    until no turn is foldable, then read the final permutation off the
+    one-letter images.
 
-    Folding choices are searched depth-first in canonical turn order, so
-    the result is deterministic and a decomposition is found whenever one
-    exists.  Raises NotProperFullFolds when every choice sequence hits a
-    partial or improper maximal fold (or the residual map fails to close
-    up into a homeomorphism).
+    Raises NotProperFullFolds at the first foldable state with no proper
+    full fold (its first turn is partial or improper), or when the images
+    left are not one letter per petal.
+
+    The order of the folds cannot change the outcome.  A proper full fold
+    at {x, y}, where W(x) is a proper prefix of W(y), replaces W(y) by
+    W(x)^-1 W(y) and W(y bar) by its inverse: it depends only on the
+    bar-closed set of image words, and shortens them.  Folds on disjoint
+    words commute.  Of two folds into one word, x > y and x' > y, the
+    shorter of W(x), W(x') is a prefix of the longer, and folding the
+    longer along the shorter joins the two branches; x > y with y > z,
+    and folds into both y and y bar, join the same way.  So folding
+    terminates and is locally confluent, and by Newman's lemma every
+    order ends at the same words: whether they are one letter per petal
+    does not depend on the order.
     """
-    failure: list[tuple[int, str]] = []
-
-    def note_failure(step: int, description: str) -> None:
-        if not failure:
-            failure.append((step, description))
-
-    def search(residual: RoseMap, gens: list[Generator], step: int) -> FoldDecomposition | None:
-        candidates = list(_fold_candidates(residual))
-        if not candidates:
-            perm = _finish_permutation(residual.rank, residual.images)
-            if perm is None:
-                note_failure(step, "residual map has no foldable turn but is not a homeomorphism; "
-                                   "input is not a homotopy equivalence")
-                return None
-            return FoldDecomposition(m.rank, tuple(gens), perm)
-        proper = [c for c in candidates if c[1] == "proper"]
+    residual, gens = m, []
+    while candidates := list(_fold_candidates(residual)):
+        proper = [data for _, kind, data in candidates if kind == "proper"]
         if not proper:
             t, kind, _ = candidates[0]
-            note_failure(step, f"maximal fold of turn {t} is {kind}; quotient would not be a rose")
-            return None
-        for _, _, data in proper:
-            gen, folded = data
-            gens.append(gen)
-            result = search(folded, gens, step + 1)
-            if result is not None:
-                return result
-            gens.pop()
-        t = proper[0][0]
-        note_failure(step, f"every proper full fold from turn {t} onwards dead-ends")
-        return None
-
-    result = search(m, [], 0)
-    if result is None:
-        step, description = failure[0] if failure else (0, "no decomposition found")
-        raise NotProperFullFolds(step, description)
-    return result
+            raise NotProperFullFolds(len(gens), f"maximal fold of turn {t} is {kind}; "
+                                                "quotient would not be a rose")
+        gen, residual = proper[0]
+        gens.append(gen)
+    perm = _finish_permutation(residual.rank, residual.images)
+    if perm is None:
+        raise NotProperFullFolds(len(gens), "residual map has no foldable turn but is not a "
+                                            "homeomorphism; input is not a homotopy equivalence")
+    return FoldDecomposition(m.rank, tuple(gens), perm)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,15 @@ from typing import Sequence
 
 from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
-from ttrose.maps import Generator, RoseMap, apply_map
+from ttrose.maps import (
+    FoldDecomposition,
+    Generator,
+    NotProperFullFolds,
+    RoseMap,
+    _finish_permutation,
+    _fold_candidates,
+    apply_map,
+)
 from ttrose.moves import GeneratingTriple, generating_triples
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph
@@ -585,6 +593,55 @@ def random_clean_composite(rng: random.Random, rank: int, length: int,
         if not cancelled:
             return m, gens
     raise AssertionError("could not sample a cancellation-free composite")
+
+
+def fold_decomposition_by_search(m: RoseMap) -> FoldDecomposition:
+    """Greedily fold illegal turns into proper full folds of roses: the
+    depth-first search over every fold order that
+    stallings_fold_decomposition replaces with its first branch.
+
+    Folding choices are searched depth-first in canonical turn order, so
+    the result is deterministic and a decomposition is found whenever one
+    exists.  Raises NotProperFullFolds when every choice sequence hits a
+    partial or improper maximal fold (or the residual map fails to close
+    up into a homeomorphism).
+    """
+    failure: list[tuple[int, str]] = []
+
+    def note_failure(step: int, description: str) -> None:
+        if not failure:
+            failure.append((step, description))
+
+    def search(residual: RoseMap, gens: list[Generator], step: int) -> FoldDecomposition | None:
+        candidates = list(_fold_candidates(residual))
+        if not candidates:
+            perm = _finish_permutation(residual.rank, residual.images)
+            if perm is None:
+                note_failure(step, "residual map has no foldable turn but is not a homeomorphism; "
+                                   "input is not a homotopy equivalence")
+                return None
+            return FoldDecomposition(m.rank, tuple(gens), perm)
+        proper = [c for c in candidates if c[1] == "proper"]
+        if not proper:
+            t, kind, _ = candidates[0]
+            note_failure(step, f"maximal fold of turn {t} is {kind}; quotient would not be a rose")
+            return None
+        for _, _, data in proper:
+            gen, folded = data
+            gens.append(gen)
+            result = search(folded, gens, step + 1)
+            if result is not None:
+                return result
+            gens.pop()
+        t = proper[0][0]
+        note_failure(step, f"every proper full fold from turn {t} onwards dead-ends")
+        return None
+
+    result = search(m, [], 0)
+    if result is None:
+        step, description = failure[0] if failure else (0, "no decomposition found")
+        raise NotProperFullFolds(step, description)
+    return result
 
 
 def random_connected_graph(rng: random.Random, n: int, extra: int) -> WhiteheadGraph:

@@ -66,6 +66,29 @@ def test_analyze_map_identity(tmp_path, capsys):
                           "decomposition round-trip: exact"]
 
 
+def test_analyze_map_reports_ltt_violations(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"rank": 2, "images": {"a": "a", "b": "a'b"}}))
+    assert main(["analyze-map", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "map: a -> a, b -> a'b",
+        "train track: yes",
+        "gates: {a} {a',b} {b'}",
+        "fixed directions: a a' b'",
+        "periodic directions: a a' b'",
+        "LW edges: {a,a'} {a,b}",
+        "SW edges: {a,a'}",
+        "index list (per SW component): 0",
+        "note: SW is reported as the ideal Whitehead graph assuming the map is pNp-free; "
+        "pNp-freeness is not verified",
+        "ltt structure: ltt(rank=2, red vertex b, red [a,b], purple [a,a'])",
+        "  validation: tt1/tt3: directions [4] meet no colored edge",
+        "birecurrent: no",
+        "fold decomposition: 1 proper full folds: b -> a'b",
+        "decomposition round-trip: exact",
+    ]
+
+
 def test_analyze_map_non_train_track(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"rank": 2, "images": {"a": "ab", "b": "b'a'"}}))
@@ -309,6 +332,21 @@ def test_export_kind_help_lists_only_its_options(kind, options, capsys):
     assert sorted(listed) == sorted(["-h,"] + options)
 
 
+@pytest.mark.parametrize("command", [["check-graph"], ["export", "diagram"],
+                                     ["export", "structures"]])
+def test_target_source_help_says_exactly_one_is_required(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--help"])
+    assert exc.value.code == 0
+    helps = {line.split()[0]: " ".join(line.split()[1:])
+             for line in capsys.readouterr().out.splitlines() if line.startswith("  ")}
+    assert helps["input"] == ("path to a target graph JSON file, or - for stdin; "
+                              "exactly one of input and --star is required")
+    assert helps["--star"] == ("use the 2r-2 edge star target; "
+                               "exactly one of input and --star is required")
+
+
 _VERTEX = st.integers(0, 2) | st.sampled_from([3, "a", None, True, 1.5])
 _EDGE = st.lists(_VERTEX, min_size=2, max_size=2) | st.lists(_VERTEX, max_size=3)
 _JSON = st.recursive(st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=2),
@@ -495,6 +533,14 @@ def test_out_dir_is_made_only_for_an_artifact(tmp_path, monkeypatch, capsys):
         with pytest.raises(RuntimeError):
             main(argv + ["--out", str(out)])
         assert not (tmp_path / "new").exists()
+
+
+def test_sweep_writes_its_pinned_results(tmp_path, capsys):
+    assert main(["sweep", "--rank", "3", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "sweep_r3.json"
+    assert capsys.readouterr().out.splitlines()[-2:] == ["unachieved: 3 of 21", f"wrote {path}"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() \
+        == "67b9aa93d03e4ca3af74ebb2dc876507d539ba2d771db8f7f5afca35cf566810"
 
 
 def test_sweep_holds_one_diagram_at_a_time(monkeypatch, capsys):

@@ -664,6 +664,21 @@ def test_loops_and_reports(squeeze):
         verify_loop([open_edge, open_edge])  # not consecutive
 
 
+def test_verify_loop_reports_each_composite_fault_once():
+    G = LttStructure.make(2, 1, (1, 3), [(2, 3), (2, 4)])
+    first = GeneratingTriple(Generator(2, a=3, u=1), G, G)  # a -> ba
+    # then b -> a'b: a -> a'ba is not a train track, and nothing asks for its structure
+    report = verify_loop([first, GeneratingTriple(Generator(2, a=2, u=3), G, G)])
+    assert not report.train_track and not report.basepoint_matches
+    assert report.details == ("composite is not a train track (illegal turn (1, 3))",
+                              "composite moves directions [1] besides the last u=3")
+    # then a -> b'a: the composite is the identity, a train track with no structure
+    report = verify_loop([first, GeneratingTriple(Generator(2, a=4, u=1), G, G)])
+    assert report.train_track and not report.basepoint_matches
+    assert report.details[-1] == ("composite has no structure: expected exactly 1 "
+                                  "nonperiodic direction, found 0: []")
+
+
 def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
     # a closed walk never leaves its node's strongly connected component,
     # so searching the component alone misses none of them

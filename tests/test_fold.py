@@ -1,10 +1,16 @@
 """Stallings fold decompositions and the ideal decomposition checker."""
 
+import itertools
 import random
 
 import pytest
 
-from oracles import compose_generators, random_clean_composite
+from oracles import (
+    compose_generators,
+    fold_decomposition_by_search,
+    random_clean_composite,
+    random_generator,
+)
 from ttrose.maps import (
     FoldDecomposition,
     Generator,
@@ -16,6 +22,7 @@ from ttrose.maps import (
     stallings_fold_decomposition,
     validate_ideal_decomposition,
 )
+from ttrose.rose import all_directions, bar, is_tight
 
 
 def test_single_generator_decomposes_to_itself():
@@ -76,6 +83,56 @@ def test_final_permutation_recovered():
     dec = stallings_fold_decomposition(m)
     assert dec.compose_all() == m
     assert not dec.has_trivial_permutation()
+
+
+def _fold_outcome(decompose, m: RoseMap):
+    """The generators and final permutation, or the failing step and its
+    description."""
+    try:
+        dec = decompose(m)
+    except NotProperFullFolds as exc:
+        return exc.step, exc.description
+    return dec.generators, dec.final_permutation
+
+
+def _all_maps(rank: int, max_len: int):
+    """Every map whose petal images are tight words of at most max_len letters."""
+    words = [w for n in range(1, max_len + 1)
+             for w in itertools.product(all_directions(rank), repeat=n) if is_tight(w)]
+    return [RoseMap(rank, images) for images in itertools.product(words, repeat=rank)]
+
+
+def _random_products(seed: int, count: int):
+    """Products of 1-10 random generators at ranks 2-4, tightened, so some
+    cancel; a random signed permutation of the petals follows 30% of them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randrange(2, 5)
+        m, _ = compose_generators([random_generator(rng, rank)
+                                   for _ in range(rng.randrange(1, 11))], rank)
+        if rng.random() < 0.3:
+            perm = [0] * (2 * rank)
+            for i, j in enumerate(rng.sample(range(1, rank + 1), rank), start=1):
+                d = rng.choice((2 * j - 1, 2 * j))
+                perm[2 * i - 2], perm[2 * i - 1] = d, bar(d)
+            m = compose(permutation_rose_map(rank, perm), m)
+        yield m
+
+
+@pytest.mark.parametrize("maps", [
+    lambda: _all_maps(2, 4),
+    lambda: _all_maps(3, 2),
+    lambda: _random_products(0, 3000),
+], ids=["rank2_len4", "rank3_len2", "random_products"])
+def test_first_fold_path_matches_the_search_over_every_order(maps):
+    # folding is confluent, so the first branch of the search decides it:
+    # same generators and permutation, or same failing step and message
+    outcomes = set()
+    for m in maps():
+        outcome = _fold_outcome(stallings_fold_decomposition, m)
+        assert outcome == _fold_outcome(fold_decomposition_by_search, m), m
+        outcomes.add(type(outcome[0]))
+    assert outcomes == {int, tuple}  # some maps fail at a step, some decompose
 
 
 def test_ideal_validation_rejects_empty():
