@@ -36,7 +36,7 @@ from .maps import (
     is_train_track,
     validate_ideal_decomposition,
 )
-from .moves import GeneratingTriple, move_kind, move_sources
+from .moves import GeneratingTriple, entering_generator, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
 from .whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits,
@@ -314,25 +314,12 @@ class PreliminaryDiagram:
         return _decode(self.rank, self.keys)
 
     @cached_property
-    def red_ends(self) -> tuple[tuple[int, int], ...]:
-        """Each node's red vertex and its red edge's purple end, read off its key."""
-        bits, width, _ = _key_layout(self.rank)
-        pair_of = {bit: p for p, bit in bits.items()}
-        at = {d: sum(bit for p, bit in bits.items() if d in p) for d in all_directions(self.rank)}
-        out = []
-        for key in self.keys:
-            red = key >> width
-            u, v = pair_of[~key & at[red]]
-            out.append((red, u + v - red))
-        return tuple(out)
-
-    @cached_property
     def entering(self) -> tuple[Generator, ...]:
-        """The generator entering each node, a = bar(purple end), u = red
-        vertex, one object per generator."""
-        gens: dict[tuple[int, int], Generator] = {}
-        return tuple(gens.setdefault(e, Generator(self.rank, a=bar(e[1]), u=e[0]))
-                     for e in self.red_ends)
+        """The generator entering each node, as entering_generator reads it
+        off the node's structure, one object per generator."""
+        ends = [(G.red_vertex, G.attach_vertex) for G in self.nodes]
+        gens = {e: entering_generator(G) for e, G in dict(zip(ends, self.nodes)).items()}
+        return tuple(map(gens.__getitem__, ends))
 
     @cached_property
     def edges(self) -> tuple[GeneratingTriple, ...]:
@@ -551,7 +538,7 @@ def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent, node: in
     edges = {e for loop in loops for e in loop}
     used = sorted({i for e in edges for i in e})
     structure = dict(zip(used, _decode(preliminary.rank, [preliminary.keys[i] for i in used])))
-    moves = {(i, j): GeneratingTriple(preliminary.entering[j], structure[i], structure[j])
+    moves = {(i, j): GeneratingTriple(entering_generator(structure[j]), structure[i], structure[j])
              for i, j in edges}
     return [tuple(map(moves.__getitem__, loop)) for loop in loops]
 
@@ -639,12 +626,12 @@ def _labeled_edges(prelim: PreliminaryDiagram, ends: Iterable[tuple[int, int]]
                    ) -> Iterator[tuple[int, int, str | None, Generator, Turn]]:
     """Each edge's source and destination positions, kind, generator and
     determining edge, as its GeneratingTriple gives them, read off the
-    red edges of its two nodes."""
-    red_ends, entering = prelim.red_ends, prelim.entering
+    generators entering its two nodes: the source's red vertex is its
+    generator's u, and its red edge's purple end is bar of its a."""
+    entering = prelim.entering
     for i, j in ends:
-        gen = entering[j]
-        red, end = red_ends[i]
-        yield i, j, move_kind(gen, red), gen, turn(gen.a, end)
+        gen, source = entering[j], entering[i]
+        yield i, j, move_kind(gen, source.u), gen, turn(gen.a, bar(source.a))
 
 
 def diagram_to_json(diagram: IdDiagram) -> dict:

@@ -366,13 +366,15 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
     does not depend on the order.
     """
     residual, gens = m, []
-    while candidates := list(_fold_candidates(residual)):
-        proper = [data for _, kind, data in candidates if kind == "proper"]
-        if not proper:
-            t, kind, _ = candidates[0]
+    while (first := next(candidates := _fold_candidates(residual), None)) is not None:
+        # the generator folds lazily, so only the proper fold taken is built
+        proper = next((data for _, kind, data in itertools.chain([first], candidates)
+                       if kind == "proper"), None)
+        if proper is None:
+            t, kind, _ = first
             raise NotProperFullFolds(len(gens), f"maximal fold of turn {t} is {kind}; "
                                                 "quotient would not be a rose")
-        gen, residual = proper[0]
+        gen, residual = proper
         gens.append(gen)
     perm = _finish_permutation(residual.rank, residual.images)
     if perm is None:

@@ -128,7 +128,9 @@ def test_analyze_map_parse_error(tmp_path, capsys):
                             ({"rank": 26, "images": {}}, "no image for petal 'a'"),
                             ({"rank": 2, "images": {"a": 5, "b": "b"}},
                              "the image of petal 'a' is not a string: 5"),
-                            ([], 'expected an object with "rank" and "images"')):
+                            ([], 'expected an object with "rank" and "images"'),
+                            ({"rank": 2, "images": {"a": "a", "b": "'b"}},
+                             "dangling prime in \"'b\"")):
         path.write_text(json.dumps(payload))
         with pytest.raises(SystemExit) as exc:
             main(["analyze-map", str(path)])
@@ -198,6 +200,24 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         assert main(["check-graph", str(path), "--rank", "3"]) == 2
         assert capsys.readouterr() == ("", "invalid target graph: a vertex must not be a boolean\n")
+
+
+@pytest.mark.parametrize("command", [["check-graph"], ["export", "diagram"],
+                                     ["export", "structures"]])
+def test_unreadable_target_exits_1(command, tmp_path):
+    # a target that cannot be read or is not JSON is an input error, exit 1;
+    # exit 2 is for JSON that is not a connected simple graph on 2r-1 vertices
+    missing, out = tmp_path / "missing.json", tmp_path / "out"
+    for source, stdin, error in (
+            ("-", "{bad", "invalid JSON in -: line 1, column 2: "
+                          "Expecting property name enclosed in double quotes"),
+            (str(missing), "", f"cannot read {missing}: "
+                               f"[Errno 2] No such file or directory: '{missing}'")):
+        run = subprocess.run([sys.executable, "-m", "ttrose.cli", *command, source,
+                              "--rank", "3", "--out", str(out)],
+                             input=stdin, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {error}\n")
+    assert not out.exists()
 
 
 def test_rank_out_of_range_is_one_line_error(tmp_path, capsys):

@@ -298,19 +298,59 @@ def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
     assert prelim.nodes is prelim.nodes and calls["decode"] == 1
 
 
-def test_json_edges_read_kind_and_det_off_the_node_keys(catalog5):
-    # diagram_to_json labels each edge from its two nodes' red edges, read
-    # off their keys; the decoded moves derive the same from the structures
+def test_json_edges_read_kind_and_det_off_the_generators(catalog5):
+    # diagram_to_json labels each edge from the generators entering its
+    # two nodes; the decoded moves derive the same from the structures
     for target, rank in [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (STAR_P2, 4)]:
         diagram = id_diagram(target, rank)
         prelim = diagram.preliminary
-        assert prelim.red_ends == tuple((G.red_vertex, G.attach_vertex) for G in prelim.nodes)
         assert all(e.gen == entering_generator(e.dest) for e in prelim.edges)
         expected = [{"source": i, "dest": j, "kind": e.kind,
                      "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
                      "det": list(map(format_direction, e.det))}
                     for (i, j), e in zip(prelim.edge_ends(), prelim.edges)]
         assert diagram_to_json(diagram)["edges"] == expected
+
+
+def _counting_generators(monkeypatch) -> list[int]:
+    """A one-item list that counts the Generators built from now on."""
+    built = [0]
+    post_init = Generator.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Generator, "__post_init__", counted)
+    return built
+
+
+def test_entering_builds_one_generator_per_red_end(monkeypatch):
+    # entering_generator reads each node's generator off its structure once
+    # per (red vertex, red-edge end), so P7's 33,792 nodes share at most
+    # 2r(2r-2) = 48 generator objects
+    prelim = target_verdict(P7, 4).diagram.preliminary
+    nodes = prelim.nodes
+    built = _counting_generators(monkeypatch)
+    entering = prelim.entering
+    assert len(entering) == len(nodes) == 33792
+    assert built[0] == len(set(map(id, entering))) <= 48
+    assert entering == tuple(map(entering_generator, nodes))
+
+
+def test_find_loops_reads_no_cached_view(monkeypatch):
+    # each loop edge's generator is read off the destination find_loops
+    # decodes, one per distinct edge of a call's loops; the diagram's
+    # structures and generators are never cached
+    diagram = target_verdict(P7, 4).diagram
+    prelim = diagram.preliminary
+    built = _counting_generators(monkeypatch)
+    edges = 0
+    for comp in diagram.components:
+        loops = find_loops(prelim, comp, comp.nodes[0], 2)
+        edges += len({id(e) for lp in loops for e in lp})
+    assert built[0] == edges > 0
+    assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
 
 
 def _rank3_and_rank4_targets(catalog5):

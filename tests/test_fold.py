@@ -135,6 +135,25 @@ def test_first_fold_path_matches_the_search_over_every_order(maps):
     assert outcomes == {int, tuple}  # some maps fail at a step, some decompose
 
 
+def test_folding_builds_one_map_per_generator_taken(monkeypatch):
+    # the fold candidates are read lazily, so the only folded map built at a
+    # step is the one of the proper fold taken there
+    maps = _all_maps(3, 2)
+    built = [0]
+    post_init = RoseMap.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(RoseMap, "__post_init__", counted)
+    taken = 0
+    for m in maps:
+        done, _ = _fold_outcome(stallings_fold_decomposition, m)
+        taken += done if isinstance(done, int) else len(done)
+    assert built[0] == taken > 0
+
+
 def test_ideal_validation_rejects_empty():
     report = validate_ideal_decomposition(
         FoldDecomposition(3, (), identity_permutation(3)))

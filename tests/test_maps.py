@@ -18,12 +18,14 @@ from oracles import (
     substitute_and_reduce,
 )
 from ttrose.maps import (
+    FoldDecomposition,
     Generator,
     RoseMap,
     apply_map,
     compose,
     direction_map,
     gates,
+    identity_permutation,
     is_train_track,
     local_whitehead_graph,
     periodic_and_fixed_directions,
@@ -222,3 +224,23 @@ def test_closure_identity_and_single_generator():
     assert turns_taken_closure(RoseMap.identity(3)) == frozenset()
     gen = Generator(3, a=C, u=A).as_rose_map()
     assert turns_taken_closure(gen) == closure_by_iteration(gen)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RoseMap(3, ((A,), (B,))), "expected 3 edge images, got 2"),
+    (lambda: RoseMap(3, ((A, B, B_), (B,), (C,))), "image of edge 1 is not tight: abb'"),
+    # a -> b, b -> b sends ab' to bb', which cancels
+    (lambda: compose(RoseMap(3, ((B,), (B,), (C,))), RoseMap(3, ((A, B_), (B,), (C,)))),
+     "composition collapses an edge (not a homotopy equivalence)"),
+    (lambda: Generator(3, a=A, u=A), "generator needs a independent of u, got a=1, u=1"),
+    (lambda: Generator(3, a=A_, u=A), "generator needs a independent of u, got a=2, u=1"),
+    (lambda: permutation_rose_map(2, (1, 3, 2, 4)),
+     "not a bar-equivariant direction permutation: (1, 3, 2, 4)"),
+    (lambda: FoldDecomposition(3, (Generator(2, a=1, u=3),), identity_permutation(3)),
+     "generator rank mismatch in decomposition"),
+], ids=["image_count", "untight_image", "collapsing_compose", "generator_a_is_u",
+        "generator_a_is_bar_u", "permutation_breaks_bar_pairs", "generator_of_another_rank"])
+def test_refusals_say_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -1,8 +1,10 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ttrose.rose import (
     bar,
+    check_direction,
     format_word,
     is_tight,
     parse_word,
@@ -79,3 +81,21 @@ def test_parse_and_format_round_trip():
     assert w == (1, 4, 5, 2)
     assert format_word(w) == "ab'ca'"
     assert parse_word("a-bc-a", 3) == w
+    # the spaced, leading-minus spelling the docstring promises
+    assert parse_word("b a -c", 3) == parse_word("bac'", 3) == (3, 1, 6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_word("a--b", 3), "dangling '-' in 'a--b'"),
+    (lambda: parse_word("ab-", 3), "dangling '-' in 'ab-'"),
+    (lambda: parse_word("'a", 3), "dangling prime in \"'a\""),
+    (lambda: parse_word("abd", 3), "letter 'd' is outside rank 3"),
+    (lambda: parse_word("a1", 3), "unexpected character '1' in word 'a1'"),
+    (lambda: check_direction(7, 3), "direction 7 out of range 1..6"),
+    (lambda: turns_of((1, 3, 4)), "turns_of requires a tight path"),
+], ids=["double_minus", "trailing_minus", "leading_prime", "letter_past_rank",
+        "unexpected_character", "direction_out_of_range", "turns_of_untight"])
+def test_refusals_say_what_is_wrong(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
