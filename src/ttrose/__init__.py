@@ -30,7 +30,7 @@ from .ltt import (
     ltt_of_map,
     validate_ltt,
 )
-from .moves import GeneratingTriple, determining_edges, generating_triples
+from .moves import GeneratingTriple, determining_edges
 from .diagram import (
     IdDiagram,
     build_preliminary,

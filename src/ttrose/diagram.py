@@ -14,7 +14,11 @@ all), no ideally decomposed representative exists and the target is
 unachieved.  The verdict runs on integers: each node is one key, each
 edge the positions of its two nodes, kept as each node's sorted row of
 destinations, and structures and moves are decoded only when a caller
-reads them.
+reads them.  The tables that depend on the rank alone (the turn bits, the
+slice maps and their inverses, the generator actions and the products
+sigma_k o sigma_k' = sigma_k'' o kappa) are built once per rank per
+process, so `ttrose sweep` and the tests reuse them from target to
+target, while a lone `check-graph` builds them once for its one target.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import itertools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map
@@ -39,8 +43,8 @@ from .maps import (
 from .moves import GeneratingTriple, entering_generator, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
-from .whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs, pair_bits,
-                        relabeling_generators, tarjan_scc)
+from .whitehead import (Action, WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
+                        pair_bits, relabeling_generators, tarjan_scc)
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -128,6 +132,64 @@ def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
                      for g in relabeling_generators(range(first, last + 1))]
 
 
+class _RankTables:
+    """What the verdict reads that depends on the rank alone, as data:
+    what every verdict reads is built at once, the slice maps and EPP's
+    generators on first read, and each product of slice maps when a
+    target first needs it."""
+
+    def __init__(self, rank: int) -> None:
+        self.rank = rank
+        self.identity = tuple(all_directions(rank))
+        self.bits = pair_bits(self.identity)  # each turn's bit
+        self.width = len(self.bits)  # of a node key's turn mask
+        self.full = (1 << self.width) - 1
+        # the relabelings of 2..2r and K, on the purple turns of the base slice
+        purple = {e: bit for e, bit in self.bits.items() if e[0] > 1}
+        self.relabelings = [mask_action(g, purple)
+                            for g in relabeling_generators(range(2, 2 * rank + 1))]
+        self.k_generators = _pair_generators(3, rank)  # the signed permutations of pairs 3..r
+        self.k_actions = [mask_action(g, purple) for g in self.k_generators]
+        # by slice keys k, then k', the slice key k'' and the kappa in K
+        # with sigma_k o sigma_k' = sigma_k'' o kappa, as products_of fills
+        # them in; a pair that recurs under other keys is kept once, in
+        # distinct (384 pairs for the 2,304 products at rank 4)
+        self.products: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
+        self.distinct: dict[tuple, tuple] = {}
+
+    @cached_property
+    def maps(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each slice map sigma_k, by its slice key k = (red vertex, red-edge end)."""
+        return _slice_maps(self.rank)
+
+    @cached_property
+    def back(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each slice map's inverse."""
+        return {key: tuple(sigma.index(d) + 1 for d in self.identity)
+                for key, sigma in self.maps.items()}
+
+    @cached_property
+    def epp(self) -> list[tuple[dict[int, int], Action]]:
+        """EPP's generators, each with its action on turn masks."""
+        return [(g, mask_action(g, self.bits)) for g in _pair_generators(1, self.rank)]
+
+    def products_of(self, key: tuple[int, int], keys1: Iterable[tuple[int, int]]
+                    ) -> dict[tuple[int, int], tuple]:
+        """products[key], with the product for each of keys1 composed in
+        the first time it is asked for."""
+        maps, back, distinct = self.maps, self.back, self.distinct
+        sigma, known = maps[key], self.products.setdefault(key, {})
+        for key1 in keys1:
+            if key1 not in known:
+                key2 = (sigma[key1[0] - 1], sigma[key1[1] - 1])
+                kappa = tuple(back[key2][sigma[d - 1] - 1] for d in maps[key1])
+                known[key1] = distinct.setdefault((key2, kappa), (key2, kappa))
+        return known
+
+
+_rank_tables = cache(_RankTables)  # one table set per rank per process
+
+
 @dataclass(frozen=True)
 class BaseSlice:
     """The structures with red vertex 1 and red edge {1, 3}, by index, split
@@ -153,20 +215,16 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     Only the representatives are decoded, and only admissible members
     get a lift, since only they are carried."""
     validate_target(target, rank)
+    tables = _rank_tables(rank)
+    bits, generators, identity = tables.bits, tables.k_generators, tables.identity
     verts = sorted(target.vertices, key=repr)
     label = {v: i + 2 for i, v in enumerate(verts)}
-    bits = pair_bits(all_directions(rank))
-    purple = {e: bit for e, bit in bits.items() if e[0] > 1}
-    start = bits[1, 3] + sum(purple[tuple(sorted((label[u], label[v])))] for u, v in target.edges)
+    start = bits[1, 3] + sum(bits[tuple(sorted((label[u], label[v])))] for u, v in target.edges)
     # one labeled copy per distinct edge set, so automorphisms of the
     # target never repeat a purple graph
-    relabelings = [mask_action(g, purple) for g in relabeling_generators(range(2, 2 * rank + 1))]
-    masks = tuple(mask_orbit(start, relabelings))
+    masks = tuple(mask_orbit(start, tables.relabelings))
     index = {mask: i for i, mask in enumerate(masks)}
-    generators = _pair_generators(3, rank)  # K: the signed permutations of pairs 3..r
-    actions = [mask_action(g, purple) for g in generators]
     reps = [-1] * len(masks)
-    identity = tuple(all_directions(rank))
     lifts: list[tuple[int, ...] | None] = [None] * len(masks)
     elements = {identity: identity}  # one tuple per element of K, however many members share it
     birecurrent = [False] * len(masks)
@@ -174,7 +232,7 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
         if reps[rep] >= 0:
             continue
         decided = is_birecurrent(LttStructure(rank, 1, frozenset(mask_pairs(mask, bits))))
-        for member, step in mask_orbit(mask, actions).items():
+        for member, step in mask_orbit(mask, tables.k_actions).items():
             i = index[member]
             reps[i] = rep
             if not decided:
@@ -203,15 +261,10 @@ def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]
 # structures do (red vertex, then sorted colored edges).
 
 
-def _key_layout(rank: int) -> tuple[dict[Turn, int], int, int]:
-    """Each turn's bit, the width of the turn mask, and the full mask."""
-    bits = pair_bits(all_directions(rank))
-    return bits, len(bits), (1 << len(bits)) - 1
-
-
 def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
     """The structure of each node key."""
-    bits, width, full = _key_layout(rank)
+    tables = _rank_tables(rank)
+    bits, width, full = tables.bits, tables.width, tables.full
     return tuple(LttStructure(rank, key >> width, frozenset(mask_pairs(~key & full, bits)))
                  for key in keys)
 
@@ -222,9 +275,9 @@ def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
     given by its colored edges, in sorted order; and the position of each
     image by the slice's (red vertex, red-edge end), then by the
     structure's index."""
-    bits, width, full = _key_layout(rank)
+    tables = _rank_tables(rank)
+    bits, width, full, maps = tables.bits, tables.width, tables.full, tables.maps
     used = {e for E in members for e in E}
-    maps = _slice_maps(rank)
     keys: list[int] = []
     for sigma in maps.values():
         weight = {e: bits[f] for e, f in _edge_table(sigma, used).items()}.__getitem__
@@ -243,7 +296,7 @@ def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
 
 def _members(base: BaseSlice, rank: int, admissible_only: bool) -> list[tuple[Turn, ...]]:
     """The colored edges of each base-slice structure, or of each admissible one."""
-    bits = pair_bits(all_directions(rank))
+    bits = _rank_tables(rank).bits
     return [mask_pairs(mask, bits) for mask, birecurrent in zip(base.masks, base.birecurrent)
             if birecurrent or not admissible_only]
 
@@ -351,10 +404,8 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     The moves into B_b = t(R), for its orbit's representative R, are t of
     the moves into R in the same way, so only the representatives' moves
     are generated."""
-    maps = _slice_maps(rank)
-    back = {key: tuple(sigma.index(d) + 1 for d in all_directions(rank))
-            for key, sigma in maps.items()}
-    bits = pair_bits(all_directions(rank))
+    tables = _rank_tables(rank)
+    maps, back, bits = tables.maps, tables.back, tables.bits
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
     members = _members(base, rank, admissible_only=True)
@@ -401,12 +452,12 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     # moves and the determining edges give distinct sources, so no row
     # repeats a destination
     rows: list[list[int]] = [[] for _ in keys]
-    for key, sigma in maps.items():
-        dest = position[key]
-        for (red, end), pairs in arcs.items():
-            key2 = (sigma[red - 1], sigma[end - 1])
+    for key in maps:
+        dest, known = position[key], tables.products_of(key, arcs)
+        for key1, pairs in arcs.items():
+            key2, kappa = known[key1]
             source = position[key2]
-            image = image_of(tuple(back[key2][sigma[d - 1] - 1] for d in maps[red, end]))
+            image = images.get(kappa) or image_of(kappa)
             for b, b2 in pairs:
                 rows[source[image[b2]]].append(dest[b])
     return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows))
@@ -442,7 +493,7 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     # disjoint sorted lists compare by their least element
     sccs = sorted(sorted(comp) for comp in tarjan_scc(rows)
                   if len(comp) > 1 or comp[0] in rows[comp[0]])
-    width = _key_layout(rank)[1]
+    width = _rank_tables(rank).width
     components = tuple(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp))
                        for comp in sccs)
     return IdDiagram(rank, target, preliminary, components)
@@ -478,8 +529,8 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     sorted keys by bisection.  An image in no component means the diagram
     is not closed under EPP, and raises RuntimeError."""
     keys = diagram.preliminary.keys
-    bits, width, full = _key_layout(diagram.rank)
-    generators = [(g, mask_action(g, bits)) for g in _pair_generators(1, diagram.rank)]
+    tables = _rank_tables(diagram.rank)
+    width, full = tables.width, tables.full
     component_of = [-1] * len(keys)
     for i, comp in enumerate(diagram.components):
         for x in comp.nodes:
@@ -499,7 +550,7 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     classed: set[int] = set()
     for i in range(len(diagram.components)):
         if i not in classed:
-            orbit = mask_orbit(i, generators, component_image)
+            orbit = mask_orbit(i, tables.epp, component_image)
             classed.update(orbit)
             classes.append(sorted(orbit))
     return classes

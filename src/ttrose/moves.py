@@ -4,9 +4,8 @@ Given a destination structure, its red vertex and red edge determine
 the generator entering it; each purple edge at the twice-achieved
 direction then determines one extension and one switch producing a
 candidate source structure.  move_sources gives every move's source that
-is a valid structure, and generating_triples the moves themselves; a
-triple is admissible exactly when it is such a move and both of its
-structures are birecurrent.
+is a valid structure; a triple is admissible exactly when it is such a
+move and both of its structures are birecurrent.
 """
 
 from __future__ import annotations
@@ -92,11 +91,3 @@ def move_sources(G: LttStructure) -> list[tuple[Direction, Direction, frozenset[
         if d_l != old_end:
             out.append((a, d_l, renamed | {turn(a, d_l)}))
     return out
-
-
-def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
-    """Every move into G, in move_sources' order; all of them share the
-    generator entering G."""
-    gen = entering_generator(G)
-    return [GeneratingTriple(gen, LttStructure(G.rank, red, colored), G)
-            for red, _, colored in move_sources(G)]

@@ -24,7 +24,7 @@ from ttrose.maps import (
     _fold_candidates,
     apply_map,
 )
-from ttrose.moves import GeneratingTriple, generating_triples
+from ttrose.moves import GeneratingTriple, entering_generator, move_sources
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph
 
@@ -318,6 +318,14 @@ def preliminary_of(rank: int, nodes: Sequence[LttStructure],
     """The preliminary diagram on the nodes, in their order, with the
     edges: the nodes' keys and each node's row of destinations."""
     return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), edge_rows(nodes, edges))
+
+
+def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
+    """Every move into G, in move_sources' order; all of them share the
+    generator entering G."""
+    gen = entering_generator(G)
+    return [GeneratingTriple(gen, LttStructure(G.rank, red, colored), G)
+            for red, _, colored in move_sources(G)]
 
 
 def preliminary_by_destination(target: WhiteheadGraph, rank: int

@@ -22,6 +22,7 @@ from oracles import (
     EXAMPLE_MAP,
     check_am,
     epp_classes_of_structures,
+    generating_triples,
     is_admissible,
     map_realizes_images_smoothly,
     purple_vertices,
@@ -53,7 +54,6 @@ from ttrose.maps import (
     stable_whitehead_graph,
     stallings_fold_decomposition,
 )
-from ttrose.moves import generating_triples
 from ttrose.rose import bar, edge_index, turn
 
 A, A_, B, B_, C, C_ = 1, 2, 3, 4, 5, 6

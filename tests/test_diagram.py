@@ -1,6 +1,7 @@
 """Structure enumeration, the preliminary and ID diagrams, the
 irreducibility potential test, EPP reduction, and loop verification."""
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -15,6 +16,7 @@ from oracles import (
     epp_classes_of_structures,
     epp_orbits,
     epp_structure,
+    generating_triples,
     group_closure,
     is_admissible,
     orbits_by_elements,
@@ -33,6 +35,7 @@ from ttrose.diagram import (
     _base_slice,
     _edge_table,
     _pair_generators,
+    _rank_tables,
     build_preliminary,
     diagram_to_dot,
     diagram_to_json,
@@ -49,7 +52,7 @@ from ttrose.diagram import (
 )
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
-from ttrose.moves import GeneratingTriple, entering_generator, generating_triples, move_sources
+from ttrose.moves import GeneratingTriple, entering_generator, move_sources
 from ttrose.rose import all_directions, format_direction
 from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
                               pair_bits)
@@ -668,6 +671,83 @@ def test_pair_generators_generate_k_and_epp():
         generators = _pair_generators(1, rank)
         assert len(generators) == min(rank, 3)
         assert group_closure(generators, all_directions(rank)) == set(epp_elements(rank))
+
+
+def _data_only(value) -> bool:
+    """Whether value is built of ints, tuples, lists and dicts alone."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_data_only, value))
+    if isinstance(value, dict):
+        return all(map(_data_only, value)) and all(map(_data_only, value.values()))
+    return type(value) is int
+
+
+def test_warm_rank_tables_change_nothing(monkeypatch, catalog5):
+    # the 21 rank-3 targets and the eight rank-4 ones decided in catalog
+    # order, in reverse order, and with the tables rebuilt before each
+    # target give the same keys, rows, components and verdicts
+    import ttrose.diagram
+    targets = [(e.graph(), 3) for e in catalog5] + [(g, 4) for g in RANK4.values()]
+
+    def decide(target, rank):
+        result = target_verdict(target, rank)
+        diagram = result.diagram
+        return (result.verdict, result.num_structures, result.num_admissible,
+                diagram and (diagram.preliminary.keys, diagram.preliminary.rows),
+                diagram and diagram.components)
+
+    forward = [decide(*t) for t in targets]
+    assert [decide(*t) for t in reversed(targets)] == forward[::-1]
+    cold = []
+    for t in targets:
+        _rank_tables.cache_clear()
+        cold.append(decide(*t))
+    assert cold == forward
+    # a second verdict at a rank builds no slice map
+    builds = []
+
+    def counted(rank):
+        builds.append(rank)
+        return slice_maps(rank)
+
+    slice_maps = ttrose.diagram._slice_maps
+    monkeypatch.setattr(ttrose.diagram, "_slice_maps", counted)
+    _rank_tables.cache_clear()
+    for target, rank in targets[:2] + targets[-2:]:
+        decide(target, rank)
+    assert builds == [3, 4]
+    # a verdict reads the tables and only fills in products; they hold
+    # data, no function a caller could swap out of the module
+    tables = _rank_tables(4)
+    epp_classes(target_verdict(C7, 4).diagram)
+    before = copy.deepcopy(vars(tables))
+    epp_classes(target_verdict(K5_2PEND, 4).diagram)
+    after = vars(tables)
+    filled = ("products", "distinct")
+    assert {k: v for k, v in after.items() if k not in filled} == \
+        {k: v for k, v in before.items() if k not in filled}
+    assert after["products"].keys() >= before["products"].keys()
+    for key, known in before["products"].items():
+        assert known.items() <= after["products"][key].items()
+    assert before["distinct"].items() <= after["distinct"].items()
+    assert _data_only(list(after.values()))
+
+
+def test_slice_map_products_match_direct_composition():
+    # every (k, k') pair the product table can hold, against composing
+    # the two slice maps: sigma_k o sigma_k' = sigma_k'' o kappa, kappa in K
+    for rank in range(2, 6):
+        tables = _rank_tables(rank)
+        maps, stabilizer = tables.maps, set(stabilizer_of_1_and_3(rank))
+        assert len(maps) == 2 * rank * (2 * rank - 2)
+        for key, sigma in maps.items():
+            assert tuple(sigma[d - 1] for d in tables.back[key]) == tables.identity
+            for key1, sigma1 in maps.items():
+                key2, kappa = tables.products_of(key, [key1])[key1]
+                composed = tuple(sigma[d - 1] for d in sigma1)
+                assert tuple(maps[key2][d - 1] for d in kappa) == composed
+                assert kappa[:4] == (1, 2, 3, 4) and kappa in stabilizer
+            assert tables.products[key].keys() == maps.keys()
 
 
 def test_epp_classes_map_r_images_per_component(monkeypatch):

@@ -5,16 +5,12 @@ import random
 
 import pytest
 
-from oracles import EXAMPLE_MAP, MissingImageEdge, check_am, induced_colored_map, is_admissible
+from oracles import (EXAMPLE_MAP, MissingImageEdge, check_am, generating_triples,
+                     induced_colored_map, is_admissible)
 from ttrose.diagram import build_preliminary, enumerate_structures, star_target
 from ttrose.ltt import LttStructure, ltt_of_map, validate_ltt
 from ttrose.maps import Generator
-from ttrose.moves import (
-    GeneratingTriple,
-    determining_edges,
-    entering_generator,
-    generating_triples,
-)
+from ttrose.moves import GeneratingTriple, determining_edges, entering_generator
 from ttrose.rose import bar, turn
 from ttrose.catalog import connected_simplicial_graphs
 
