@@ -14,11 +14,15 @@ all), no ideally decomposed representative exists and the target is
 unachieved.  The verdict runs on integers: each node is one key, each
 edge the positions of its two nodes, kept as each node's sorted row of
 destinations, and structures and moves are decoded only when a caller
-reads them.  The tables that depend on the rank alone (the turn bits, the
-slice maps and their inverses, the generator actions and the products
-sigma_k o sigma_k' = sigma_k'' o kappa) are built once per rank per
-process, so `ttrose sweep` and the tests reuse them from target to
-target, while a lone `check-graph` builds them once for its one target.
+reads them.  A base structure is carried as the positions of its turns'
+bits, and its images' turn masks are sums of per-rank table entries at
+those positions.  The tables that depend on the rank alone (the turn
+bits, the slice maps, their inverses and their weights by position, the
+generator actions, the products sigma_k o sigma_k' = sigma_k'' o kappa,
+and the inverse tables of the slices move sources lie in) are built once
+per rank per process, so `ttrose sweep` and the tests reuse them from
+target to target, while a lone `check-graph` builds them once for its
+one target.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import hashlib
 import itertools
 import json
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map
 from .maps import (
@@ -119,6 +123,17 @@ def _slice_maps(rank: int) -> dict[tuple[int, int], tuple[int, ...]]:
     return {(h[0], h[2]): h + tuple(d for d in all_directions(rank) if d not in h) for h in heads}
 
 
+def _positions(mask: int) -> tuple[int, ...]:
+    """The positions of the mask's set bits, highest first: a turn mask's
+    turns in sorted order, through _RankTables.turns."""
+    out = []
+    while mask:
+        p = mask.bit_length() - 1
+        out.append(p)
+        mask ^= 1 << p
+    return tuple(out)
+
+
 def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
     """Generators of the signed permutations of bar pairs first..last, each
     as the image of every direction it moves: the flip of the first pair,
@@ -134,9 +149,14 @@ def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
 
 class _RankTables:
     """What the verdict reads that depends on the rank alone, as data:
-    what every verdict reads is built at once, the slice maps and EPP's
-    generators on first read, and each product of slice maps when a
-    target first needs it."""
+    what every verdict reads is built at once; the turn tables, the slice
+    maps, their weights and EPP's generators on first read, so a target
+    that fails birecurrency builds none of them; and each product of
+    slice maps and each inverse table of a move source's slice when a
+    target first needs it.  A turn is carried by its position p, the
+    exponent of its bit 1 << p, so a member is the tuple of its turns'
+    positions and its image's turn mask the sum of a table's entries at
+    them."""
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -156,6 +176,22 @@ class _RankTables:
         # distinct (384 pairs for the 2,304 products at rank 4)
         self.products: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
         self.distinct: dict[tuple, tuple] = {}
+        # by a move source's slice key k, the base-slice bit of each turn's
+        # image under sigma_k^-1, as inverse_of fills them in
+        self.inverses: dict[tuple[int, int], dict[Turn, int]] = {}
+
+    @cached_property
+    def turns(self) -> tuple[Turn, ...]:
+        """The turn at each position."""
+        return tuple(reversed(self.bits))
+
+    @cached_property
+    def pair_bit(self) -> list[list[int]]:
+        """The bit of the turn {a, b} at [a][b] and [b][a]."""
+        pair_bit = [[0] * (2 * self.rank + 1) for _ in range(2 * self.rank + 1)]
+        for (a, b), bit in self.bits.items():
+            pair_bit[a][b] = pair_bit[b][a] = bit
+        return pair_bit
 
     @cached_property
     def maps(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -169,9 +205,23 @@ class _RankTables:
                 for key, sigma in self.maps.items()}
 
     @cached_property
+    def weights(self) -> list[tuple[int, list[int]]]:
+        """For each slice map, in the order of maps: the high bits of its
+        image's key (its red vertex above the full turn mask) and the bit
+        of its image of the turn at each position."""
+        return [(sigma[0] << self.width | self.full, self.image_bits(sigma))
+                for sigma in self.maps.values()]
+
+    @cached_property
     def epp(self) -> list[tuple[dict[int, int], Action]]:
         """EPP's generators, each with its action on turn masks."""
         return [(g, mask_action(g, self.bits)) for g in _pair_generators(1, self.rank)]
+
+    def image_bits(self, perm: Sequence[int]) -> list[int]:
+        """The bit of perm's image of the turn at each position, perm given
+        as the image of each direction."""
+        pair_bit = self.pair_bit
+        return [pair_bit[perm[u - 1]][perm[v - 1]] for u, v in self.turns]
 
     def products_of(self, key: tuple[int, int], keys1: Iterable[tuple[int, int]]
                     ) -> dict[tuple[int, int], tuple]:
@@ -182,9 +232,20 @@ class _RankTables:
         for key1 in keys1:
             if key1 not in known:
                 key2 = (sigma[key1[0] - 1], sigma[key1[1] - 1])
-                kappa = tuple(back[key2][sigma[d - 1] - 1] for d in maps[key1])
+                inverse = back[key2]
+                kappa = tuple([inverse[sigma[d - 1] - 1] for d in maps[key1]])
                 known[key1] = distinct.setdefault((key2, kappa), (key2, kappa))
         return known
+
+    def inverse_of(self, key: tuple[int, int]) -> dict[Turn, int]:
+        """inverses[key], built the first time it is asked for.  A move
+        into a base structure (red vertex 1, a = bar(3) = 4) has its source
+        in a slice whose red vertex is 1 or 4, so at most 2(2r-2) of the
+        2r(2r-2) keys are ever asked for."""
+        inverse = self.inverses.get(key)
+        if inverse is None:
+            inverse = self.inverses[key] = dict(zip(self.turns, self.image_bits(self.back[key])))
+        return inverse
 
 
 _rank_tables = cache(_RankTables)  # one table set per rank per process
@@ -247,15 +308,6 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     return BaseSlice(masks, index, tuple(reps), tuple(lifts), tuple(birecurrent))
 
 
-def _edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
-    """sigma's image of each of the colored edges, sorted."""
-    table = {}
-    for u, v in edges:
-        a, b = sigma[u - 1], sigma[v - 1]
-        table[u, v] = (a, b) if a < b else (b, a)
-    return table
-
-
 # A node is keyed by one integer: its red vertex in the bits above the
 # turn mask, then the complemented turn mask, so keys sort as the
 # structures do (red vertex, then sorted colored edges).
@@ -269,23 +321,20 @@ def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
                  for key in keys)
 
 
-def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
+def _carry(rank: int, members: Sequence[tuple[int, ...]]
            ) -> tuple[tuple[int, ...], dict[tuple[int, int], list[int]]]:
     """The key of each slice map's image of each base-slice structure,
-    given by its colored edges, in sorted order; and the position of each
-    image by the slice's (red vertex, red-edge end), then by the
+    given by its turns' positions, in sorted order; and the position of
+    each image by the slice's (red vertex, red-edge end), then by the
     structure's index."""
     tables = _rank_tables(rank)
-    bits, width, full, maps = tables.bits, tables.width, tables.full, tables.maps
-    used = {e for E in members for e in E}
     keys: list[int] = []
-    for sigma in maps.values():
-        weight = {e: bits[f] for e, f in _edge_table(sigma, used).items()}.__getitem__
-        high = sigma[0] << width | full
-        keys.extend(high - sum(map(weight, E)) for E in members)
+    for high, weights in tables.weights:
+        weight = weights.__getitem__
+        keys.extend(high - sum(map(weight, P)) for P in members)
     # the slices are disjoint, so no two keys are equal
     n = len(members)
-    position = {key: [0] * n for key in maps}
+    position = {key: [0] * n for key in tables.maps}
     rows = list(position.values())
     order = sorted(range(len(keys)), key=keys.__getitem__)
     for i, x in enumerate(order):
@@ -294,10 +343,10 @@ def _carry(rank: int, members: Sequence[tuple[Turn, ...]]
     return tuple(map(keys.__getitem__, order)), position
 
 
-def _members(base: BaseSlice, rank: int, admissible_only: bool) -> list[tuple[Turn, ...]]:
-    """The colored edges of each base-slice structure, or of each admissible one."""
-    bits = _rank_tables(rank).bits
-    return [mask_pairs(mask, bits) for mask, birecurrent in zip(base.masks, base.birecurrent)
+def _members(base: BaseSlice, admissible_only: bool) -> list[tuple[int, ...]]:
+    """The positions of the turns of each base-slice structure, or of each
+    admissible one, read off its turn mask."""
+    return [_positions(mask) for mask, birecurrent in zip(base.masks, base.birecurrent)
             if birecurrent or not admissible_only]
 
 
@@ -308,7 +357,7 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     bar pairing and every red edge attachment away from the red vertex's
     bar partner.  Only the birecurrent ones when requested."""
     base = _base_slice(target, rank)
-    keys, _ = _carry(rank, _members(base, rank, admissible_only))
+    keys, _ = _carry(rank, _members(base, admissible_only))
     return list(_decode(rank, keys))
 
 
@@ -405,18 +454,17 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     the moves into R in the same way, so only the representatives' moves
     are generated."""
     tables = _rank_tables(rank)
-    maps, back, bits = tables.maps, tables.back, tables.bits
+    maps, back, turns = tables.maps, tables.back, tables.turns
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
-    members = _members(base, rank, admissible_only=True)
-    used = {e for E in members for e in E}
+    members = _members(base, admissible_only=True)
     keys, position = _carry(rank, members)
     images: dict[tuple[int, ...], list[int]] = {}  # kappa -> b of kappa(B_b) by b
 
     def image_of(kappa: tuple[int, ...]) -> list[int]:
         if kappa not in images:
-            weight = {e: bits[f] for e, f in _edge_table(kappa, used).items()}.__getitem__
-            images[kappa] = [slot[base.index[sum(map(weight, E))]] for E in members]
+            weight = tables.image_bits(kappa).__getitem__
+            images[kappa] = [slot[base.index[sum(map(weight, P))]] for P in members]
         return images[kappa]
 
     # (k', b') for each move into a representative from an admissible sigma_k'(B_b')
@@ -425,10 +473,10 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
         if base.reps[i] != i:
             continue
         moves[i] = []
-        for red, end, colored in move_sources(LttStructure(rank, 1, frozenset(members[b]))):
+        structure = LttStructure(rank, 1, frozenset(map(turns.__getitem__, members[b])))
+        for red, end, colored in move_sources(structure):
             source_key = (red, end)
-            preimage = _edge_table(back[source_key], colored).values()
-            source = base.index.get(sum(map(bits.__getitem__, preimage)))
+            source = base.index.get(sum(map(tables.inverse_of(source_key).__getitem__, colored)))
             if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one

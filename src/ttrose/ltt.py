@@ -17,8 +17,8 @@ search on the full transition digraph is the oracle it is tested against.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
 from .rose import Direction, Turn, all_directions, bar, format_direction

@@ -10,8 +10,8 @@ roses (the generators of ideal decompositions).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .rose import (
     Direction,

@@ -9,7 +9,7 @@ edge path is just a sequence of direction letters.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 Direction = int
 Turn = tuple[int, int]

@@ -15,9 +15,9 @@ of structures), and of a component index under EPP.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
 
 Vertex = Hashable
 

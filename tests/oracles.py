@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
@@ -231,6 +231,16 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
     image of each direction: its red vertex and every colored edge mapped."""
     colored = frozenset(tuple(sorted((sigma[u - 1], sigma[v - 1]))) for u, v in G.colored)
     return LttStructure(G.rank, sigma[G.red_vertex - 1], colored)
+
+
+def edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
+    """sigma's image of each of the edges, sorted: the tuple route the
+    library's per-rank weight and inverse tables are checked against."""
+    table = {}
+    for u, v in edges:
+        a, b = sigma[u - 1], sigma[v - 1]
+        table[u, v] = (a, b) if a < b else (b, a)
+    return table
 
 
 def epp_orbits(rank: int, node_sets: Sequence[Sequence[LttStructure]]) -> list[list[int]]:

@@ -243,6 +243,21 @@ def test_catalog_past_rank_4_is_one_line_error(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_import_does_not_load_typing():
+    # every CLI call and benchmark worker pays for `import ttrose`; -S
+    # keeps site's own imports (a .pth hook may load typing) out of the
+    # modules the import is charged with
+    import ttrose
+    code = ("import sys; before = set(sys.modules); import ttrose; "
+            "print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, env={**os.environ,
+                                          "PYTHONPATH": str(Path(ttrose.__file__).parents[1])})
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.split()
+    assert "ttrose.diagram" in loaded and "typing" not in loaded
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_is_not_a_traceback(unbuffered):
     # as `ttrose sweep --rank 3 | head -1` once the reader has gone; with

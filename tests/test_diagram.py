@@ -13,6 +13,7 @@ from oracles import (
     check_am,
     closed_walks,
     edge_rows,
+    edge_table,
     epp_classes_of_structures,
     epp_orbits,
     epp_structure,
@@ -33,9 +34,10 @@ from ttrose.diagram import (
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
     _base_slice,
-    _edge_table,
+    _members,
     _pair_generators,
     _rank_tables,
+    _RankTables,
     build_preliminary,
     diagram_to_dot,
     diagram_to_json,
@@ -451,8 +453,9 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
 
 
 def test_edge_tables_image_structures_as_epp_does(catalog5):
-    # one table per element over the edges the structures use, as the
-    # preliminary diagram builds them; every structure at rank 2, and at
+    # edge_table, the tuple route the rank tables are checked against:
+    # one table per element over the edges the structures use, imaging
+    # each structure as epp_structure does; every structure at rank 2, and at
     # ranks 3 and 4 a stride through the enumeration, which crosses every
     # slice, keeps the 2^r r! elements to a second
     targets = [(WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]), 2, 1),
@@ -462,10 +465,41 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
         structures = enumerate_structures(target, rank)[::stride]
         used = {e for G in structures for e in G.colored}
         for sigma in epp_elements(rank):
-            image = _edge_table(sigma, used).__getitem__
+            image = edge_table(sigma, used).__getitem__
             for G in structures:
                 assert LttStructure(rank, sigma[G.red_vertex - 1],
                                     frozenset(map(image, G.colored))) == epp_structure(sigma, G)
+
+
+def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
+    # on tables of their own, so every inverse table is built here and the
+    # shared ones are left as the other tests find them: each slice's
+    # weights and each key's inverse table against edge_table over every
+    # turn, and each member's positions against its mask's pairs, on the
+    # star at ranks 2-5, the 21 rank-3 targets and the 7-cycle
+    for rank in range(2, 6):
+        tables = _RankTables(rank)
+        turns, bits, width, full = tables.turns, tables.bits, tables.width, tables.full
+        assert [bits[e] for e in turns] == [1 << p for p in range(width)]
+        assert len(tables.weights) == len(tables.maps)
+        for (high, weights), sigma in zip(tables.weights, tables.maps.values()):
+            image = edge_table(sigma, turns)
+            assert high == sigma[0] << width | full
+            assert weights == [bits[image[e]] for e in turns]
+        for key in tables.maps:
+            image = edge_table(tables.back[key], turns)
+            assert tables.inverse_of(key) == {e: bits[image[e]] for e in turns}
+        assert tables.inverses.keys() == tables.maps.keys()
+    targets = [(star_target(rank), rank) for rank in range(2, 6)]
+    targets += [(e.graph(), 3) for e in catalog5] + [(C7, 4)]
+    for target, rank in targets:
+        tables, base = _rank_tables(rank), _base_slice(target, rank)
+        members = _members(base, admissible_only=False)
+        assert len(members) == len(base.masks)
+        for positions, mask in zip(members, base.masks):
+            assert tuple(map(tables.turns.__getitem__, positions)) == mask_pairs(mask, tables.bits)
+        admissible = [m for m, birecurrent in zip(members, base.birecurrent) if birecurrent]
+        assert _members(base, admissible_only=True) == admissible
 
 
 def test_component_edges_are_the_oracles_moves_inside_it(squeeze):
@@ -703,6 +737,22 @@ def test_warm_rank_tables_change_nothing(monkeypatch, catalog5):
         _rank_tables.cache_clear()
         cold.append(decide(*t))
     assert cold == forward
+    # the inverse tables fill per move-source key, each the first time a
+    # move source reads it: after the targets before it, a rank's tables
+    # hold some of them, all with red vertex 1 or 4, and the last target
+    # at the rank, decided on them, gives what it gives on cleared tables
+    for rank in (3, 4):
+        _rank_tables.cache_clear()
+        at_rank = [i for i, t in enumerate(targets) if t[1] == rank]
+        for i in at_rank[:-1]:
+            assert decide(*targets[i]) == forward[i]
+        tables = _rank_tables(rank)
+        partly = dict(tables.inverses)
+        assert 0 < len(partly) <= 2 * (2 * rank - 2) < len(tables.maps)
+        assert {key[0] for key in partly} <= {1, 4}
+        assert decide(*targets[at_rank[-1]]) == cold[at_rank[-1]]
+        assert partly.items() <= tables.inverses.items()
+        assert {key[0] for key in tables.inverses} <= {1, 4}
     # a second verdict at a rank builds no slice map
     builds = []
 
@@ -716,20 +766,22 @@ def test_warm_rank_tables_change_nothing(monkeypatch, catalog5):
     for target, rank in targets[:2] + targets[-2:]:
         decide(target, rank)
     assert builds == [3, 4]
-    # a verdict reads the tables and only fills in products; they hold
-    # data, no function a caller could swap out of the module
+    # a verdict reads the tables and only fills in products and inverse
+    # tables; they hold data, no function a caller could swap out of the
+    # module
     tables = _rank_tables(4)
     epp_classes(target_verdict(C7, 4).diagram)
     before = copy.deepcopy(vars(tables))
     epp_classes(target_verdict(K5_2PEND, 4).diagram)
     after = vars(tables)
-    filled = ("products", "distinct")
+    filled = ("products", "distinct", "inverses")
     assert {k: v for k, v in after.items() if k not in filled} == \
         {k: v for k, v in before.items() if k not in filled}
     assert after["products"].keys() >= before["products"].keys()
     for key, known in before["products"].items():
         assert known.items() <= after["products"][key].items()
     assert before["distinct"].items() <= after["distinct"].items()
+    assert before["inverses"].items() <= after["inverses"].items()
     assert _data_only(list(after.values()))
 
 
