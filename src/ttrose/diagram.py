@@ -17,12 +17,11 @@ destinations, and structures and moves are decoded only when a caller
 reads them.  A base structure is carried as the positions of its turns'
 bits, and its images' turn masks are sums of per-rank table entries at
 those positions.  The tables that depend on the rank alone (the turn
-bits, the slice maps, their inverses and their weights by position, the
-generator actions, the products sigma_k o sigma_k' = sigma_k'' o kappa,
-and the inverse tables of the slices move sources lie in) are built once
-per rank per process, so `ttrose sweep` and the tests reuse them from
-target to target, while a lone `check-graph` builds them once for its
-one target.
+bits, the slice maps, their inverses and weights by position, the
+generator actions, and the inverse tables and products of the 2(2r-3)
+slices a move source can lie in) are each built whole once per rank per
+process, and no verdict writes to them: `ttrose sweep` and the tests
+reuse them from target to target, a lone `check-graph` builds them once.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from .maps import (
 from .moves import GeneratingTriple, entering_generator, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
-from .whitehead import (Action, WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
-                        pair_bits, relabeling_generators, tarjan_scc)
+from .whitehead import (Action, WhiteheadGraph, mask_action, mask_image, mask_orbit, pair_bits,
+                        relabeling_generators, tarjan_scc)
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -148,15 +147,14 @@ def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
 
 
 class _RankTables:
-    """What the verdict reads that depends on the rank alone, as data:
-    what every verdict reads is built at once; the turn tables, the slice
-    maps, their weights and EPP's generators on first read, so a target
-    that fails birecurrency builds none of them; and each product of
-    slice maps and each inverse table of a move source's slice when a
-    target first needs it.  A turn is carried by its position p, the
-    exponent of its bit 1 << p, so a member is the tuple of its turns'
-    positions and its image's turn mask the sum of a table's entries at
-    them."""
+    """What the verdict reads that depends on the rank alone, as data,
+    each table built whole and never written to by a verdict: what every
+    verdict reads at once, the rest on first read, so a target that fails
+    birecurrency builds no slice map.  One factoring, g o sigma_k' =
+    sigma_k'' o kappa, builds the products and serves the lifts in K.  A
+    turn is carried by its position p, the exponent of its bit 1 << p, so
+    a member is the tuple of its turns' positions and its image's turn
+    mask the sum of a table's entries at them."""
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -170,15 +168,6 @@ class _RankTables:
                             for g in relabeling_generators(range(2, 2 * rank + 1))]
         self.k_generators = _pair_generators(3, rank)  # the signed permutations of pairs 3..r
         self.k_actions = [mask_action(g, purple) for g in self.k_generators]
-        # by slice keys k, then k', the slice key k'' and the kappa in K
-        # with sigma_k o sigma_k' = sigma_k'' o kappa, as products_of fills
-        # them in; a pair that recurs under other keys is kept once, in
-        # distinct (384 pairs for the 2,304 products at rank 4)
-        self.products: dict[tuple[int, int], dict[tuple[int, int], tuple]] = {}
-        self.distinct: dict[tuple, tuple] = {}
-        # by a move source's slice key k, the base-slice bit of each turn's
-        # image under sigma_k^-1, as inverse_of fills them in
-        self.inverses: dict[tuple[int, int], dict[Turn, int]] = {}
 
     @cached_property
     def turns(self) -> tuple[Turn, ...]:
@@ -205,12 +194,35 @@ class _RankTables:
                 for key, sigma in self.maps.items()}
 
     @cached_property
+    def sources(self) -> tuple[tuple[int, int], ...]:
+        """The 2(2r-3) slice keys a move source can have, in the order of
+        maps: a move into a base structure has u = 1 and a = bar(3) = 4, so
+        its source's red vertex is 1 or 4, and its red edge's end d, a
+        purple neighbour of 4, is never 1 or 4 (nor 2 for an extension or 3
+        for a switch, no slice key).  K fixes 1 to 4, so it keeps them."""
+        return tuple(key for key in self.maps if key[0] in (1, 4) and key[1] not in (1, 4))
+
+    @cached_property
     def weights(self) -> list[tuple[int, list[int]]]:
         """For each slice map, in the order of maps: the high bits of its
         image's key (its red vertex above the full turn mask) and the bit
         of its image of the turn at each position."""
         return [(sigma[0] << self.width | self.full, self.image_bits(sigma))
                 for sigma in self.maps.values()]
+
+    @cached_property
+    def inverses(self) -> dict[tuple[int, int], dict[Turn, int]]:
+        """By a source key k, the base-slice bit of each turn's image under
+        sigma_k^-1."""
+        return {key: dict(zip(self.turns, self.image_bits(self.back[key])))
+                for key in self.sources}
+
+    @cached_property
+    def products(self) -> dict[tuple[int, int], list[tuple[tuple[int, int], tuple]]]:
+        """By a source key k', the factor (k'', kappa) of sigma_k o sigma_k'
+        for every slice map sigma_k, in the order of maps."""
+        return {key1: [self.factor(sigma, key1) for sigma in self.maps.values()]
+                for key1 in self.sources}
 
     @cached_property
     def epp(self) -> list[tuple[dict[int, int], Action]]:
@@ -223,29 +235,17 @@ class _RankTables:
         pair_bit = self.pair_bit
         return [pair_bit[perm[u - 1]][perm[v - 1]] for u, v in self.turns]
 
-    def products_of(self, key: tuple[int, int], keys1: Iterable[tuple[int, int]]
-                    ) -> dict[tuple[int, int], tuple]:
-        """products[key], with the product for each of keys1 composed in
-        the first time it is asked for."""
-        maps, back, distinct = self.maps, self.back, self.distinct
-        sigma, known = maps[key], self.products.setdefault(key, {})
-        for key1 in keys1:
-            if key1 not in known:
-                key2 = (sigma[key1[0] - 1], sigma[key1[1] - 1])
-                inverse = back[key2]
-                kappa = tuple([inverse[sigma[d - 1] - 1] for d in maps[key1]])
-                known[key1] = distinct.setdefault((key2, kappa), (key2, kappa))
-        return known
+    def factor(self, g: Sequence[int], key1: tuple[int, int]) -> tuple[tuple[int, int], tuple]:
+        """The slice key k'' and the kappa in K with g o sigma_k' =
+        sigma_k'' o kappa, for an EPP element g given as the image of each
+        direction: sigma_k' sends 1 and 3 to k', so k'' is g of k'."""
+        key2 = (g[key1[0] - 1], g[key1[1] - 1])
+        inverse = self.back[key2]
+        return key2, tuple([inverse[g[d - 1] - 1] for d in self.maps[key1]])
 
-    def inverse_of(self, key: tuple[int, int]) -> dict[Turn, int]:
-        """inverses[key], built the first time it is asked for.  A move
-        into a base structure (red vertex 1, a = bar(3) = 4) has its source
-        in a slice whose red vertex is 1 or 4, so at most 2(2r-2) of the
-        2r(2r-2) keys are ever asked for."""
-        inverse = self.inverses.get(key)
-        if inverse is None:
-            inverse = self.inverses[key] = dict(zip(self.turns, self.image_bits(self.back[key])))
-        return inverse
+    def structure(self, red: int, positions: Iterable[int]) -> LttStructure:
+        """The structure with the red vertex and the turns at the positions."""
+        return LttStructure(self.rank, red, frozenset(map(self.turns.__getitem__, positions)))
 
 
 _rank_tables = cache(_RankTables)  # one table set per rank per process
@@ -292,7 +292,7 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     for rep, mask in enumerate(masks):
         if reps[rep] >= 0:
             continue
-        decided = is_birecurrent(LttStructure(rank, 1, frozenset(mask_pairs(mask, bits))))
+        decided = is_birecurrent(tables.structure(1, _positions(mask)))
         for member, step in mask_orbit(mask, tables.k_actions).items():
             i = index[member]
             reps[i] = rep
@@ -316,9 +316,8 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
 def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
     """The structure of each node key."""
     tables = _rank_tables(rank)
-    bits, width, full = tables.bits, tables.width, tables.full
-    return tuple(LttStructure(rank, key >> width, frozenset(mask_pairs(~key & full, bits)))
-                 for key in keys)
+    structure, width, full = tables.structure, tables.width, tables.full
+    return tuple(structure(key >> width, _positions(~key & full)) for key in keys)
 
 
 def _carry(rank: int, members: Sequence[tuple[int, ...]]
@@ -454,7 +453,6 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     the moves into R in the same way, so only the representatives' moves
     are generated."""
     tables = _rank_tables(rank)
-    maps, back, turns = tables.maps, tables.back, tables.turns
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
     members = _members(base, admissible_only=True)
@@ -473,10 +471,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
         if base.reps[i] != i:
             continue
         moves[i] = []
-        structure = LttStructure(rank, 1, frozenset(map(turns.__getitem__, members[b])))
-        for red, end, colored in move_sources(structure):
+        for red, end, colored in move_sources(tables.structure(1, members[b])):
             source_key = (red, end)
-            source = base.index.get(sum(map(tables.inverse_of(source_key).__getitem__, colored)))
+            source = base.index.get(sum(map(tables.inverses[source_key].__getitem__, colored)))
             if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
@@ -491,21 +488,18 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
         by_key = lifted.setdefault(t, {})
         for key, b2 in moves[base.reps[i]]:
             if key not in by_key:
-                key2 = (t[key[0] - 1], t[key[1] - 1])
-                by_key[key] = key2, image_of(tuple(back[key2][t[d - 1] - 1] for d in maps[key]))
+                key2, kappa = tables.factor(t, key)
+                by_key[key] = key2, image_of(kappa)
             key2, image = by_key[key]
             arcs.setdefault(key2, []).append((b, image[b2]))
     # each node's destinations, as the int objects position holds, so the
     # rows share them; the generator is the one entering dest, and the two
     # moves and the determining edges give distinct sources, so no row
-    # repeats a destination
+    # repeats a destination.  position and products are in the order of maps
     rows: list[list[int]] = [[] for _ in keys]
-    for key in maps:
-        dest, known = position[key], tables.products_of(key, arcs)
-        for key1, pairs in arcs.items():
-            key2, kappa = known[key1]
-            source = position[key2]
-            image = images.get(kappa) or image_of(kappa)
+    for key1, pairs in arcs.items():
+        for dest, (key2, kappa) in zip(position.values(), tables.products[key1]):
+            source, image = position[key2], image_of(kappa)
             for b, b2 in pairs:
                 rows[source[image[b2]]].append(dest[b])
     return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows))

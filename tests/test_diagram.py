@@ -76,6 +76,10 @@ RANK4 = {name: WhiteheadGraph.build(range(7), edges) for name, edges in {
 }.items()}
 K5_2PEND, C7, STAR_P2 = RANK4["k5_2pend"], RANK4["c7"], RANK4["star_p2"]
 P7 = WhiteheadGraph.build(range(7), [(i, i + 1) for i in range(6)])
+# the spider S(2,2,1^4): two legs of length 2 and four of length 1 at
+# vertex 0, a rank-5 target IP flags outside the paper's families
+SPIDER = WhiteheadGraph.build(range(9), [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (0, 6), (0, 7),
+                                         (0, 8)])
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +441,9 @@ def test_preliminary_ends_are_the_positions_of_each_edges_structures(catalog5):
 def test_preliminary_matches_the_per_destination_oracle(catalog5):
     # nodes and edges as tuples, so order counts; the random rank-4 targets
     # have at most 1,260 relabelings (an automorphism group of order 4 or
-    # more), which keeps the oracle's one move call per node to seconds
+    # more), which keeps the oracle's one move call per node to seconds.
+    # The spider's 7,680 nodes are the one rank-5 diagram: rank 5 is the
+    # first where K has the flip, the swap and the cycle
     targets = [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (C7, 4)]
     rng = random.Random(3)
     bits = pair_bits(range(7))
@@ -446,6 +452,7 @@ def test_preliminary_matches_the_per_destination_oracle(catalog5):
         target = random_connected_graph(rng, 7, rng.randrange(7))
         if len(mask_orbit(sum(bits[tuple(sorted(e))] for e in target.edges), swaps)) <= 1260:
             targets.append((target, 4))
+    targets.append((SPIDER, 5))
     for target, rank in targets:
         built, (oracle, moves) = build_preliminary(target, rank), preliminary_by_destination(target, rank)
         assert (built.keys, built.rows) == (oracle.keys, oracle.rows)
@@ -472,11 +479,10 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
 
 
 def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
-    # on tables of their own, so every inverse table is built here and the
-    # shared ones are left as the other tests find them: each slice's
-    # weights and each key's inverse table against edge_table over every
-    # turn, and each member's positions against its mask's pairs, on the
-    # star at ranks 2-5, the 21 rank-3 targets and the 7-cycle
+    # on fresh tables: each slice's weights and each source key's inverse
+    # table against edge_table over every turn, and each member's positions
+    # against its mask's pairs, on the star at ranks 2-5, the 21 rank-3
+    # targets and the 7-cycle
     for rank in range(2, 6):
         tables = _RankTables(rank)
         turns, bits, width, full = tables.turns, tables.bits, tables.width, tables.full
@@ -486,10 +492,10 @@ def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
             image = edge_table(sigma, turns)
             assert high == sigma[0] << width | full
             assert weights == [bits[image[e]] for e in turns]
-        for key in tables.maps:
+        assert list(tables.inverses) == list(tables.sources)
+        for key in tables.sources:
             image = edge_table(tables.back[key], turns)
-            assert tables.inverse_of(key) == {e: bits[image[e]] for e in turns}
-        assert tables.inverses.keys() == tables.maps.keys()
+            assert tables.inverses[key] == {e: bits[image[e]] for e in turns}
     targets = [(star_target(rank), rank) for rank in range(2, 6)]
     targets += [(e.graph(), 3) for e in catalog5] + [(C7, 4)]
     for target, rank in targets:
@@ -737,22 +743,6 @@ def test_warm_rank_tables_change_nothing(monkeypatch, catalog5):
         _rank_tables.cache_clear()
         cold.append(decide(*t))
     assert cold == forward
-    # the inverse tables fill per move-source key, each the first time a
-    # move source reads it: after the targets before it, a rank's tables
-    # hold some of them, all with red vertex 1 or 4, and the last target
-    # at the rank, decided on them, gives what it gives on cleared tables
-    for rank in (3, 4):
-        _rank_tables.cache_clear()
-        at_rank = [i for i, t in enumerate(targets) if t[1] == rank]
-        for i in at_rank[:-1]:
-            assert decide(*targets[i]) == forward[i]
-        tables = _rank_tables(rank)
-        partly = dict(tables.inverses)
-        assert 0 < len(partly) <= 2 * (2 * rank - 2) < len(tables.maps)
-        assert {key[0] for key in partly} <= {1, 4}
-        assert decide(*targets[at_rank[-1]]) == cold[at_rank[-1]]
-        assert partly.items() <= tables.inverses.items()
-        assert {key[0] for key in tables.inverses} <= {1, 4}
     # a second verdict at a rank builds no slice map
     builds = []
 
@@ -766,40 +756,62 @@ def test_warm_rank_tables_change_nothing(monkeypatch, catalog5):
     for target, rank in targets[:2] + targets[-2:]:
         decide(target, rank)
     assert builds == [3, 4]
-    # a verdict reads the tables and only fills in products and inverse
-    # tables; they hold data, no function a caller could swap out of the
-    # module
-    tables = _rank_tables(4)
-    epp_classes(target_verdict(C7, 4).diagram)
-    before = copy.deepcopy(vars(tables))
-    epp_classes(target_verdict(K5_2PEND, 4).diagram)
-    after = vars(tables)
-    filled = ("products", "distinct", "inverses")
-    assert {k: v for k, v in after.items() if k not in filled} == \
-        {k: v for k, v in before.items() if k not in filled}
-    assert after["products"].keys() >= before["products"].keys()
-    for key, known in before["products"].items():
-        assert known.items() <= after["products"][key].items()
-    assert before["distinct"].items() <= after["distinct"].items()
-    assert before["inverses"].items() <= after["inverses"].items()
-    assert _data_only(list(after.values()))
+    # once one verdict at a rank has built its diagram and its EPP
+    # classes, the tables are whole: the other verdicts and EPP classes at
+    # the rank write nothing to them, and they hold data, no function a
+    # caller could swap out of the module
+    for rank in (3, 4):
+        _rank_tables.cache_clear()
+        diagrams = (target_verdict(target, r).diagram for target, r in targets if r == rank)
+        epp_classes(next(d for d in diagrams if d))
+        tables = _rank_tables(rank)
+        before = copy.deepcopy(vars(tables))
+        for diagram in diagrams:
+            if diagram:
+                epp_classes(diagram)
+        assert vars(tables) == before
+        assert _data_only(list(vars(tables).values()))
 
 
 def test_slice_map_products_match_direct_composition():
-    # every (k, k') pair the product table can hold, against composing
-    # the two slice maps: sigma_k o sigma_k' = sigma_k'' o kappa, kappa in K
+    # factor against composing directly, g o sigma_k' = sigma_k'' o kappa
+    # with kappa in K, for every slice key k' and, as g, every slice map
+    # (the products) and every element of K (the lifts); and each source
+    # key's products are factor's, for every slice map in order
     for rank in range(2, 6):
         tables = _rank_tables(rank)
-        maps, stabilizer = tables.maps, set(stabilizer_of_1_and_3(rank))
+        maps, stabilizer = tables.maps, stabilizer_of_1_and_3(rank)
         assert len(maps) == 2 * rank * (2 * rank - 2)
         for key, sigma in maps.items():
             assert tuple(sigma[d - 1] for d in tables.back[key]) == tables.identity
+        for g in [*maps.values(), *stabilizer]:
             for key1, sigma1 in maps.items():
-                key2, kappa = tables.products_of(key, [key1])[key1]
-                composed = tuple(sigma[d - 1] for d in sigma1)
-                assert tuple(maps[key2][d - 1] for d in kappa) == composed
-                assert kappa[:4] == (1, 2, 3, 4) and kappa in stabilizer
-            assert tables.products[key].keys() == maps.keys()
+                key2, kappa = tables.factor(g, key1)
+                assert tuple(maps[key2][d - 1] for d in kappa) == tuple(g[d - 1] for d in sigma1)
+                assert kappa in stabilizer
+        assert list(tables.products) == list(tables.sources)
+        for key1, products in tables.products.items():
+            assert products == [tables.factor(sigma, key1) for sigma in maps.values()]
+
+
+def test_move_sources_lie_in_the_source_slices(catalog5):
+    # a move into a base structure has u = 1 and a = bar(3) = 4, so its
+    # source has red vertex 1 or 4 and a red-edge end that is neither:
+    # every move source of every base structure lies in one of the 2(2r-3)
+    # slices the rank tables hold inverse tables and products for, and
+    # the stars at ranks 2-5, the 21 rank-3 targets, the eight rank-4 ones
+    # and the spider reach every one of them
+    targets = [(star_target(rank), rank) for rank in range(2, 6)] + [(SPIDER, 5)]
+    targets += [(e.graph(), 3) for e in catalog5] + [(g, 4) for g in RANK4.values()]
+    reached: dict[int, set] = {}
+    for target, rank in targets:
+        keys = reached.setdefault(rank, set())
+        for G in _slice_structures(_base_slice(target, rank), rank):
+            keys.update((red, end) for red, end, _ in move_sources(G))
+    for rank, keys in reached.items():
+        sources = _rank_tables(rank).sources
+        assert len(sources) == len(set(sources)) == 2 * (2 * rank - 3)
+        assert keys == set(sources)
 
 
 def test_epp_classes_map_r_images_per_component(monkeypatch):
