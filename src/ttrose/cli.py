@@ -242,7 +242,7 @@ def cmd_check_graph(args) -> int:
         if args.max_loop_len:
             _report_loops(result.diagram, args.max_loop_len)
     print(f"verdict: {result.verdict}")
-    agree = _oracle_check(target, args) if args.oracle_samples else True
+    agree = _oracle_check(target, args, result.num_structures) if args.oracle_samples else True
     _artifact(out, args.format, result.diagram, f"diagram_r{args.rank}")
     return 0 if agree else 1
 
@@ -255,12 +255,14 @@ def _report_loops(diagram, max_len: int) -> None:
               f"at its first node; {ok} fully ideal")
 
 
-def _oracle_check(target, args) -> bool:
-    """Does is_birecurrent agree with the brute-force oracle on the samples?"""
-    structures = enumerate_structures(target, args.rank)
+def _oracle_check(target, args, num_structures: int) -> bool:
+    """Does is_birecurrent agree with the brute-force oracle on the samples?
+    The sample is drawn as positions in the enumeration, so only the
+    sampled structures are decoded."""
     rng = random.Random(args.seed or 0)
-    samples = structures if len(structures) <= args.oracle_samples \
-        else rng.sample(structures, args.oracle_samples)
+    positions = range(num_structures) if num_structures <= args.oracle_samples \
+        else rng.sample(range(num_structures), args.oracle_samples)
+    samples = enumerate_structures(target, args.rank, positions=positions)
     bad = [G for G in samples if is_birecurrent(G) != brute_force_birecurrent(G)]
     print(f"birecurrency oracle agreement: {len(samples) - len(bad)}/{len(samples)}")
     if bad:

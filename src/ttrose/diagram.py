@@ -7,7 +7,10 @@ extension and switch moves between them.  Birecurrency and the moves are
 decided on one representative per orbit of one base slice (red vertex 1,
 red edge {1, 3}) under K, the edge pair permutations fixing directions 1
 and 3, and carried by edge pair permutations to the rest of the orbit
-and to every other slice.  A component passes the Irreducibility
+and to every other slice.  Tarjan runs only on the diagram's quotient by
+EPP, one node per admissible K-orbit; each component is one forward
+walk through the nodes over one of its SCCs, and an EPP class is the
+components over one SCC.  A component passes the Irreducibility
 Potential Test when every edge pair labels the red vertex of some node;
 if no component passes (in particular if there are no components at
 all), no ideally decomposed representative exists and the target is
@@ -29,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -46,8 +48,8 @@ from .maps import (
 from .moves import GeneratingTriple, entering_generator, move_kind, move_sources
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
-from .whitehead import (Action, WhiteheadGraph, mask_action, mask_image, mask_orbit, pair_bits,
-                        relabeling_generators, tarjan_scc)
+from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, pair_bits, relabeling_generators,
+                        tarjan_scc)
 
 UNACHIEVED_BIRECURRENCY = "UnachievedByBirecurrency"
 UNACHIEVED_IRREDUCIBILITY = "UnachievedByIrreducibilityPotential"
@@ -224,11 +226,6 @@ class _RankTables:
         return {key1: [self.factor(sigma, key1) for sigma in self.maps.values()]
                 for key1 in self.sources}
 
-    @cached_property
-    def epp(self) -> list[tuple[dict[int, int], Action]]:
-        """EPP's generators, each with its action on turn masks."""
-        return [(g, mask_action(g, self.bits)) for g in _pair_generators(1, self.rank)]
-
     def image_bits(self, perm: Sequence[int]) -> list[int]:
         """The bit of perm's image of the turn at each position, perm given
         as the image of each direction."""
@@ -349,14 +346,18 @@ def _members(base: BaseSlice, admissible_only: bool) -> list[tuple[int, ...]]:
             if birecurrent or not admissible_only]
 
 
-def enumerate_structures(target: WhiteheadGraph, rank: int,
-                         admissible_only: bool = False) -> list[LttStructure]:
+def enumerate_structures(target: WhiteheadGraph, rank: int, admissible_only: bool = False,
+                         positions: Iterable[int] | None = None) -> list[LttStructure]:
     """All distinct indexed pair-labeled structures whose purple part is a
     labeled copy of the target, over every label assignment respecting the
     bar pairing and every red edge attachment away from the red vertex's
-    bar partner.  Only the birecurrent ones when requested."""
+    bar partner.  Only the birecurrent ones when requested, and only those
+    at the given positions of that list, in the given order, when given:
+    only they are decoded."""
     base = _base_slice(target, rank)
     keys, _ = _carry(rank, _members(base, admissible_only))
+    if positions is not None:
+        keys = [keys[p] for p in positions]
     return list(_decode(rank, keys))
 
 
@@ -389,11 +390,26 @@ class PreliminaryDiagram:
     """Nodes by their keys, in sorted order, and each node's row: the
     positions of its edges' destinations, in sorted order.  An edge is its
     (source, destination) pair; edges are ordered by source, then by
-    destination.  The structures and the moves are decoded from these
-    when first read."""
+    destination.  The quotient by a group the edges commute with (EPP, or
+    the trivial group): each node's orbit, and each orbit's row, the sorted
+    orbits that its nodes' edges reach.  The structures and the moves are
+    decoded from these when first read."""
     rank: int
     keys: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
+    orbit: tuple[int, ...]
+    quotient: tuple[tuple[int, ...], ...]
+
+    def over(self) -> list[int]:
+        """Each node's SCC of the quotient, numbered in tarjan_scc's order
+        among those that carry an arc, or -1 over one that carries none."""
+        quotient, scc = self.quotient, [-1] * len(self.quotient)
+        arced = (comp for comp in tarjan_scc(quotient)
+                 if len(comp) > 1 or comp[0] in quotient[comp[0]])
+        for c, comp in enumerate(arced):
+            for q in comp:
+                scc[q] = c
+        return list(map(scc.__getitem__, self.orbit))
 
     def edge_ends(self, nodes: Sequence[int] | None = None) -> Iterator[tuple[int, int]]:
         """Each edge's (source, destination) positions, in edge order; only
@@ -451,7 +467,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     sigma_k o sigma_k' and kappa in K, the stabilizer of directions 1 and 3.
     The moves into B_b = t(R), for its orbit's representative R, are t of
     the moves into R in the same way, so only the representatives' moves
-    are generated."""
+    are generated.  The quotient by EPP has a node per admissible K-orbit,
+    in the order of the representatives, and an arc from the source's
+    orbit into R's for each move into a representative R, self-arcs too."""
     tables = _rank_tables(rank)
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
@@ -480,6 +498,18 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
                 raise RuntimeError("admissible source missing from the enumeration")
             if base.birecurrent[source]:
                 moves[i].append((source_key, slot[source]))
+    number = {i: q for q, i in enumerate(moves)}
+    orbit_of = [number[base.reps[i]] for i in admissible]  # by b
+    reach: list[set[int]] = [set() for _ in moves]
+    for q, into in enumerate(moves.values()):
+        for _, b2 in into:
+            reach[orbit_of[b2]].add(q)
+    quotient = tuple(tuple(sorted(row)) for row in reach)
+    by_node = [0] * len(keys)
+    for dest in position.values():
+        for i, q in zip(dest, orbit_of):
+            by_node[i] = q
+    orbit = tuple(by_node)
     # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
     arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     lifted: dict[tuple[int, ...], dict] = {}  # t -> k' -> (k'', kappa's images)
@@ -502,7 +532,8 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
             source, image = position[key2], image_of(kappa)
             for b, b2 in pairs:
                 rows[source[image[b2]]].append(dest[b])
-    return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows))
+    return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows), orbit,
+                              quotient)
 
 
 @dataclass(frozen=True)
@@ -528,17 +559,33 @@ def id_diagram(target: WhiteheadGraph, rank: int,
                preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
     preliminary diagram that carry an edge (two or more nodes, or one with
-    a self-loop), each in node order, ordered by their first node."""
+    a self-loop), each in node order, ordered by their first node.  Each
+    lies over an SCC C of the quotient that carries an arc, and is the
+    forward walk from its least node through the nodes over C: the group
+    carries edges to edges, so (1) every node over C has an edge into each
+    orbit of C its own orbit has an arc to; (2) so a node over C in a sink
+    SCC of the nodes over C reaches all of C inside that SCC, and these
+    nodes are closed under the group, so they are every node over C; (3)
+    so every SCC over C is a sink there, and the walk reaches exactly it."""
     if preliminary is None:
         preliminary = build_preliminary(target, rank)
     keys, rows = preliminary.keys, preliminary.rows
-    # disjoint sorted lists compare by their least element
-    sccs = sorted(sorted(comp) for comp in tarjan_scc(rows)
-                  if len(comp) > 1 or comp[0] in rows[comp[0]])
     width = _rank_tables(rank).width
-    components = tuple(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp))
-                       for comp in sccs)
-    return IdDiagram(rank, target, preliminary, components)
+    components = []
+    label = preliminary.over()  # and -1 once walked
+    for start, c in enumerate(label):
+        if c < 0:
+            continue
+        label[start] = -1
+        comp = [start]
+        for i in comp:
+            for j in rows[i]:
+                if label[j] == c:
+                    label[j] = -1
+                    comp.append(j)
+        comp.sort()
+        components.append(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp)))
+    return IdDiagram(rank, target, preliminary, tuple(components))
 
 
 # --- irreducibility potential test and EPP reduction ----------------------
@@ -561,41 +608,19 @@ def irreducibility_potential_test(diagram: IdDiagram) -> IpTestResult:
 
 def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     """Indices of EPP-isomorphic components, each class sorted, classes in
-    order of their least index.  The diagram commutes with EPP, so an
-    element sending one node of C1 into C2 carries C1 onto C2, edges
-    included: a class is the mask_orbit of a component index under EPP's
-    generators (a flip, a swap and a cycle of bar pairs), each acting on
-    one node of the component, so it costs at most three images per
-    component.  A node is imaged on its key, its red vertex by the element
-    and its turn mask by the element's mask_action, and found among the
-    sorted keys by bisection.  An image in no component means the diagram
-    is not closed under EPP, and raises RuntimeError."""
-    keys = diagram.preliminary.keys
-    tables = _rank_tables(diagram.rank)
-    width, full = tables.width, tables.full
-    component_of = [-1] * len(keys)
+    order of their least index.  A component meets every orbit of its SCC
+    of the quotient, so EPP carries it onto any other over that SCC, and
+    components over two SCCs differ in their orbits: a class is the
+    components over one SCC.  Components that leave uncovered a node over
+    an SCC with an arc raise RuntimeError: the diagram is not closed under
+    EPP."""
+    over = diagram.preliminary.over()
+    if sum(len(comp.nodes) for comp in diagram.components) != len(over) - over.count(-1):
+        raise RuntimeError("a node over an SCC of the quotient lies in no component")
+    classes: dict[int, list[int]] = {}
     for i, comp in enumerate(diagram.components):
-        for x in comp.nodes:
-            component_of[x] = i
-
-    def component_image(k: int, generator: tuple) -> int:
-        g, action = generator
-        key = keys[diagram.components[k].nodes[0]]
-        red = key >> width
-        image = g.get(red, red) << width | ~mask_image(~key & full, action) & full
-        x = bisect_left(keys, image)
-        if x == len(keys) or keys[x] != image or component_of[x] < 0:
-            raise RuntimeError("an EPP image of a component node lies in no component")
-        return component_of[x]
-
-    classes: list[list[int]] = []
-    classed: set[int] = set()
-    for i in range(len(diagram.components)):
-        if i not in classed:
-            orbit = mask_orbit(i, tables.epp, component_image)
-            classed.update(orbit)
-            classes.append(sorted(orbit))
-    return classes
+        classes.setdefault(over[comp.nodes[0]], []).append(i)
+    return list(classes.values())
 
 
 # --- loops -----------------------------------------------------------------

@@ -4,18 +4,18 @@ The same small-graph type serves the local and stable Whitehead graphs
 of a map (vertices are direction labels), the purple part of a
 lamination train track structure, and abstract target graphs.
 tarjan_scc finds strongly connected components: a graph's connected
-components, and those of the birecurrency digraph and of the ID diagram
-(hundreds of thousands of arcs).  mask_orbit walks an orbit breadth
-first: of an edge bitmask under relabelings acting by tables, two of
-which generate every permutation of a set of labels (the labeled copies
-of a target, the catalog's isomorphism classes, the K-orbits of a slice
-of structures), and of a component index under EPP.
+components, and those of the birecurrency digraph and of the ID
+diagram's quotient by EPP (one node per EPP orbit of diagram nodes).
+mask_orbit walks the orbit of an edge bitmask breadth first under
+relabelings acting by tables, two of which generate every permutation
+of a set of labels: the labeled copies of a target, the catalog's
+isomorphism classes, the K-orbits of a slice of structures.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,18 +181,16 @@ def mask_image(mask: int, action: Action) -> int:
     return image
 
 
-def mask_orbit(start: int, actions: Sequence,
-               image: Callable = mask_image) -> dict[int, tuple[int, int] | None]:
-    """The orbit of start under the group the actions generate, breadth
-    first, each member with the (parent, index of the action) that first
-    reached it, start with None.  image(member, action) is the action on
-    a member, by default a mask_action's on an edge mask.  The cost grows
-    with the orbit, not with the group."""
+def mask_orbit(start: int, actions: Sequence[Action]) -> dict[int, tuple[int, int] | None]:
+    """The orbit of an edge mask under the group the mask_actions
+    generate, breadth first, each member with the (parent, index of the
+    action) that first reached it, start with None.  The cost grows with
+    the orbit, not with the group."""
     orbit: dict[int, tuple[int, int] | None] = {start: None}
     queue = [start]
     for member in queue:
         for g, action in enumerate(actions):
-            found = image(member, action)
+            found = mask_image(member, action)
             if found not in orbit:
                 orbit[found] = (member, g)
                 queue.append(found)

@@ -216,8 +216,9 @@ def map_realizes_images_smoothly(m: RoseMap, G: LttStructure) -> bool:
 
 # --- EPP orbits of whole node sets ----------------------------------------
 #
-# The library classes ID-diagram components by the orbit of one node
-# (diagram.epp_classes); this maps every node of every set instead.
+# The library classes ID-diagram components by their SCC of the
+# diagram's quotient by EPP (diagram.epp_classes); this maps every node of
+# every set by every element instead.
 
 
 def sort_key(G: LttStructure) -> tuple:
@@ -326,8 +327,12 @@ def node_key(G: LttStructure) -> int:
 def preliminary_of(rank: int, nodes: Sequence[LttStructure],
                    edges: Sequence[GeneratingTriple]) -> PreliminaryDiagram:
     """The preliminary diagram on the nodes, in their order, with the
-    edges: the nodes' keys and each node's row of destinations."""
-    return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), edge_rows(nodes, edges))
+    edges: the nodes' keys and each node's row of destinations.  Its
+    quotient is by the trivial group: each node is its own orbit, and the
+    rows are the quotient's."""
+    rows = edge_rows(nodes, edges)
+    return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), rows, tuple(range(len(nodes))),
+                              rows)
 
 
 def generating_triples(G: LttStructure) -> list[GeneratingTriple]:

@@ -447,6 +447,40 @@ def test_check_graph_oracle_samples(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_oracle_samples_decode_only_the_sampled_structures(monkeypatch, capsys):
+    # the sample is drawn as positions in the enumeration: the same
+    # structures, in the same order, as a sample of the decoded list with
+    # the same seed, and only those are decoded.  is_birecurrent is made
+    # wrong on every star structure, so each sampled one is printed or
+    # counted as a disagreement
+    import random
+
+    import ttrose.cli
+    import ttrose.diagram
+    from ttrose.diagram import enumerate_structures, star_target
+    expected = random.Random(3).sample(enumerate_structures(star_target(4), 4), 20)
+    checked, decoded = [], []
+    brute_force, decode = ttrose.cli.brute_force_birecurrent, ttrose.diagram._decode
+
+    def recorded(G):
+        checked.append(G)
+        return brute_force(G)
+
+    def counted(rank, keys):
+        decoded.append(len(keys))
+        return decode(rank, keys)
+
+    monkeypatch.setattr(ttrose.cli, "brute_force_birecurrent", recorded)
+    monkeypatch.setattr(ttrose.cli, "is_birecurrent", lambda G: True)
+    monkeypatch.setattr(ttrose.diagram, "_decode", counted)
+    assert main(["check-graph", "--star", "--rank", "4", "--oracle-samples", "20",
+                 "--seed", "3"]) == 1
+    out = capsys.readouterr().out
+    assert checked == expected and decoded == [20]
+    assert "birecurrency oracle agreement: 0/20" in out
+    assert f"DISAGREEMENT on: {expected[0]}" in out
+
+
 def test_oracle_disagreement_exits_1(monkeypatch, capsys):
     import ttrose.cli
     monkeypatch.setattr(ttrose.cli, "is_birecurrent", lambda G: True)  # wrong on every star

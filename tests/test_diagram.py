@@ -57,7 +57,7 @@ from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, entering_generator, move_sources
 from ttrose.rose import all_directions, format_direction
 from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
-                              pair_bits)
+                              pair_bits, tarjan_scc)
 
 
 # the eight rank-4 targets of the benchmark's verdict_r4 workload, among
@@ -508,6 +508,35 @@ def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
         assert _members(base, admissible_only=True) == admissible
 
 
+def test_components_are_the_arc_bearing_sccs_of_the_whole_diagram(catalog5):
+    # the components come from Tarjan on the quotient by EPP and one
+    # forward walk each; Tarjan on every node and edge gives the same node
+    # lists in the same order.  The quotient's arcs are the edges' orbit
+    # pairs, and at rank 3 a node's orbit is its EPP orbit.  G5.07 has one
+    # K-orbit, so every arc of its quotient is a self-arc
+    targets = [(e.id, e.graph(), 3) for e in catalog5] + [(name, g, 4) for name, g in RANK4.items()]
+    targets += [("p7", P7, 4), ("spider", SPIDER, 5)]
+    for name, target, rank in targets:
+        diagram = target_verdict(target, rank).diagram
+        if diagram is None:
+            continue
+        prelim = diagram.preliminary
+        rows, orbit = prelim.rows, prelim.orbit
+        sccs = sorted(sorted(comp) for comp in tarjan_scc(rows)
+                      if len(comp) > 1 or comp[0] in rows[comp[0]])
+        assert [list(comp.nodes) for comp in diagram.components] == sccs, name
+        arcs = {(p, q) for p, row in enumerate(prelim.quotient) for q in row}
+        assert arcs == {(orbit[i], orbit[j]) for i, j in prelim.edge_ends()}, name
+        if rank == 3:
+            fibres: dict[int, set[int]] = {}
+            for i, q in enumerate(orbit):
+                fibres.setdefault(q, set()).add(i)
+            assert set(map(frozenset, fibres.values())) \
+                == orbits_by_elements(epp_elements(3), prelim.nodes), name
+        if name == "G5.07":
+            assert prelim.quotient == ((0,),) and len(diagram.components) == 1
+
+
 def test_component_edges_are_the_oracles_moves_inside_it(squeeze):
     # read off the rows inside each component, the edges are the moves the
     # per-destination oracle finds with both ends in it, in the oracle's
@@ -678,11 +707,11 @@ def test_epp_classes_match_node_set_orbits_rank3(catalog5):
 
 
 def test_epp_classes_match_node_set_orbits_rank4():
-    # the node keys of one node per component are imaged by EPP's
-    # generators acting on turn masks; the oracle images every node of
-    # each class's first component by every element of EPP.  The star on
-    # 7 vertices plus two edges between leaves has 160 components in 3
-    # classes, P7 577 in 3
+    # the classes are the components over one SCC of the quotient by
+    # EPP, imaging no node; the oracle images every node of each class's
+    # first component by every element of EPP.  The star on 7 vertices
+    # plus two edges between leaves has 160 components in 3 classes, P7
+    # 577 in 3
     counts = {}
     for name, target in [*RANK4.items(), ("p7", P7)]:
         diagram = target_verdict(target, 4).diagram
@@ -815,9 +844,11 @@ def test_move_sources_lie_in_the_source_slices(catalog5):
 
 
 def test_epp_classes_map_r_images_per_component(monkeypatch):
-    # closing a class under EPP's three generators costs at most three
-    # images per component, not one per element of EPP (46,080 at rank 6)
+    # a class is the components over one SCC of the quotient by EPP, so
+    # classing them images no node under EPP (46,080 elements at rank 6):
+    # no orbit is walked and no turn mask imaged
     import ttrose.diagram
+    import ttrose.whitehead
     k11 = WhiteheadGraph.build(range(11), itertools.combinations(range(11), 2))
     diagram = target_verdict(k11, 6).diagram
     images = []
@@ -826,9 +857,10 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
         images.append(mask)
         return mask_image(mask, action)
 
-    monkeypatch.setattr(ttrose.diagram, "mask_image", counting)
+    monkeypatch.setattr(ttrose.whitehead, "mask_image", counting)
+    monkeypatch.setattr(ttrose.diagram, "mask_orbit", lambda *args: images.append(args))
     assert len(epp_classes(diagram)) == 1
-    assert 0 < len(images) <= 3 * len(diagram.components)
+    assert images == []
 
 
 def test_loops_and_reports(squeeze):
