@@ -7,24 +7,27 @@ extension and switch moves between them.  Birecurrency and the moves are
 decided on one representative per orbit of one base slice (red vertex 1,
 red edge {1, 3}) under K, the edge pair permutations fixing directions 1
 and 3, and carried by edge pair permutations to the rest of the orbit
-and to every other slice.  Tarjan runs only on the diagram's quotient by
-EPP, one node per admissible K-orbit; each component is one forward
-walk through the nodes over one of its SCCs, and an EPP class is the
-components over one SCC.  A component passes the Irreducibility
-Potential Test when every edge pair labels the red vertex of some node;
-if no component passes (in particular if there are no components at
-all), no ideally decomposed representative exists and the target is
-unachieved.  The verdict runs on integers: each node is one key, each
-edge the positions of its two nodes, kept as each node's sorted row of
-destinations, and structures and moves are decoded only when a caller
-reads them.  A base structure is carried as the positions of its turns'
-bits, and its images' turn masks are sums of per-rank table entries at
-those positions.  The tables that depend on the rank alone (the turn
-bits, the slice maps, their inverses and weights by position, the
-generator actions, and the inverse tables and products of the 2(2r-3)
-slices a move source can lie in) are each built whole once per rank per
-process, and no verdict writes to them: `ttrose sweep` and the tests
-reuse them from target to target, a lone `check-graph` builds them once.
+and to every other slice.  Tarjan runs once, on the diagram's quotient
+by EPP, one node per admissible K-orbit; each component is one forward
+walk through the nodes over one of its SCCs, the ID diagram keeps the
+SCC each node lies over, and an EPP class is the components over one
+SCC.  A component passes the Irreducibility Potential Test when every
+edge pair labels the red vertex of some node; if no component passes
+(in particular if there are no components at all), no ideally
+decomposed representative exists and the target is unachieved.  The
+verdict runs on integers: each node is one key, each edge the positions
+of its two nodes, kept as each node's sorted row of destinations, and
+structures and moves are decoded only when a caller reads them.  A base
+structure is carried as the positions of its turns' bits, and its
+images' turn masks are sums of per-rank table entries at those
+positions; only the preliminary diagram, their one reader, tables the
+images' positions among the sorted keys.  The tables that depend on the
+rank alone (the turn bits, the slice maps, their inverses and weights by
+position, the generator actions, and the inverse tables and products of
+the 2(2r-3) slices a move source can lie in) are each built whole once
+per rank per process, and no verdict writes to them: `ttrose sweep` and
+the tests reuse them from target to target, a lone `check-graph` builds
+them once.
 """
 
 from __future__ import annotations
@@ -135,17 +138,15 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pair_generators(first: int, last: int) -> list[dict[int, int]]:
-    """Generators of the signed permutations of bar pairs first..last, each
-    as the image of every direction it moves: the flip of the first pair,
-    then the swap of the first two and the cycle of all of them with
-    orientation kept, as relabeling_generators gives them on the pairs.
-    No generators for an empty run."""
-    if last < first:
+def _k_generators(rank: int) -> list[dict[int, int]]:
+    """Generators of K, the signed permutations of bar pairs 3..r, each as
+    the image of every direction it moves: the flip of pair 3, then the
+    swap of pairs 3 and 4 and the cycle of pairs 3..r with orientation
+    kept, as relabeling_generators gives them on the pairs.  None at rank 2."""
+    if rank < 3:
         return []
-    flip = {2 * first - 1: 2 * first, 2 * first: 2 * first - 1}
-    return [flip] + [{2 * i - e: 2 * j - e for i, j in g.items() for e in (1, 0)}
-                     for g in relabeling_generators(range(first, last + 1))]
+    return [{5: 6, 6: 5}] + [{2 * i - e: 2 * j - e for i, j in g.items() for e in (1, 0)}
+                             for g in relabeling_generators(range(3, rank + 1))]
 
 
 class _RankTables:
@@ -168,7 +169,7 @@ class _RankTables:
         purple = {e: bit for e, bit in self.bits.items() if e[0] > 1}
         self.relabelings = [mask_action(g, purple)
                             for g in relabeling_generators(range(2, 2 * rank + 1))]
-        self.k_generators = _pair_generators(3, rank)  # the signed permutations of pairs 3..r
+        self.k_generators = _k_generators(rank)
         self.k_actions = [mask_action(g, purple) for g in self.k_generators]
 
     @cached_property
@@ -317,26 +318,15 @@ def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
     return tuple(structure(key >> width, _positions(~key & full)) for key in keys)
 
 
-def _carry(rank: int, members: Sequence[tuple[int, ...]]
-           ) -> tuple[tuple[int, ...], dict[tuple[int, int], list[int]]]:
+def _carry(rank: int, members: Sequence[tuple[int, ...]]) -> list[int]:
     """The key of each slice map's image of each base-slice structure,
-    given by its turns' positions, in sorted order; and the position of
-    each image by the slice's (red vertex, red-edge end), then by the
-    structure's index."""
-    tables = _rank_tables(rank)
+    given by its turns' positions, slice by slice in the order of maps;
+    the slices are disjoint, so no two keys are equal."""
     keys: list[int] = []
-    for high, weights in tables.weights:
+    for high, weights in _rank_tables(rank).weights:
         weight = weights.__getitem__
         keys.extend(high - sum(map(weight, P)) for P in members)
-    # the slices are disjoint, so no two keys are equal
-    n = len(members)
-    position = {key: [0] * n for key in tables.maps}
-    rows = list(position.values())
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    for i, x in enumerate(order):
-        k, b = divmod(x, n)
-        rows[k][b] = i
-    return tuple(map(keys.__getitem__, order)), position
+    return keys
 
 
 def _members(base: BaseSlice, admissible_only: bool) -> list[tuple[int, ...]]:
@@ -355,7 +345,7 @@ def enumerate_structures(target: WhiteheadGraph, rank: int, admissible_only: boo
     at the given positions of that list, in the given order, when given:
     only they are decoded."""
     base = _base_slice(target, rank)
-    keys, _ = _carry(rank, _members(base, admissible_only))
+    keys = sorted(_carry(rank, _members(base, admissible_only)))
     if positions is not None:
         keys = [keys[p] for p in positions]
     return list(_decode(rank, keys))
@@ -399,17 +389,6 @@ class PreliminaryDiagram:
     rows: tuple[tuple[int, ...], ...]
     orbit: tuple[int, ...]
     quotient: tuple[tuple[int, ...], ...]
-
-    def over(self) -> list[int]:
-        """Each node's SCC of the quotient, numbered in tarjan_scc's order
-        among those that carry an arc, or -1 over one that carries none."""
-        quotient, scc = self.quotient, [-1] * len(self.quotient)
-        arced = (comp for comp in tarjan_scc(quotient)
-                 if len(comp) > 1 or comp[0] in quotient[comp[0]])
-        for c, comp in enumerate(arced):
-            for q in comp:
-                scc[q] = c
-        return list(map(scc.__getitem__, self.orbit))
 
     def edge_ends(self, nodes: Sequence[int] | None = None) -> Iterator[tuple[int, int]]:
         """Each edge's (source, destination) positions, in edge order; only
@@ -474,7 +453,24 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
     members = _members(base, admissible_only=True)
-    keys, position = _carry(rank, members)
+    n = len(members)
+    # the quotient node of each representative (its orbit's first member)
+    # and of each admissible member, by b
+    number: dict[int, int] = {}
+    orbit_of = [number.setdefault(base.reps[i], len(number)) for i in admissible]
+    # the sorted keys, each image's position by its slice's key and b, and
+    # each node's quotient node
+    carried = _carry(rank, members)
+    order = sorted(range(len(carried)), key=carried.__getitem__)
+    keys = tuple(map(carried.__getitem__, order))
+    position = {key: [0] * n for key in tables.maps}
+    by_slice = list(position.values())
+    orbit = [0] * len(keys)
+    for i, x in enumerate(order):
+        k, b = divmod(x, n)
+        by_slice[k][b] = i
+        orbit[i] = orbit_of[b]
+    del carried, order
     images: dict[tuple[int, ...], list[int]] = {}  # kappa -> b of kappa(B_b) by b
 
     def image_of(kappa: tuple[int, ...]) -> list[int]:
@@ -483,13 +479,12 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
             images[kappa] = [slot[base.index[sum(map(weight, P))]] for P in members]
         return images[kappa]
 
-    # (k', b') for each move into a representative from an admissible sigma_k'(B_b')
-    moves: dict[int, list[tuple[tuple[int, int], int]]] = {}
-    for b, i in enumerate(admissible):
-        if base.reps[i] != i:
-            continue
-        moves[i] = []
-        for red, end, colored in move_sources(tables.structure(1, members[b])):
+    # by the quotient node of each representative R: (k', b') for each
+    # move into R from an admissible sigma_k'(B_b'), and the arcs into it
+    moves: list[list[tuple[tuple[int, int], int]]] = [[] for _ in number]
+    reach: list[set[int]] = [set() for _ in number]
+    for q, i in enumerate(number):
+        for red, end, colored in move_sources(tables.structure(1, members[slot[i]])):
             source_key = (red, end)
             source = base.index.get(sum(map(tables.inverses[source_key].__getitem__, colored)))
             if source is None:
@@ -497,26 +492,16 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
                 # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
             if base.birecurrent[source]:
-                moves[i].append((source_key, slot[source]))
-    number = {i: q for q, i in enumerate(moves)}
-    orbit_of = [number[base.reps[i]] for i in admissible]  # by b
-    reach: list[set[int]] = [set() for _ in moves]
-    for q, into in enumerate(moves.values()):
-        for _, b2 in into:
-            reach[orbit_of[b2]].add(q)
+                moves[q].append((source_key, slot[source]))
+                reach[orbit_of[slot[source]]].add(q)
     quotient = tuple(tuple(sorted(row)) for row in reach)
-    by_node = [0] * len(keys)
-    for dest in position.values():
-        for i, q in zip(dest, orbit_of):
-            by_node[i] = q
-    orbit = tuple(by_node)
     # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
     arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     lifted: dict[tuple[int, ...], dict] = {}  # t -> k' -> (k'', kappa's images)
     for b, i in enumerate(admissible):
         t = base.lifts[i]
         by_key = lifted.setdefault(t, {})
-        for key, b2 in moves[base.reps[i]]:
+        for key, b2 in moves[orbit_of[b]]:
             if key not in by_key:
                 key2, kappa = tables.factor(t, key)
                 by_key[key] = key2, image_of(kappa)
@@ -532,8 +517,8 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
             source, image = position[key2], image_of(kappa)
             for b, b2 in pairs:
                 rows[source[image[b2]]].append(dest[b])
-    return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows), orbit,
-                              quotient)
+    return PreliminaryDiagram(rank, keys, tuple(tuple(sorted(row)) for row in rows),
+                              tuple(orbit), quotient)
 
 
 @dataclass(frozen=True)
@@ -553,6 +538,9 @@ class IdDiagram:
     target: WhiteheadGraph
     preliminary: PreliminaryDiagram
     components: tuple[DiagramComponent, ...]
+    # each node's SCC of the quotient, numbered in tarjan_scc's order
+    # among those that carry an arc, or -1 over one that carries none
+    over: tuple[int, ...]
 
 
 def id_diagram(target: WhiteheadGraph, rank: int,
@@ -571,8 +559,15 @@ def id_diagram(target: WhiteheadGraph, rank: int,
         preliminary = build_preliminary(target, rank)
     keys, rows = preliminary.keys, preliminary.rows
     width = _rank_tables(rank).width
+    quotient, scc = preliminary.quotient, [-1] * len(preliminary.quotient)
+    arced = (comp for comp in tarjan_scc(quotient)
+             if len(comp) > 1 or comp[0] in quotient[comp[0]])
+    for c, comp in enumerate(arced):
+        for q in comp:
+            scc[q] = c
+    over = tuple(map(scc.__getitem__, preliminary.orbit))
     components = []
-    label = preliminary.over()  # and -1 once walked
+    label = list(over)  # and -1 once walked
     for start, c in enumerate(label):
         if c < 0:
             continue
@@ -585,7 +580,7 @@ def id_diagram(target: WhiteheadGraph, rank: int,
                     comp.append(j)
         comp.sort()
         components.append(DiagramComponent(tuple(comp), frozenset(keys[i] >> width for i in comp)))
-    return IdDiagram(rank, target, preliminary, tuple(components))
+    return IdDiagram(rank, target, preliminary, tuple(components), over)
 
 
 # --- irreducibility potential test and EPP reduction ----------------------
@@ -614,7 +609,7 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
     components over one SCC.  Components that leave uncovered a node over
     an SCC with an arc raise RuntimeError: the diagram is not closed under
     EPP."""
-    over = diagram.preliminary.over()
+    over = diagram.over
     if sum(len(comp.nodes) for comp in diagram.components) != len(over) - over.count(-1):
         raise RuntimeError("a node over an SCC of the quotient lies in no component")
     classes: dict[int, list[int]] = {}

@@ -34,8 +34,8 @@ from ttrose.diagram import (
     UNACHIEVED_IRREDUCIBILITY,
     InvalidTargetGraph,
     _base_slice,
+    _k_generators,
     _members,
-    _pair_generators,
     _rank_tables,
     _RankTables,
     build_preliminary,
@@ -727,19 +727,51 @@ def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
         epp_classes(broken)
 
 
-def test_pair_generators_generate_k_and_epp():
-    # a flip, a swap and a cycle of bar pairs, fewer when the run is too
-    # short for them to differ: on pairs 3..r they generate K, 384
-    # elements at rank 6, and on pairs 1..r all of EPP
+def test_verdict_and_epp_classes_decompose_the_quotient_once(monkeypatch):
+    # id_diagram keeps each node's SCC of the quotient on the diagram, and
+    # epp_classes reads it there: one Tarjan pass for both
+    import ttrose.diagram
+    calls = []
+
+    def counted(arcs):
+        calls.append(arcs)
+        return tarjan_scc(arcs)
+
+    monkeypatch.setattr(ttrose.diagram, "tarjan_scc", counted)
+    diagram = target_verdict(STAR_P2, 4).diagram
+    assert len(epp_classes(diagram)) == 3
+    assert calls == [diagram.preliminary.quotient]
+
+
+def test_over_labels_component_nodes_by_their_epp_class(catalog5):
+    # a node's label is >= 0 exactly when it lies in a component, each
+    # component's nodes share one, and two components share one exactly
+    # when epp_classes puts them in one class
+    targets = [(e.graph(), 3) for e in catalog5] + [(STAR_P2, 4), (P7, 4), (SPIDER, 5)]
+    for target, rank in targets:
+        diagram = target_verdict(target, rank).diagram
+        if diagram is None:
+            continue
+        over, components = diagram.over, diagram.components
+        assert len(over) == len(diagram.preliminary.keys)
+        assert {i for i, c in enumerate(over) if c >= 0} \
+            == {i for comp in components for i in comp.nodes}
+        labels = [{over[i] for i in comp.nodes} for comp in components]
+        assert all(len(label) == 1 for label in labels)
+        classes: dict[int, list[int]] = {}
+        for i, (label,) in enumerate(labels):
+            classes.setdefault(label, []).append(i)
+        assert sorted(classes.values()) == sorted(epp_classes(diagram))
+
+
+def test_k_generators_generate_k():
+    # a flip, a swap and a cycle of bar pairs 3..r, fewer when the run is
+    # too short for them to differ: they generate K, 384 elements at rank 6
     for rank in range(2, 7):
-        generators = _pair_generators(3, rank)
+        generators = _k_generators(rank)
         assert len(generators) == min(rank - 2, 3)
         assert group_closure(generators, all_directions(rank)) == set(stabilizer_of_1_and_3(rank))
     assert len(stabilizer_of_1_and_3(6)) == 384
-    for rank in range(1, 6):
-        generators = _pair_generators(1, rank)
-        assert len(generators) == min(rank, 3)
-        assert group_closure(generators, all_directions(rank)) == set(epp_elements(rank))
 
 
 def _data_only(value) -> bool:
