@@ -29,6 +29,7 @@ from .catalog import connected_simplicial_graphs
 from .diagram import (
     INCONCLUSIVE,
     InvalidTargetGraph,
+    build_preliminary,
     check_target_rank,
     diagram_to_dot,
     diagram_to_json,
@@ -81,10 +82,12 @@ def _writing(path: Path):
 
 
 def _check_writable(path: Path) -> None:
-    """Fail as writing path would if its nearest existing ancestor is not a
-    directory this process may write, so that an output that cannot be
-    written fails before the work that fills it; nothing is created."""
+    """Fail as writing path would if it is a directory or its nearest
+    existing ancestor is not a directory this process may write, so an
+    unwritable output fails before the work that fills it; creates nothing."""
     with _writing(path):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         found = path.parent
         while not found.exists():
             found = found.parent
@@ -201,14 +204,19 @@ def cmd_analyze_map(args) -> int:
     return 0
 
 
+def _artifact_paths(out: Path, fmt: str | None, stem: str) -> list[Path]:
+    """The diagram's JSON and DOT files under out, or only the one fmt names."""
+    return [out / f"{stem}.{ext}" for ext in ("json", "dot") if fmt in (None, ext)]
+
+
 def _artifact(out: Path | None, fmt: str | None, diagram, stem: str) -> None:
-    """The diagram's JSON and DOT under out, or only the one fmt names."""
     if out is None or diagram is None:
         return
-    if fmt in (None, "json"):
-        _write_json(out / f"{stem}.json", diagram_to_json(diagram))
-    if fmt in (None, "dot"):
-        _write(out / f"{stem}.dot", diagram_to_dot(diagram, stem))
+    for path in _artifact_paths(out, fmt, stem):
+        if path.suffix == ".json":
+            _write_json(path, diagram_to_json(diagram))
+        else:
+            _write(path, diagram_to_dot(diagram, stem))
 
 
 def cmd_check_graph(args) -> int:
@@ -220,7 +228,8 @@ def cmd_check_graph(args) -> int:
     target = _load_target(args)
     out = _out_dir(args)
     if out is not None:
-        _check_writable(out / f"diagram_r{args.rank}.{args.format or 'json'}")
+        for path in _artifact_paths(out, args.format, f"diagram_r{args.rank}"):
+            _check_writable(path)
     result = target_verdict(target, args.rank)
     if args.seed is not None and args.oracle_samples >= result.num_structures:
         raise SystemExit(f"error: --oracle-samples {args.oracle_samples} checks all "
@@ -321,7 +330,8 @@ def _export_path(args, stem: str) -> Path:
 def cmd_export_diagram(args) -> int:
     target = _load_target(args)
     path = _export_path(args, f"diagram_r{args.rank}")
-    _artifact(path.parent, args.format, id_diagram(target, args.rank), path.stem)
+    diagram = id_diagram(target, args.rank, build_preliminary(target, args.rank))
+    _artifact(path.parent, args.format, diagram, path.stem)
     return 0
 
 

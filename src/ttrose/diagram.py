@@ -23,11 +23,10 @@ images' turn masks are sums of per-rank table entries at those
 positions; only the preliminary diagram, their one reader, tables the
 images' positions among the sorted keys.  The tables that depend on the
 rank alone (the turn bits, the slice maps, their inverses and weights by
-position, the generator actions, and the inverse tables and products of
-the 2(2r-3) slices a move source can lie in) are each built whole once
-per rank per process, and no verdict writes to them: `ttrose sweep` and
-the tests reuse them from target to target, a lone `check-graph` builds
-them once.
+position, the generator actions, and the products of the 2(2r-3) slices
+a move source can lie in) are each built whole once per rank per
+process, and no verdict writes to them: `ttrose sweep` and the tests
+reuse them from target to target, a lone `check-graph` builds them once.
 """
 
 from __future__ import annotations
@@ -198,11 +197,11 @@ class _RankTables:
 
     @cached_property
     def sources(self) -> tuple[tuple[int, int], ...]:
-        """The 2(2r-3) slice keys a move source can have, in the order of
-        maps: a move into a base structure has u = 1 and a = bar(3) = 4, so
-        its source's red vertex is 1 or 4, and its red edge's end d, a
-        purple neighbour of 4, is never 1 or 4 (nor 2 for an extension or 3
-        for a switch, no slice key).  K fixes 1 to 4, so it keeps them."""
+        """The keys of products, in the order of maps: the 2(2r-3) slices a
+        move source can lie in.  A move into a base structure has u = 1 and
+        a = bar(3) = 4, so its source's red vertex is 1 or 4 and its red
+        edge's end, a purple neighbour of 4, neither (nor 2 for an extension
+        or 3 for a switch, no slice key).  K fixes 1 to 4, so it keeps them."""
         return tuple(key for key in self.maps if key[0] in (1, 4) and key[1] not in (1, 4))
 
     @cached_property
@@ -212,13 +211,6 @@ class _RankTables:
         of its image of the turn at each position."""
         return [(sigma[0] << self.width | self.full, self.image_bits(sigma))
                 for sigma in self.maps.values()]
-
-    @cached_property
-    def inverses(self) -> dict[tuple[int, int], dict[Turn, int]]:
-        """By a source key k, the base-slice bit of each turn's image under
-        sigma_k^-1."""
-        return {key: dict(zip(self.turns, self.image_bits(self.back[key])))
-                for key in self.sources}
 
     @cached_property
     def products(self) -> dict[tuple[int, int], list[tuple[tuple[int, int], tuple]]]:
@@ -275,10 +267,10 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     get a lift, since only they are carried."""
     validate_target(target, rank)
     tables = _rank_tables(rank)
-    bits, generators, identity = tables.bits, tables.k_generators, tables.identity
+    pair_bit, generators, identity = tables.pair_bit, tables.k_generators, tables.identity
     verts = sorted(target.vertices, key=repr)
     label = {v: i + 2 for i, v in enumerate(verts)}
-    start = bits[1, 3] + sum(bits[tuple(sorted((label[u], label[v])))] for u, v in target.edges)
+    start = pair_bit[1][3] + sum(pair_bit[label[u]][label[v]] for u, v in target.edges)
     # one labeled copy per distinct edge set, so automorphisms of the
     # target never repeat a purple graph
     masks = tuple(mask_orbit(start, tables.relabelings))
@@ -450,6 +442,7 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     in the order of the representatives, and an arc from the source's
     orbit into R's for each move into a representative R, self-arcs too."""
     tables = _rank_tables(rank)
+    pair_bit = tables.pair_bit
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
     slot = {i: b for b, i in enumerate(admissible)}
     members = _members(base, admissible_only=True)
@@ -485,14 +478,14 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     reach: list[set[int]] = [set() for _ in number]
     for q, i in enumerate(number):
         for red, end, colored in move_sources(tables.structure(1, members[slot[i]])):
-            source_key = (red, end)
-            source = base.index.get(sum(map(tables.inverses[source_key].__getitem__, colored)))
+            back = tables.back[red, end]  # sigma_k'^-1, placing the source in the base slice
+            source = base.index.get(sum(pair_bit[back[u - 1]][back[v - 1]] for u, v in colored))
             if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one
                 raise RuntimeError("admissible source missing from the enumeration")
             if base.birecurrent[source]:
-                moves[q].append((source_key, slot[source]))
+                moves[q].append(((red, end), slot[source]))
                 reach[orbit_of[slot[source]]].add(q)
     quotient = tuple(tuple(sorted(row)) for row in reach)
     # (b, b') for each move into B_b from an admissible sigma_k'(B_b'), by k'
@@ -543,8 +536,7 @@ class IdDiagram:
     over: tuple[int, ...]
 
 
-def id_diagram(target: WhiteheadGraph, rank: int,
-               preliminary: PreliminaryDiagram | None = None) -> IdDiagram:
+def id_diagram(target: WhiteheadGraph, rank: int, preliminary: PreliminaryDiagram) -> IdDiagram:
     """Disjoint union of the maximal strongly connected subgraphs of the
     preliminary diagram that carry an edge (two or more nodes, or one with
     a self-loop), each in node order, ordered by their first node.  Each
@@ -555,8 +547,6 @@ def id_diagram(target: WhiteheadGraph, rank: int,
     SCC of the nodes over C reaches all of C inside that SCC, and these
     nodes are closed under the group, so they are every node over C; (3)
     so every SCC over C is a sink there, and the walk reaches exactly it."""
-    if preliminary is None:
-        preliminary = build_preliminary(target, rank)
     keys, rows = preliminary.keys, preliminary.rows
     width = _rank_tables(rank).width
     quotient, scc = preliminary.quotient, [-1] * len(preliminary.quotient)
@@ -720,11 +710,10 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     num_structures = 2 * rank * (2 * rank - 2) * len(base.masks)  # one copy per slice
     if not any(base.birecurrent):
         return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
-    prelim = _preliminary(rank, base)
-    diagram = id_diagram(target, rank, preliminary=prelim)
+    diagram = id_diagram(target, rank, _preliminary(rank, base))
     ip = irreducibility_potential_test(diagram)
     verdict = UNACHIEVED_IRREDUCIBILITY if ip.overall_unachieved else INCONCLUSIVE
-    return VerdictResult(verdict, num_structures, len(prelim.keys), diagram, ip)
+    return VerdictResult(verdict, num_structures, len(diagram.preliminary.keys), diagram, ip)
 
 
 # --- export -----------------------------------------------------------------

@@ -548,13 +548,15 @@ def test_unwritable_out_is_one_line_error(tmp_path, capsys):
 
 def test_unwritable_out_fails_before_any_verdict(tmp_path, monkeypatch, capsys):
     # the whole rank-3 sweep, and every structure or diagram an export
-    # built, used to run before its results could not be written
+    # built, used to run before its results could not be written; so did
+    # they when an artifact's own path was a directory, and check-graph
+    # checked only its JSON when it writes its DOT too
     import ttrose.cli
 
     def no_build(*args, **kwargs):
         raise AssertionError("a verdict or export ran before its output was checked")
 
-    for builder in ("target_verdict", "enumerate_structures", "id_diagram"):
+    for builder in ("target_verdict", "enumerate_structures", "build_preliminary", "id_diagram"):
         monkeypatch.setattr(ttrose.cli, builder, no_build)
     graph = tmp_path / "mid.json"
     graph.write_text(json.dumps(MIDDLE))
@@ -576,6 +578,19 @@ def test_unwritable_out_fails_before_any_verdict(tmp_path, monkeypatch, capsys):
             assert str(exc.value).startswith(f"error: cannot write {blocked / name}: ")
             assert "\n" not in str(exc.value)
             assert capsys.readouterr().out == ""
+    commands.append((["check-graph", str(graph), "--rank", "3"], "diagram_r3.dot"))
+    for n, (argv, name) in enumerate(commands):
+        out = tmp_path / f"out{n}"
+        (out / name).mkdir(parents=True)
+        for via_env in (False, True):
+            monkeypatch.delenv("TTROSE_CACHE_DIR", raising=False)
+            if via_env:
+                monkeypatch.setenv("TTROSE_CACHE_DIR", str(out))
+            with pytest.raises(SystemExit) as exc:
+                main(argv if via_env else argv + ["--out", str(out)])
+            assert str(exc.value).startswith(f"error: cannot write {out / name}: [Errno 21] ")
+            assert capsys.readouterr().out == ""
+            assert list(out.rglob("*")) == [out / name]
 
 
 def test_out_dir_is_made_only_for_an_artifact(tmp_path, monkeypatch, capsys):

@@ -311,7 +311,7 @@ def test_json_edges_read_kind_and_det_off_the_generators(catalog5):
     # diagram_to_json labels each edge from the generators entering its
     # two nodes; the decoded moves derive the same from the structures
     for target, rank in [(e.graph(), 3) for e in catalog5] + [(K5_2PEND, 4), (STAR_P2, 4)]:
-        diagram = id_diagram(target, rank)
+        diagram = id_diagram(target, rank, build_preliminary(target, rank))
         prelim = diagram.preliminary
         assert all(e.gen == entering_generator(e.dest) for e in prelim.edges)
         expected = [{"source": i, "dest": j, "kind": e.kind,
@@ -479,10 +479,10 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
 
 
 def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
-    # on fresh tables: each slice's weights and each source key's inverse
-    # table against edge_table over every turn, and each member's positions
-    # against its mask's pairs, on the star at ranks 2-5, the 21 rank-3
-    # targets and the 7-cycle
+    # on fresh tables: each slice's weights against edge_table over every
+    # turn, each turn's pair_bit entries against its bit, and each member's
+    # positions against its mask's pairs, on the star at ranks 2-5, the 21
+    # rank-3 targets and the 7-cycle
     for rank in range(2, 6):
         tables = _RankTables(rank)
         turns, bits, width, full = tables.turns, tables.bits, tables.width, tables.full
@@ -492,10 +492,8 @@ def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
             image = edge_table(sigma, turns)
             assert high == sigma[0] << width | full
             assert weights == [bits[image[e]] for e in turns]
-        assert list(tables.inverses) == list(tables.sources)
-        for key in tables.sources:
-            image = edge_table(tables.back[key], turns)
-            assert tables.inverses[key] == {e: bits[image[e]] for e in turns}
+        pair_bit = tables.pair_bit
+        assert all(pair_bit[a][b] == pair_bit[b][a] == bits[a, b] for a, b in turns)
     targets = [(star_target(rank), rank) for rank in range(2, 6)]
     targets += [(e.graph(), 3) for e in catalog5] + [(C7, 4)]
     for target, rank in targets:
@@ -543,7 +541,7 @@ def test_component_edges_are_the_oracles_moves_inside_it(squeeze):
     # order; the star on 7 vertices plus two disjoint edges has 160
     # components
     for target, rank in [(squeeze["G5.02"].diagram.target, 3), (STAR_P2, 4)]:
-        diagram = id_diagram(target, rank)
+        diagram = id_diagram(target, rank, build_preliminary(target, rank))
         prelim = diagram.preliminary
         oracle, moves = preliminary_by_destination(target, rank)
         assert oracle.nodes == prelim.nodes and len(diagram.components) > 1
@@ -859,9 +857,9 @@ def test_move_sources_lie_in_the_source_slices(catalog5):
     # a move into a base structure has u = 1 and a = bar(3) = 4, so its
     # source has red vertex 1 or 4 and a red-edge end that is neither:
     # every move source of every base structure lies in one of the 2(2r-3)
-    # slices the rank tables hold inverse tables and products for, and
-    # the stars at ranks 2-5, the 21 rank-3 targets, the eight rank-4 ones
-    # and the spider reach every one of them
+    # slices the rank tables hold products for, and the stars at ranks
+    # 2-5, the 21 rank-3 targets, the eight rank-4 ones and the spider
+    # reach every one of them
     targets = [(star_target(rank), rank) for rank in range(2, 6)] + [(SPIDER, 5)]
     targets += [(e.graph(), 3) for e in catalog5] + [(g, 4) for g in RANK4.values()]
     reached: dict[int, set] = {}
@@ -873,6 +871,30 @@ def test_move_sources_lie_in_the_source_slices(catalog5):
         sources = _rank_tables(rank).sources
         assert len(sources) == len(set(sources)) == 2 * (2 * rank - 3)
         assert keys == set(sources)
+
+
+def test_move_sources_of_every_node_are_placed_in_the_base_slice(catalog5):
+    # placed as _preliminary places a base structure's move sources, through
+    # back[k], the inverse of the slice map sigma_k, and pair_bit: each move
+    # source of each node lands on a base-slice mask, birecurrent exactly
+    # when the source is a node.  The nodes lie in every slice, and so do
+    # their move sources, not only in the 2(2r-3) source slices
+    targets = [(e.graph(), 3) for e in catalog5] + [(g, 4) for g in RANK4.values()]
+    reached: dict[int, set] = {}
+    for target, rank in targets:
+        tables, base = _rank_tables(rank), _base_slice(target, rank)
+        pair_bit, keys = tables.pair_bit, reached.setdefault(rank, set())
+        nodes = set(build_preliminary(target, rank).nodes)
+        for G in nodes:
+            for red, end, colored in move_sources(G):
+                back = tables.back[red, end]
+                mask = sum(pair_bit[back[u - 1]][back[v - 1]] for u, v in colored)
+                assert mask in base.index, (G, red, end)
+                assert base.birecurrent[base.index[mask]] \
+                    == (LttStructure(rank, red, colored) in nodes), (G, red, end)
+                keys.add((red, end))
+    for rank, keys in reached.items():
+        assert keys == set(_rank_tables(rank).maps)
 
 
 def test_epp_classes_map_r_images_per_component(monkeypatch):
@@ -1001,7 +1023,7 @@ def test_example_decomposition_realizes_a_diagram_loop():
     assert structures[0] == structures[n]
 
     target = stable_whitehead_graph(EXAMPLE_MAP)
-    diagram = id_diagram(target, 3)
+    diagram = id_diagram(target, 3, build_preliminary(target, 3))
     by_key = {}
     for e in diagram.preliminary.edges:
         by_key.setdefault((e.source, e.dest, e.gen), []).append(e)
