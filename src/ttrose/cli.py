@@ -38,6 +38,7 @@ from .diagram import (
     find_loops,
     id_diagram,
     star_target,
+    structures_at,
     target_from_json,
     target_verdict,
     validate_target,
@@ -116,6 +117,17 @@ def _write_json(path: Path, payload) -> None:
     with _output(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_json_list(path: Path, payloads) -> None:
+    """The list as _write_json writes it, each item encoded as it is
+    produced, so no two items' payloads are held at once."""
+    with _output(path) as f:
+        sep = "[\n  "
+        for payload in payloads:
+            f.write(sep + json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n  "))
+            sep = ",\n  "
+        f.write("[]\n" if sep == "[\n  " else "\n]\n")
 
 
 def _load_json(source: str) -> dict:
@@ -251,28 +263,28 @@ def cmd_check_graph(args) -> int:
         if args.max_loop_len:
             _report_loops(result.diagram, args.max_loop_len)
     print(f"verdict: {result.verdict}")
-    agree = _oracle_check(target, args, result.num_structures) if args.oracle_samples else True
+    agree = _oracle_check(result, args) if args.oracle_samples else True
     _artifact(out, args.format, result.diagram, f"diagram_r{args.rank}")
     return 0 if agree else 1
 
 
 def _report_loops(diagram, max_len: int) -> None:
     for i, comp in enumerate(diagram.components):
-        loops = find_loops(diagram.preliminary, comp, comp.nodes[0], max_len)
+        loops = find_loops(diagram.preliminary, comp, max_len)
         ok = sum(1 for lp in loops if verify_loop(lp).ok)
         print(f"  component {i}: {len(loops)} loop(s) of length <= {max_len} "
               f"at its first node; {ok} fully ideal")
 
 
-def _oracle_check(target, args, num_structures: int) -> bool:
-    """Does is_birecurrent agree with the brute-force oracle on the samples?
-    The sample is drawn as positions in the enumeration, so only the
-    sampled structures are decoded."""
-    rng = random.Random(args.seed or 0)
-    positions = range(num_structures) if num_structures <= args.oracle_samples \
-        else rng.sample(range(num_structures), args.oracle_samples)
-    samples = enumerate_structures(target, args.rank, positions=positions)
-    bad = [G for G in samples if is_birecurrent(G) != brute_force_birecurrent(G)]
+def _oracle_check(result, args) -> bool:
+    """Does the brute-force oracle agree with the birecurrency the verdict
+    decided on the samples?  They are drawn from the verdict's base slice
+    by structures_at, so only they are decoded."""
+    n = result.num_structures
+    positions = range(n) if n <= args.oracle_samples \
+        else random.Random(args.seed or 0).sample(range(n), args.oracle_samples)
+    samples = structures_at(result.base, args.rank, positions)
+    bad = [G for G, decided in samples if decided != brute_force_birecurrent(G)]
     print(f"birecurrency oracle agreement: {len(samples) - len(bad)}/{len(samples)}")
     if bad:
         print("DISAGREEMENT on:", bad[0])
@@ -341,15 +353,17 @@ def cmd_export_structures(args) -> int:
                               + ("_admissible" if args.admissible_only else ""))
     structures = enumerate_structures(target, args.rank, admissible_only=args.admissible_only)
     if args.format == "json":
-        _write_json(path, [G.to_json() for G in structures])
+        _write_json_list(path, (G.to_json() for G in structures))
     else:
-        _write(path, "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures)))
+        with _output(path) as f:
+            for i, G in enumerate(structures):
+                f.write(("\n" if i else "") + ltt_to_dot(G, f"ltt_{i}"))
     return 0
 
 
 def cmd_export_catalog(args) -> int:
     path = _export_path(args, f"catalog_n{2 * args.rank - 1}")
-    _write_json(path, [e.to_json() for e in _catalog(2 * args.rank - 1)])
+    _write_json_list(path, (e.to_json() for e in _catalog(2 * args.rank - 1)))
     return 0
 
 

@@ -328,19 +328,26 @@ def _members(base: BaseSlice, admissible_only: bool) -> list[tuple[int, ...]]:
             if birecurrent or not admissible_only]
 
 
-def enumerate_structures(target: WhiteheadGraph, rank: int, admissible_only: bool = False,
-                         positions: Iterable[int] | None = None) -> list[LttStructure]:
+def enumerate_structures(target: WhiteheadGraph, rank: int,
+                         admissible_only: bool = False) -> list[LttStructure]:
     """All distinct indexed pair-labeled structures whose purple part is a
     labeled copy of the target, over every label assignment respecting the
     bar pairing and every red edge attachment away from the red vertex's
-    bar partner.  Only the birecurrent ones when requested, and only those
-    at the given positions of that list, in the given order, when given:
-    only they are decoded."""
+    bar partner, in sorted order; only the birecurrent ones when requested.
+    structures_at samples them without enumerating them."""
     base = _base_slice(target, rank)
-    keys = sorted(_carry(rank, _members(base, admissible_only)))
-    if positions is not None:
-        keys = [keys[p] for p in positions]
-    return list(_decode(rank, keys))
+    return list(_decode(rank, sorted(_carry(rank, _members(base, admissible_only)))))
+
+
+def structures_at(base: BaseSlice, rank: int,
+                  positions: Iterable[int]) -> list[tuple[LttStructure, bool]]:
+    """Slice map k's image of base member b of m at each position k*m + b, as
+    _carry orders them, decoded alone, with base.birecurrent[b]: EPP carries it."""
+    weights, m = _rank_tables(rank).weights, len(base.masks)
+    at = [divmod(p, m) for p in positions]
+    keys = [weights[k][0] - sum(map(weights[k][1].__getitem__, _positions(base.masks[b])))
+            for k, b in at]
+    return list(zip(_decode(rank, keys), [base.birecurrent[b] for _, b in at]))
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -611,15 +618,15 @@ def epp_classes(diagram: IdDiagram) -> list[list[int]]:
 # --- loops -----------------------------------------------------------------
 
 
-def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent, node: int,
+def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent,
                max_len: int) -> list[tuple[GeneratingTriple, ...]]:
-    """Closed edge paths based at a node of the component, given by its
-    position, up to the given length, in depth-first order.  A closed walk
-    never leaves its node's strongly connected component, so it walks the
-    rows inside the component only.  The walk keeps its own stack, so a
-    long loop needs no recursion.  Only the edges of the loops found, and
-    their nodes, are decoded, each once."""
-    rows, inside = preliminary.rows, set(comp.nodes)
+    """Closed edge paths based at the component's first node, up to the
+    given length, in depth-first order.  A closed walk never leaves its
+    node's strongly connected component, so it walks the rows inside the
+    component only.  The walk keeps its own stack, so a long loop needs no
+    recursion.  Only the edges of the loops found, and their nodes, are
+    decoded, each once."""
+    rows, inside, node = preliminary.rows, set(comp.nodes), comp.nodes[0]
     loops: list[tuple[tuple[int, int], ...]] = []
     path: list[tuple[int, int]] = []
 
@@ -695,11 +702,13 @@ def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
 
 @dataclass(frozen=True)
 class VerdictResult:
+    """A verdict and the base slice it decided birecurrency on, for structures_at."""
     verdict: str
     num_structures: int
     num_admissible: int
     diagram: IdDiagram | None
     ip: IpTestResult | None
+    base: BaseSlice | None = None
 
 
 def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
@@ -709,11 +718,11 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
     base = _base_slice(target, rank)
     num_structures = 2 * rank * (2 * rank - 2) * len(base.masks)  # one copy per slice
     if not any(base.birecurrent):
-        return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None)
+        return VerdictResult(UNACHIEVED_BIRECURRENCY, num_structures, 0, None, None, base)
     diagram = id_diagram(target, rank, _preliminary(rank, base))
     ip = irreducibility_potential_test(diagram)
     verdict = UNACHIEVED_IRREDUCIBILITY if ip.overall_unachieved else INCONCLUSIVE
-    return VerdictResult(verdict, num_structures, len(diagram.preliminary.keys), diagram, ip)
+    return VerdictResult(verdict, num_structures, len(diagram.preliminary.keys), diagram, ip, base)
 
 
 # --- export -----------------------------------------------------------------

@@ -18,6 +18,8 @@ CHECK3 = "ttrose check-graph - --rank 3".split()
 CHECK4 = "ttrose check-graph - --rank 4".split()
 STRUCTURES = "ttrose export structures - --rank 4 --format".split()
 IP = "verdict: UnachievedByIrreducibilityPotential"
+SPIDER = '{"edges": [[0,1],[1,2],[0,3],[3,4],[0,5],[0,6],[0,7],[0,8]]}\n'
+P5 = """echo '{"edges": [[0,1],[1,2],[2,3],[3,4]]}' > graph.json"""
 
 # `ttrose sweep` decides all 21 graphs in one process on per-rank tables the
 # earlier targets filled, while one `ttrose check-graph` per graph builds
@@ -43,14 +45,21 @@ for e in entries:
 
 # every `ttrose export` line of the README, run as written, then each kind's
 # --help, so that a documented invocation that stops parsing fails
-EXPORTS = """
-echo '{"edges": [[0,1],[1,2],[2,3],[3,4]]}' > graph.json
+EXPORTS = P5 + """
 echo '{"rank": 2, "images": {"a": "b", "b": "ab"}}' > examples_map.json
 grep '^ttrose export ' "$0" > export.sh
 test "$(wc -l < export.sh)" -eq 4
 bash -e export.sh
 for f in diagram_r3.dot structures_r3_admissible.json catalog_n5.json ltt.dot; do test -s "out/$f"; done
 for kind in diagram structures catalog map-ltt; do ttrose export "$kind" --help; done
+"""
+
+# every `ttrose check-graph` line of the README, run as written on the P5 of
+# EXPORTS, the oracle's sample among them
+CHECKS = P5 + """
+grep '^ttrose check-graph ' "$0" > check.sh
+test "$(wc -l < check.sh)" -eq 6
+bash -e check.sh
 """
 
 # the base slice's labeled copies, its K-orbits and its admissible K-orbits
@@ -97,8 +106,10 @@ RECORDS = [
         ("G5.02", "[[0,1],[0,2],[0,3],[0,4],[1,2]]"), ("G5.14", "[[0,1],[0,2],[0,3],[1,2],[1,4]]"))),
     dict(name="rank-3 graphs alone", cmd=[PY, "-c", COLD], cap=30, lines=["unachieved: 3 of 21"]),
     dict(name="README exports", cmd=["bash", "-ec", EXPORTS, str(ROOT / "README.md")], cap=30),
-    # check-graph exits 1 when is_birecurrent and the brute-force
-    # covering-cycle search disagree on any sampled structure
+    dict(name="README check-graph lines", cmd=["bash", "-ec", CHECKS, str(ROOT / "README.md")],
+         cap=30),
+    # check-graph exits 1 when the birecurrency the verdict decided and the
+    # brute-force covering-cycle search disagree on any sampled structure
     dict(name="G5.02 oracle", cmd=[*CHECK3, "--oracle-samples", "200"], cap=10, stdin=json.dumps(
         {"vertices": list(range(5)), "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2]]}) + "\n"),
     dict(name="star rank 4 oracle", cap=10,
@@ -111,9 +122,10 @@ RECORDS = [
          lines=["fold decomposition: failed at step 12: maximal fold of turn (3, 5) is partial;"
                 " quotient would not be a rose"]),
     dict(name="P7", cmd=CHECK4, stdin=P7, cap=120, rss=300),
-    # P7's oracle sample decodes only its 20 structures and builds no table of
-    # positions (one for all 120,960 keys peaked at 41 MB against 32 MB), so its
-    # peak stays within 1.1 times the plain run's
+    # P7's oracle sample checks the birecurrency the verdict decided, reading
+    # the verdict's own base slice and decoding only its 20 structures, so its
+    # cost follows the sample, not the 120,960 structures: its peak stays within
+    # 1.1 times the plain run's
     dict(name="P7 oracle sample", cmd=[*CHECK4, "--oracle-samples", "20", "--seed", "5"], stdin=P7,
          cap=120, rss=300, rss_of=("P7", 1.1),
          files={"stdout": "cbdb0bf2147839b1aee8f0f39983195b193a051a9c2851b0515b4656fc4b7ea7"}),
@@ -131,7 +143,9 @@ RECORDS = [
            files={f"structures_r4_admissible.{fmt}": digest}) for fmt, digest in (
         ("json", "9b2d45f0d82fe5a34bd5fd6325ccbd39dbb94ab1a47b795934501b434c91938c"),
         ("dot", "038bd26184d76cbc66bbbb006e2a70c22f80d5da2d25acd21ace7c865e97f33a"))),
-    dict(name="P7 structures", cmd=[*STRUCTURES, "json"], stdin=P7, cap=120,
+    # each structure's payload is encoded as it is produced, so the peak is
+    # mostly the enumeration's
+    dict(name="P7 structures", cmd=[*STRUCTURES, "json"], stdin=P7, cap=120, rss=200,
          files={"structures_r4.json": "b1d8a5dadfcac3e63caac754cc7665082abbcd0943eee367b5a98dd19a2a4183"}),
     # K13's one class is read off the diagram's quotient by EPP, imaging no
     # node under the 645,120 elements of EPP
@@ -139,11 +153,15 @@ RECORDS = [
          stdin=json.dumps({"edges": list(itertools.combinations(range(13), 2))}) + "\n",
          lines=["structures: 168 total, 168 birecurrent", "EPP classes of components: 1"]),
     # the spider S(2,2,1^4), flagged by IP outside the paper's families
-    dict(name="spider rank 5", cmd="ttrose check-graph - --rank 5".split(), cap=30,
-         stdin='{"edges": [[0,1],[1,2],[0,3],[3,4],[0,5],[0,6],[0,7],[0,8]]}\n',
+    dict(name="spider rank 5", cmd="ttrose check-graph - --rank 5".split(), cap=30, stdin=SPIDER,
          lines=["structures: 604800 total, 7680 birecurrent", "EPP classes of components: 4", IP,
                 "ID diagram: 2880 component(s), 11520 preliminary edge(s)"],
          files={"stdout": "5a243f91c63faeaf89cb28cb9b0db99d6e8703603a9b8f1d67507d8f249d3b1a"}),
+    # its oracle sample decodes 20 of the 604,800 structures off the
+    # verdict's base slice, so its peak stays within 1.1 times the plain run's
+    dict(name="spider oracle sample", cap=30, stdin=SPIDER, rss_of=("spider rank 5", 1.1),
+         cmd="ttrose check-graph - --rank 5 --oracle-samples 20 --seed 5".split(),
+         lines=["birecurrency oracle agreement: 20/20", IP]),
     dict(name="P9 base slice", cmd=[PY, "-c", P9], cap=60, lines=["P9: 181440 3780 1393"]),
     dict(name="sixteen seeded rank-4 targets", cmd=[PY, "-c", SEEDED], cap=120, rss=75,
          lines=["sweep rows: 6e6238c224de74ec07c702685806909e8dae216296abf6d4f14138764946a91f"]),

@@ -448,47 +448,80 @@ def test_check_graph_oracle_samples(capsys):
 
 
 def test_oracle_samples_decode_only_the_sampled_structures(monkeypatch, capsys):
-    # the sample is drawn as positions in the enumeration: the same
-    # structures, in the same order, as a sample of the decoded list with
-    # the same seed, and only those are decoded.  is_birecurrent is made
-    # wrong on every star structure, so each sampled one is printed or
-    # counted as a disagreement
+    # the sample is drawn as positions k*m + b, slice map k's image of base
+    # member b, read off the verdict's own base slice: built once, and only
+    # the sampled structures are decoded.  The oracle is made wrong on every
+    # star structure, so each sampled one is printed or counted as a
+    # disagreement
     import random
 
     import ttrose.cli
     import ttrose.diagram
-    from ttrose.diagram import enumerate_structures, star_target
-    expected = random.Random(3).sample(enumerate_structures(star_target(4), 4), 20)
-    checked, decoded = [], []
-    brute_force, decode = ttrose.cli.brute_force_birecurrent, ttrose.diagram._decode
+    from oracles import epp_structure
+    from ttrose.diagram import _base_slice, _rank_tables, star_target
+    from ttrose.ltt import LttStructure
+    from ttrose.whitehead import mask_pairs
+    tables, base = _rank_tables(4), _base_slice(star_target(4), 4)
+    maps, m = list(tables.maps.values()), len(base.masks)
+    members = [LttStructure(4, 1, frozenset(mask_pairs(mask, tables.bits))) for mask in base.masks]
+    expected = [epp_structure(maps[p // m], members[p % m])
+                for p in random.Random(3).sample(range(336), 20)]
+    checked, decoded, sliced = [], [], []
+    decode, base_slice = ttrose.diagram._decode, ttrose.diagram._base_slice
 
-    def recorded(G):
+    def wrong(G):
         checked.append(G)
-        return brute_force(G)
+        return True
 
     def counted(rank, keys):
         decoded.append(len(keys))
         return decode(rank, keys)
 
-    monkeypatch.setattr(ttrose.cli, "brute_force_birecurrent", recorded)
-    monkeypatch.setattr(ttrose.cli, "is_birecurrent", lambda G: True)
+    def built(target, rank):
+        sliced.append(rank)
+        return base_slice(target, rank)
+
+    monkeypatch.setattr(ttrose.cli, "brute_force_birecurrent", wrong)
     monkeypatch.setattr(ttrose.diagram, "_decode", counted)
+    monkeypatch.setattr(ttrose.diagram, "_base_slice", built)
     assert main(["check-graph", "--star", "--rank", "4", "--oracle-samples", "20",
                  "--seed", "3"]) == 1
     out = capsys.readouterr().out
-    assert checked == expected and decoded == [20]
+    assert checked == expected and decoded == [20] and sliced == [4]
     assert "birecurrency oracle agreement: 0/20" in out
     assert f"DISAGREEMENT on: {expected[0]}" in out
 
 
 def test_oracle_disagreement_exits_1(monkeypatch, capsys):
     import ttrose.cli
-    monkeypatch.setattr(ttrose.cli, "is_birecurrent", lambda G: True)  # wrong on every star
+    monkeypatch.setattr(ttrose.cli, "brute_force_birecurrent", lambda G: True)  # wrong on every star
     assert main(["check-graph", "--star", "--rank", "3", "--oracle-samples", "5"]) == 1
     out = capsys.readouterr().out
     assert "birecurrency oracle agreement: 0/5" in out
     assert "DISAGREEMENT on: ltt(rank=3" in out
     assert "verdict: UnachievedByBirecurrency" in out
+
+
+def test_oracle_checks_the_birecurrency_the_verdict_decided(monkeypatch, tmp_path, capsys):
+    # G5.02's base slice has 30 members, one of them birecurrent, so a
+    # sample of all 720 structures agrees with the verdict; once the verdict
+    # decides one K-orbit wrongly (its first is_birecurrent call flipped),
+    # the oracle must see the 24 images of that orbit's one member
+    import ttrose.diagram
+    graph = tmp_path / "g502.json"
+    graph.write_text(json.dumps(MIDDLE))
+    argv = ["check-graph", str(graph), "--rank", "3", "--oracle-samples", "720"]
+    assert main(argv) == 0
+    assert "birecurrency oracle agreement: 720/720" in capsys.readouterr().out
+    decide, calls = ttrose.diagram.is_birecurrent, []
+
+    def flipped_first(G):
+        calls.append(G)
+        return decide(G) != (len(calls) == 1)
+
+    monkeypatch.setattr(ttrose.diagram, "is_birecurrent", flipped_first)
+    assert main(argv) == 1
+    assert "birecurrency oracle agreement: 696/720" in capsys.readouterr().out
 
 
 def test_artifacts_are_deterministic(tmp_path, capsys):
@@ -651,15 +684,28 @@ def test_sweep_holds_one_diagram_at_a_time(monkeypatch, capsys):
 
 
 def test_export_structures_and_catalog(tmp_path, capsys):
+    # the lists are written item by item, byte for byte as json.dump of the
+    # whole list (indent 2, sorted keys) and the joined DOT texts would be
+    from ttrose.diagram import enumerate_structures, star_target
+    from ttrose.ltt import ltt_to_dot
+
+    def dumped(name):
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        return json.loads(text)
+
     assert main(["export", "catalog", "--rank", "3", "--format", "json",
                  "--out", str(tmp_path)]) == 0
-    data = json.loads((tmp_path / "catalog_n5.json").read_text())
-    assert len(data) == 21
-    assert main(["export", "structures", "--star", "--rank", "3",
-                 "--admissible-only", "--format", "json",
-                 "--out", str(tmp_path)]) == 0
-    structures = json.loads((tmp_path / "structures_r3_admissible.json").read_text())
-    assert structures == []
+    assert len(dumped("catalog_n5.json")) == 21
+    star = ["export", "structures", "--star", "--rank", "3", "--out", str(tmp_path)]
+    assert main([*star, "--admissible-only", "--format", "json"]) == 0
+    assert dumped("structures_r3_admissible.json") == []
+    assert main([*star, "--format", "json"]) == 0
+    structures = enumerate_structures(star_target(3), 3)
+    assert dumped("structures_r3.json") == [G.to_json() for G in structures]
+    assert main([*star, "--format", "dot"]) == 0
+    assert (tmp_path / "structures_r3.dot").read_text() == \
+        "\n".join(ltt_to_dot(G, f"ltt_{i}") for i, G in enumerate(structures))
 
 
 def test_export_unknown_format(tmp_path, capsys):

@@ -356,7 +356,7 @@ def test_find_loops_reads_no_cached_view(monkeypatch):
     built = _counting_generators(monkeypatch)
     edges = 0
     for comp in diagram.components:
-        loops = find_loops(prelim, comp, comp.nodes[0], 2)
+        loops = find_loops(prelim, comp, 2)
         edges += len({id(e) for lp in loops for e in lp})
     assert built[0] == edges > 0
     assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
@@ -920,7 +920,7 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
 def test_loops_and_reports(squeeze):
     diagram = squeeze["G5.04"].diagram
     comp = diagram.components[0]
-    loops = find_loops(diagram.preliminary, comp, comp.nodes[0], 4)
+    loops = find_loops(diagram.preliminary, comp, 4)
     assert loops
     for lp in loops[:40]:
         report = verify_loop(lp)
@@ -956,7 +956,7 @@ def test_loops_of_every_component_match_a_search_of_the_whole_diagram(squeeze):
     assert len(diagram.components) == 12
     prelim = diagram.preliminary
     for comp in diagram.components:
-        loops = find_loops(prelim, comp, comp.nodes[0], 3)
+        loops = find_loops(prelim, comp, 3)
         assert len(loops) == len(set(loops))
         assert set(loops) == closed_walks(prelim.edges, prelim.nodes[comp.nodes[0]], 3)
 
@@ -977,7 +977,7 @@ def test_find_loops_decodes_only_the_edges_of_its_loops(monkeypatch, squeeze):
     found = 0
     for comp in diagram.components:
         del built[:]
-        loops = find_loops(prelim, comp, comp.nodes[0], 4)
+        loops = find_loops(prelim, comp, 4)
         found += len(loops)
         assert {id(e) for lp in loops for e in lp} == set(map(id, built))
         assert len(set(built)) == len(built)
@@ -991,7 +991,7 @@ def test_find_loops_reaches_past_the_recursion_limit(catalog5):
     diagram = target_verdict(target, 3).diagram
     comp = diagram.components[0]
     assert len(comp.nodes) == 1
-    loops = find_loops(diagram.preliminary, comp, comp.nodes[0], 1100)
+    loops = find_loops(diagram.preliminary, comp, 1100)
     assert [len(lp) for lp in loops] == list(range(1, 1101))
 
 
