@@ -33,10 +33,10 @@ from .diagram import (
     check_target_rank,
     diagram_to_dot,
     diagram_to_json,
-    enumerate_structures,
     epp_classes,
     find_loops,
     id_diagram,
+    iter_structures,
     star_target,
     structures_at,
     target_from_json,
@@ -351,7 +351,7 @@ def cmd_export_structures(args) -> int:
     target = _load_target(args)
     path = _export_path(args, f"structures_r{args.rank}"
                               + ("_admissible" if args.admissible_only else ""))
-    structures = enumerate_structures(target, args.rank, admissible_only=args.admissible_only)
+    structures = iter_structures(target, args.rank, admissible_only=args.admissible_only)
     if args.format == "json":
         _write_json_list(path, (G.to_json() for G in structures))
     else:

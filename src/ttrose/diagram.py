@@ -17,15 +17,16 @@ edge pair labels the red vertex of some node; if no component passes
 decomposed representative exists and the target is unachieved.  The
 verdict runs on integers: each node is one key, each edge the positions
 of its two nodes, kept as each node's sorted row of destinations, and
-structures and moves are decoded only when a caller reads them.  A base
-structure is carried as the positions of its turns' bits, and its
-images' turn masks are sums of per-rank table entries at those
-positions; only the preliminary diagram, their one reader, tables the
-images' positions among the sorted keys.  The tables that depend on the
-rank alone (the turn bits, the slice maps, their inverses and weights by
-position, the generator actions, and the products of the 2(2r-3) slices
-a move source can lie in) are each built whole once per rank per
-process, and no verdict writes to them: `ttrose sweep` and the tests
+structures and moves are decoded only when a caller reads them; the
+verdict itself decodes none, since birecurrency and the moves read each
+representative's turns.  A base structure is carried as the positions
+of its turns' bits, and its images' turn masks are sums of per-rank
+table entries at those positions; only the preliminary diagram, their
+one reader, tables the images' positions among the sorted keys.  The
+tables that depend on the rank alone (the turn bits, the slice maps,
+their inverses and weights by position, the generator actions, and the
+products of the 2(2r-3) slices a move source can lie in) are each built
+whole once per rank per process, and no verdict writes to them: `ttrose sweep` and the tests
 reuse them from target to target, a lone `check-graph` builds them once.
 """
 
@@ -38,7 +39,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from .ltt import LttRegimeError, LttStructure, is_birecurrent, ltt_of_map
+from .ltt import LttRegimeError, LttStructure, birecurrent_turns, ltt_of_map
 from .maps import (
     FoldDecomposition,
     Generator,
@@ -47,7 +48,7 @@ from .maps import (
     is_train_track,
     validate_ideal_decomposition,
 )
-from .moves import GeneratingTriple, entering_generator, move_kind, move_sources
+from .moves import GeneratingTriple, entering_generator, move_kind, sources_into
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
 from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, pair_bits, relabeling_generators,
@@ -233,10 +234,6 @@ class _RankTables:
         inverse = self.back[key2]
         return key2, tuple([inverse[g[d - 1] - 1] for d in self.maps[key1]])
 
-    def structure(self, red: int, positions: Iterable[int]) -> LttStructure:
-        """The structure with the red vertex and the turns at the positions."""
-        return LttStructure(self.rank, red, frozenset(map(self.turns.__getitem__, positions)))
-
 
 _rank_tables = cache(_RankTables)  # one table set per rank per process
 
@@ -263,8 +260,8 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     of pairs 3 and 4 and the cycle of pairs 3..r, and the slice maps carry
     the slice one-to-one onto the disjoint others.  Both walks act on turn
     masks through the purple turns, so the red edge {1, 3} keeps its bit.
-    Only the representatives are decoded, and only admissible members
-    get a lift, since only they are carried."""
+    Birecurrency reads each representative's turns off its mask, and only
+    admissible members get a lift, since only they are carried."""
     validate_target(target, rank)
     tables = _rank_tables(rank)
     pair_bit, generators, identity = tables.pair_bit, tables.k_generators, tables.identity
@@ -282,7 +279,7 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
     for rep, mask in enumerate(masks):
         if reps[rep] >= 0:
             continue
-        decided = is_birecurrent(tables.structure(1, _positions(mask)))
+        decided = birecurrent_turns(rank, map(tables.turns.__getitem__, _positions(mask)))
         for member, step in mask_orbit(mask, tables.k_actions).items():
             i = index[member]
             reps[i] = rep
@@ -303,11 +300,12 @@ def _base_slice(target: WhiteheadGraph, rank: int) -> BaseSlice:
 # structures do (red vertex, then sorted colored edges).
 
 
-def _decode(rank: int, keys: Sequence[int]) -> tuple[LttStructure, ...]:
-    """The structure of each node key."""
+def _decode(rank: int, keys: Iterable[int]) -> Iterator[LttStructure]:
+    """The structure of each node key, each decoded as it is read."""
     tables = _rank_tables(rank)
-    structure, width, full = tables.structure, tables.width, tables.full
-    return tuple(structure(key >> width, _positions(~key & full)) for key in keys)
+    turn, width, full = tables.turns.__getitem__, tables.width, tables.full
+    return (LttStructure(rank, key >> width, frozenset(map(turn, _positions(~key & full))))
+            for key in keys)
 
 
 def _carry(rank: int, members: Sequence[tuple[int, ...]]) -> list[int]:
@@ -335,8 +333,15 @@ def enumerate_structures(target: WhiteheadGraph, rank: int,
     bar pairing and every red edge attachment away from the red vertex's
     bar partner, in sorted order; only the birecurrent ones when requested.
     structures_at samples them without enumerating them."""
+    return list(iter_structures(target, rank, admissible_only))
+
+
+def iter_structures(target: WhiteheadGraph, rank: int,
+                    admissible_only: bool = False) -> Iterator[LttStructure]:
+    """enumerate_structures' structures, each decoded from its sorted key
+    as it is read; the target is checked at once."""
     base = _base_slice(target, rank)
-    return list(_decode(rank, sorted(_carry(rank, _members(base, admissible_only)))))
+    return _decode(rank, sorted(_carry(rank, _members(base, admissible_only))))
 
 
 def structures_at(base: BaseSlice, rank: int,
@@ -406,7 +411,7 @@ class PreliminaryDiagram:
 
     @cached_property
     def nodes(self) -> tuple[LttStructure, ...]:
-        return _decode(self.rank, self.keys)
+        return tuple(_decode(self.rank, self.keys))
 
     @cached_property
     def entering(self) -> tuple[Generator, ...]:
@@ -445,9 +450,10 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     sigma_k o sigma_k' and kappa in K, the stabilizer of directions 1 and 3.
     The moves into B_b = t(R), for its orbit's representative R, are t of
     the moves into R in the same way, so only the representatives' moves
-    are generated.  The quotient by EPP has a node per admissible K-orbit,
-    in the order of the representatives, and an arc from the source's
-    orbit into R's for each move into a representative R, self-arcs too."""
+    are generated, from their purple turns.  The quotient by EPP has a
+    node per admissible K-orbit, in the order of the representatives, and
+    an arc from the source's orbit into R's for each move into a
+    representative R, self-arcs too."""
     tables = _rank_tables(rank)
     pair_bit = tables.pair_bit
     admissible = [i for i, birecurrent in enumerate(base.birecurrent) if birecurrent]
@@ -481,12 +487,17 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
 
     # by the quotient node of each representative R: (k', b') for each
     # move into R from an admissible sigma_k'(B_b'), and the arcs into it
+    # R has red vertex 1 and twice-achieved direction bar(3) = 4; sigma_k'^-1
+    # sends a source's red edge {red, end} to {1, 3}
     moves: list[list[tuple[tuple[int, int], int]]] = [[] for _ in number]
     reach: list[set[int]] = [set() for _ in number]
+    turns, red_edge = tables.turns, pair_bit[1][3]
     for q, i in enumerate(number):
-        for red, end, colored in move_sources(tables.structure(1, members[slot[i]])):
+        purple = [e for e in map(turns.__getitem__, members[slot[i]]) if e[0] != 1]
+        for red, end, part in sources_into(1, 4, purple):
             back = tables.back[red, end]  # sigma_k'^-1, placing the source in the base slice
-            source = base.index.get(sum(pair_bit[back[u - 1]][back[v - 1]] for u, v in colored))
+            source = base.index.get(
+                red_edge + sum(pair_bit[back[u - 1]][back[v - 1]] for u, v in part))
             if source is None:
                 # construction preserves the purple graph up to labels, so
                 # an excluded source maps back to a non-birecurrent base one

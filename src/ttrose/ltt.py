@@ -7,12 +7,15 @@ the red vertex and purple otherwise, so a structure stores its colored
 edges as plain turns and reads their colors off the red vertex.  Smooth
 paths alternate between black and colored edges; a structure is
 birecurrent when one smooth biinfinite line can cross every edge
-infinitely often in both directions.  We decide it through the strongly
-connected components of the digraph H on the 2r directions, with an arc
-u -> bar(w) for each colored edge {u, w} traversed u -> w: the
-transition digraph on directed edges, with each colored edge contracted
-into the black edge that follows it.  A brute-force covering-cycle
-search on the full transition digraph is the oracle it is tested against.
+infinitely often in both directions.  We decide it on the digraph H on
+the 2r directions, with an arc u -> bar(w) for each colored edge {u, w}
+traversed u -> w: the transition digraph on directed edges, with each
+colored edge contracted into the black edge that follows it.  One
+strongly connected component of H decides it, the one of direction 1:
+bar carries H onto its reverse, so the components of 1 and of bar(1)
+cover alike, and a covering one holds one of them (see
+birecurrent_turns).  A brute-force covering-cycle search on the full
+transition digraph is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
 from .rose import Direction, Turn, all_directions, bar, format_direction
-from .whitehead import tarjan_scc
 
 PURPLE = "purple"
 RED = "red"
@@ -211,7 +213,18 @@ def transition_digraph(G: LttStructure) -> TransitionDigraph:
 
 
 def is_birecurrent(G: LttStructure) -> bool:
-    """Decide birecurrency on the digraph H of directions.
+    """Decide birecurrency on the digraph H of directions, by the strongly
+    connected component of direction 1 alone (birecurrent_turns proves it
+    enough); an edge off the rose lies on no smooth cycle."""
+    n = 2 * G.rank
+    if not all(1 <= u <= n and 1 <= w <= n for u, w in G.colored):
+        return False
+    return birecurrent_turns(G.rank, G.colored)
+
+
+def birecurrent_turns(rank: int, colored: Iterable[Turn]) -> bool:
+    """Is the structure with these colored turns, all on the rank's rose,
+    birecurrent?  The red vertex plays no part.
 
     In the transition digraph, a colored edge u -> w has one successor,
     the black edge w -> bar(w), and a black edge entering h has as
@@ -223,26 +236,41 @@ def is_birecurrent(G: LttStructure) -> bool:
     connected component S of H has an internal arc (a self-loop counts)
     and covers every edge: d or bar(d) in S for each bar pair, and
     u, bar(w) in S or w, bar(u) in S for each colored {u, w}.
-    """
-    n = 2 * G.rank  # direction d is node d - 1, so bar is xor 1
-    arcs: list[list[int]] = [[] for _ in range(n)]
+
+    One component decides it, S(1), the directions both reached from 1
+    and reaching 1.  A covering S holds 1 or bar(1), so it is S(1) or
+    S(bar(1)).  The map d -> bar(d) carries H onto its reverse (the arc
+    u -> bar(w) onto bar(u) -> w, the reverse of w -> bar(u)), so it
+    carries S(1) onto S(bar(1)), an internal arc onto one, and each
+    clause onto itself: S(bar(1)) covers exactly when S(1) does.  S(1)
+    has an internal arc exactly when 1 has a successor in it."""
+    n = 2 * rank  # direction d is node d - 1, so bar is xor 1
+    succ, pred = [0] * n, [0] * n
     needs = []
-    for u, w in G.colored:
-        if not (1 <= u <= n and 1 <= w <= n):
-            return False  # an edge off the rose lies on no smooth cycle
+    for u, w in colored:
         u, w = u - 1, w - 1
-        arcs[u].append(w ^ 1)
-        arcs[w].append(u ^ 1)
+        succ[u] |= 1 << (w ^ 1)
+        succ[w] |= 1 << (u ^ 1)
+        pred[w ^ 1] |= 1 << u
+        pred[u ^ 1] |= 1 << w
         needs.append((1 << u | 1 << (w ^ 1), 1 << w | 1 << (u ^ 1)))
+    S = _reached(succ) & _reached(pred)
     evens = ((1 << n) - 1) // 3  # one bit per bar pair
-    for comp in tarjan_scc(arcs):
-        if len(comp) == 1 and comp[0] not in arcs[comp[0]]:
-            continue  # a lone black edge supports no biinfinite line
-        S = sum(1 << h for h in comp)
-        if ((S | S >> 1) & evens) == evens and all(
-                S & a == a or S & b == b for a, b in needs):
-            return True
-    return False
+    return bool(succ[0] & S) and ((S | S >> 1) & evens) == evens and all(
+        S & a == a or S & b == b for a, b in needs)
+
+
+def _reached(arcs: list[int]) -> int:
+    """The nodes node 0 reaches, itself included, by arcs given as each
+    node's bitmask of successors."""
+    reached = todo = 1
+    while todo:
+        h = todo.bit_length() - 1
+        todo ^= 1 << h
+        new = arcs[h] & ~reached
+        reached |= new
+        todo |= new
+    return reached
 
 
 def brute_force_birecurrent(G: LttStructure) -> bool:

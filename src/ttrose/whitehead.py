@@ -4,8 +4,8 @@ The same small-graph type serves the local and stable Whitehead graphs
 of a map (vertices are direction labels), the purple part of a
 lamination train track structure, and abstract target graphs.
 tarjan_scc finds strongly connected components: a graph's connected
-components, and those of the birecurrency digraph and of the ID
-diagram's quotient by EPP (one node per EPP orbit of diagram nodes).
+components, and those of the ID diagram's quotient by EPP (one node per
+EPP orbit of diagram nodes).
 mask_orbit walks the orbit of an edge bitmask breadth first under
 relabelings acting by tables, two of which generate every permutation
 of a set of labels: the labeled copies of a target, the catalog's

@@ -26,7 +26,7 @@ from ttrose.maps import (
 )
 from ttrose.moves import GeneratingTriple, entering_generator, move_sources
 from ttrose.rose import Turn, all_directions, bar, turn, turns_of
-from ttrose.whitehead import WhiteheadGraph
+from ttrose.whitehead import WhiteheadGraph, tarjan_scc
 
 
 def closure_by_iteration(m: RoseMap, max_power: int | None = None) -> frozenset:
@@ -155,6 +155,36 @@ def trapped_direction(G: LttStructure) -> int | None:
         if at[x] == {bar(x)}:
             return x
     return None
+
+
+# --- birecurrency over every component -------------------------------------
+
+
+def birecurrent_by_every_scc(G: LttStructure) -> bool:
+    """Birecurrency by the SCC criterion on the digraph H of directions,
+    with an arc u -> bar(w) for each colored {u, w} traversed u -> w, over
+    every strongly connected component: some SCC has an internal arc and
+    covers every edge (d or bar(d) in it for each bar pair, and u, bar(w)
+    or w, bar(u) in it for each colored {u, w})."""
+    n = 2 * G.rank  # direction d is node d - 1, so bar is xor 1
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    needs = []
+    for u, w in G.colored:
+        if not (1 <= u <= n and 1 <= w <= n):
+            return False  # an edge off the rose lies on no smooth cycle
+        u, w = u - 1, w - 1
+        arcs[u].append(w ^ 1)
+        arcs[w].append(u ^ 1)
+        needs.append((1 << u | 1 << (w ^ 1), 1 << w | 1 << (u ^ 1)))
+    evens = ((1 << n) - 1) // 3  # one bit per bar pair
+    for comp in tarjan_scc(arcs):
+        if len(comp) == 1 and comp[0] not in arcs[comp[0]]:
+            continue  # a lone black edge supports no biinfinite line
+        S = sum(1 << h for h in comp)
+        if ((S | S >> 1) & evens) == evens and all(
+                S & a == a or S & b == b for a, b in needs):
+            return True
+    return False
 
 
 # --- structure and transition-digraph helpers -------------------------------

@@ -62,6 +62,26 @@ test "$(wc -l < check.sh)" -eq 6
 bash -e check.sh
 """
 
+# the brute-force oracle on every structure of each of the 21 rank-3 graphs,
+# each in its own check-graph: 17,472 structures against the birecurrency
+# the verdict decided on one component per K-orbit of its base slice
+ORACLE3 = r"""
+import json, re, subprocess
+from ttrose.catalog import connected_simplicial_graphs
+from ttrose.diagram import target_to_json
+entries = connected_simplicial_graphs(5)
+assert len(entries) == 21
+total = 0
+for e in entries:
+    out = subprocess.run(["ttrose", "check-graph", "-", "--rank", "3", "--oracle-samples", "100000"],
+                         text=True, check=True, input=json.dumps(target_to_json(e.graph())),
+                         capture_output=True).stdout
+    n = int(re.search(r"^structures: (\d+) total", out, re.M)[1])
+    assert f"birecurrency oracle agreement: {n}/{n}" in out.splitlines(), (e.id, out)
+    total += n
+print("rank-3 structures checked:", total)
+"""
+
 # the base slice's labeled copies, its K-orbits and its admissible K-orbits
 P9 = """
 from ttrose.diagram import _base_slice
@@ -97,7 +117,8 @@ RECORDS = [
            *f"--workload {w} --seed 1 --seconds 1 --trace {t}".split()])
       for t in (0, 1) for w in ("sweep_r3", "check_r3", "verdict_r4", "star_r3_8")),
     *(dict(name=f"star rank {r}", cmd=f"ttrose check-graph --star --rank {r}".split(), cap=10,
-           lines=["verdict: UnachievedByBirecurrency"]) for r in (3, 4, 5)),
+           lines=[f"structures: {n} total, 0 birecurrent", "verdict: UnachievedByBirecurrency"])
+      for r, n in ((3, 120), (4, 336), (5, 720), (6, 1320), (7, 2184), (8, 3360))),
     dict(name="sweep rank 3", cmd="ttrose sweep --rank 3 --out .".split(), cap=10,
          lines=["unachieved: 3 of 21"],
          files={"sweep_r3.json": "67b9aa93d03e4ca3af74ebb2dc876507d539ba2d771db8f7f5afca35cf566810"}),
@@ -114,6 +135,8 @@ RECORDS = [
         {"vertices": list(range(5)), "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2]]}) + "\n"),
     dict(name="star rank 4 oracle", cap=10,
          cmd="ttrose check-graph --star --rank 4 --oracle-samples 200".split()),
+    dict(name="rank-3 graphs oracle", cmd=[PY, "-c", ORACLE3], cap=30,
+         lines=["rank-3 structures checked: 17472"]),
     # every order of proper full folds ends at the same images, so the map is
     # folded along the first fold at each step
     dict(name="unfoldable rank-4 map", cmd="ttrose analyze-map -".split(), cap=10,
@@ -143,9 +166,9 @@ RECORDS = [
            files={f"structures_r4_admissible.{fmt}": digest}) for fmt, digest in (
         ("json", "9b2d45f0d82fe5a34bd5fd6325ccbd39dbb94ab1a47b795934501b434c91938c"),
         ("dot", "038bd26184d76cbc66bbbb006e2a70c22f80d5da2d25acd21ace7c865e97f33a"))),
-    # each structure's payload is encoded as it is produced, so the peak is
-    # mostly the enumeration's
-    dict(name="P7 structures", cmd=[*STRUCTURES, "json"], stdin=P7, cap=120, rss=200,
+    # each structure is decoded from its sorted key and encoded as it is
+    # written, so the peak is the keys', not the 120,960 structures'
+    dict(name="P7 structures", cmd=[*STRUCTURES, "json"], stdin=P7, cap=120, rss=60,
          files={"structures_r4.json": "b1d8a5dadfcac3e63caac754cc7665082abbcd0943eee367b5a98dd19a2a4183"}),
     # K13's one class is read off the diagram's quotient by EPP, imaging no
     # node under the 645,120 elements of EPP

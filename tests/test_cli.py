@@ -505,21 +505,21 @@ def test_oracle_disagreement_exits_1(monkeypatch, capsys):
 def test_oracle_checks_the_birecurrency_the_verdict_decided(monkeypatch, tmp_path, capsys):
     # G5.02's base slice has 30 members, one of them birecurrent, so a
     # sample of all 720 structures agrees with the verdict; once the verdict
-    # decides one K-orbit wrongly (its first is_birecurrent call flipped),
-    # the oracle must see the 24 images of that orbit's one member
+    # decides one K-orbit wrongly (its first birecurrent_turns call
+    # flipped), the oracle must see the 24 images of that orbit's one member
     import ttrose.diagram
     graph = tmp_path / "g502.json"
     graph.write_text(json.dumps(MIDDLE))
     argv = ["check-graph", str(graph), "--rank", "3", "--oracle-samples", "720"]
     assert main(argv) == 0
     assert "birecurrency oracle agreement: 720/720" in capsys.readouterr().out
-    decide, calls = ttrose.diagram.is_birecurrent, []
+    decide, calls = ttrose.diagram.birecurrent_turns, []
 
-    def flipped_first(G):
-        calls.append(G)
-        return decide(G) != (len(calls) == 1)
+    def flipped_first(rank, colored):
+        calls.append(rank)
+        return decide(rank, colored) != (len(calls) == 1)
 
-    monkeypatch.setattr(ttrose.diagram, "is_birecurrent", flipped_first)
+    monkeypatch.setattr(ttrose.diagram, "birecurrent_turns", flipped_first)
     assert main(argv) == 1
     assert "birecurrency oracle agreement: 696/720" in capsys.readouterr().out
 
@@ -589,7 +589,7 @@ def test_unwritable_out_fails_before_any_verdict(tmp_path, monkeypatch, capsys):
     def no_build(*args, **kwargs):
         raise AssertionError("a verdict or export ran before its output was checked")
 
-    for builder in ("target_verdict", "enumerate_structures", "build_preliminary", "id_diagram"):
+    for builder in ("target_verdict", "iter_structures", "build_preliminary", "id_diagram"):
         monkeypatch.setattr(ttrose.cli, builder, no_build)
     graph = tmp_path / "mid.json"
     graph.write_text(json.dumps(MIDDLE))

@@ -55,7 +55,7 @@ from ttrose.diagram import (
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, entering_generator, move_sources
-from ttrose.rose import all_directions, format_direction
+from ttrose.rose import all_directions, bar, format_direction, turn
 from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
                               pair_bits, tarjan_scc)
 
@@ -234,13 +234,15 @@ def test_verdict_decides_birecurrency_on_the_base_slice(monkeypatch, catalog5, n
         e for e in catalog5 if e.id == name).graph()
     expected = _slice_orbits(target, rank)
     orbits, admissible = K_ORBITS[name]
-    decided = []
+    decided, decide = [], ttrose.diagram.birecurrent_turns
 
-    def recording(G):
-        decided.append(G)
-        return is_birecurrent(G)
+    def recording(r, colored):
+        colored = tuple(colored)
+        assert r == rank
+        decided.append(LttStructure(rank, 1, frozenset(colored)))
+        return decide(r, colored)
 
-    monkeypatch.setattr(ttrose.diagram, "is_birecurrent", recording)
+    monkeypatch.setattr(ttrose.diagram, "birecurrent_turns", recording)
     result = target_verdict(target, rank)
     assert result.diagram is not None
     assert len(expected) == len(decided) == orbits
@@ -260,13 +262,17 @@ def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, 
     expected = [orbit for orbit in _slice_orbits(target, rank)
                 if is_birecurrent(next(iter(orbit)))]
     _, admissible = K_ORBITS[name]
-    destinations = []
+    destinations, generate = [], ttrose.diagram.sources_into
 
-    def recording(G):
+    def recording(u, a, purple):
+        G = LttStructure(rank, u, frozenset(purple) | {turn(u, bar(a))})
         destinations.append(G)
-        return move_sources(G)
+        sources = generate(u, a, purple)
+        assert [(red, end, part | {turn(red, end)}) for red, end, part in sources] \
+            == move_sources(G)
+        return sources
 
-    monkeypatch.setattr(ttrose.diagram, "move_sources", recording)
+    monkeypatch.setattr(ttrose.diagram, "sources_into", recording)
     result = target_verdict(target, rank)
     assert result.diagram is not None
     assert len(expected) == len(destinations) == admissible
@@ -276,14 +282,11 @@ def test_verdict_generates_moves_once_per_representative(monkeypatch, catalog5, 
 @pytest.mark.parametrize("name", ["k5_2pend", "p7"])
 def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
     # the verdict reads node keys and rows only: the SCC pass the rows,
-    # the IP test the red vertices off the keys.  The only structures
-    # built are the base slice's representatives, one per K-orbit for
-    # birecurrency and one more per admissible orbit for its moves
+    # the IP test the red vertices off the keys.  It builds no structure at
+    # all: birecurrency and the moves read each representative's turns
     import ttrose.diagram
     import ttrose.moves
     target = P7 if name == "p7" else RANK4[name]
-    base = _base_slice(target, 4)
-    orbits = set(base.reps)
     calls = {"decode": 0, "move": 0, "structure": 0}
 
     def counting(kind, build):
@@ -295,11 +298,12 @@ def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
     monkeypatch.setattr(ttrose.diagram, "_decode", counting("decode", ttrose.diagram._decode))
     monkeypatch.setattr(ttrose.diagram, "GeneratingTriple", counting("move", GeneratingTriple))
     monkeypatch.setattr(ttrose.moves, "GeneratingTriple", counting("move", GeneratingTriple))
-    monkeypatch.setattr(ttrose.diagram, "LttStructure", counting("structure", LttStructure))
+    # every structure, wherever it is built
+    monkeypatch.setattr(LttStructure, "__init__", counting("structure", LttStructure.__init__))
     result = target_verdict(target, 4)
     prelim = result.diagram.preliminary
     assert (calls["decode"], calls["move"]) == (0, 0)
-    assert calls["structure"] == len(orbits) + sum(base.birecurrent[i] for i in orbits)
+    assert calls["structure"] == 0
     # nothing is cached: the diagram holds only its fields
     assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
     # the structures are decoded once, when first read

@@ -1,6 +1,7 @@
 """Lamination train track structures, their validation, and birecurrency."""
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EXAMPLE_MAP,
+    birecurrent_by_every_scc,
     epp_structure,
     map_realizes_images_smoothly,
     matches_target,
@@ -166,6 +168,29 @@ def test_oracle_agreement_on_random_rank3_structures(seed):
     for _ in range(25):
         G = random_structure(rng, target, 3)
         assert is_birecurrent(G) == brute_force_birecurrent(G)
+
+
+def test_one_component_decides_as_every_component():
+    # the component of direction 1 alone decides birecurrency: on seeded
+    # random colored sets at ranks 1-6, bar-pair turns (self-loops of H)
+    # and edges off the rose among them, it agrees with the search over
+    # every strongly connected component, on both outcomes
+    rng = random.Random(34)
+    cases = [LttStructure(1, 1, frozenset()),  # H has no arc
+             LttStructure(1, 1, frozenset({(1, 2)})),  # H has two self-loops
+             LttStructure(2, 1, frozenset({(1, 2), (3, 4), (1, 5)}))]  # (1, 5) is off the rose
+    for _ in range(20_000):
+        rank = rng.randint(1, 6)
+        n = 2 * rank
+        turns = list(itertools.combinations(range(1, n + 1), 2))
+        colored = set(rng.sample(turns, rng.randint(0, min(len(turns), 3 * n))))
+        if rng.random() < 0.05:
+            colored.add((rng.randint(1, n), n + 1))
+        cases.append(LttStructure(rank, rng.randint(1, n), frozenset(colored)))
+    decided = [is_birecurrent(G) for G in cases]
+    assert decided == [birecurrent_by_every_scc(G) for G in cases]
+    assert decided[:3] == [False, True, False]
+    assert 5_000 < sum(decided) < 15_000
 
 
 @st.composite
