@@ -11,15 +11,14 @@ Entries carry a canonical edge tuple so catalogs are stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, mask_pairs, pair_bits,
                         relabeling_generators)
 
 MAX_VERTICES = 7
 
 
-@dataclass(frozen=True)
+@record
 class GraphCatalogEntry:
     id: str
     num_vertices: int

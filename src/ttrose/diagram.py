@@ -36,9 +36,9 @@ import hashlib
 import itertools
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 
+from ._record import record
 from .ltt import LttRegimeError, LttStructure, birecurrent_turns, ltt_of_map
 from .maps import (
     FoldDecomposition,
@@ -83,7 +83,10 @@ def validate_target(target: WhiteheadGraph, rank: int) -> None:
 
 def target_from_json(data: dict) -> WhiteheadGraph:
     """The graph of {"edges": [[u, v], ...]} with optional "vertices";
-    InvalidTargetGraph when the data does not describe a simple graph."""
+    InvalidTargetGraph when the data does not describe a simple graph, or
+    has any other key."""
+    if isinstance(data, dict) and (unknown := sorted(data.keys() - {"edges", "vertices"}, key=str)):
+        raise InvalidTargetGraph(f'unknown key "{unknown[0]}"')
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise InvalidTargetGraph('expected a JSON object with an "edges" list')
     if not isinstance(data.get("vertices", []), list):
@@ -238,7 +241,7 @@ class _RankTables:
 _rank_tables = cache(_RankTables)  # one table set per rank per process
 
 
-@dataclass(frozen=True)
+@record
 class BaseSlice:
     """The structures with red vertex 1 and red edge {1, 3}, by index, split
     into orbits under K; K maps the slice onto itself."""
@@ -379,7 +382,7 @@ def epp_elements(rank: int) -> list[tuple[int, ...]]:
 # --- the preliminary diagram and its strongly connected components --------
 
 
-@dataclass(frozen=True)
+@record
 class PreliminaryDiagram:
     """Nodes by their keys, in sorted order, and each node's row: the
     positions of its edges' destinations, in sorted order.  An edge is its
@@ -532,7 +535,7 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
                               tuple(orbit), quotient)
 
 
-@dataclass(frozen=True)
+@record
 class DiagramComponent:
     """A strongly connected component: its nodes' positions in the
     preliminary diagram, and the red vertices of its nodes."""
@@ -543,7 +546,7 @@ class DiagramComponent:
         return frozenset(edge_index(d) for d in self.red_label_census)
 
 
-@dataclass(frozen=True)
+@record
 class IdDiagram:
     rank: int
     target: WhiteheadGraph
@@ -594,7 +597,7 @@ def id_diagram(target: WhiteheadGraph, rank: int, preliminary: PreliminaryDiagra
 # --- irreducibility potential test and EPP reduction ----------------------
 
 
-@dataclass(frozen=True)
+@record
 class IpTestResult:
     per_component: tuple[bool, ...]
 
@@ -664,7 +667,7 @@ def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent,
     return [tuple(map(moves.__getitem__, loop)) for loop in loops]
 
 
-@dataclass(frozen=True)
+@record
 class LoopReport:
     train_track: bool
     ideal: IdealDecompositionReport
@@ -711,7 +714,7 @@ def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
 # --- verdicts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VerdictResult:
     """A verdict and the base slice it decided birecurrency on, for structures_at."""
     verdict: str

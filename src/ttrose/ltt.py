@@ -21,8 +21,8 @@ transition digraph is the oracle it is tested against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
+from ._record import record
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
 from .rose import Direction, Turn, all_directions, bar, format_direction
 
@@ -31,7 +31,7 @@ RED = "red"
 BLACK = "black"
 
 
-@dataclass(frozen=True)
+@record
 class LttStructure:
     """A pair-labeled colored train track graph on the directions 1..2r.
 
@@ -114,7 +114,7 @@ class LttStructure:
         }
 
 
-@dataclass(frozen=True)
+@record
 class LttValidation:
     ok: bool
     violations: tuple[str, ...]
@@ -190,7 +190,7 @@ def ltt_of_map(m: RoseMap) -> LttStructure:
 # only brute_force_birecurrent, the oracle H is checked against.
 
 
-@dataclass(frozen=True)
+@record
 class TransitionDigraph:
     edges: tuple[tuple[int, int, str], ...]      # undirected edges, canonical order
     nodes: tuple[tuple[int, int], ...]           # (edge_id, orientation)

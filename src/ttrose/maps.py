@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
+from ._record import record
 from .rose import (
     Direction,
     Turn,
@@ -36,7 +36,7 @@ from .rose import (
 from .whitehead import WhiteheadGraph
 
 
-@dataclass(frozen=True)
+@record
 class RoseMap:
     """A tight graph self-map of the r-petaled rose.
 
@@ -162,7 +162,7 @@ def turns_taken_closure(m: RoseMap) -> frozenset[Turn]:
     return frozenset(current)
 
 
-@dataclass(frozen=True)
+@record
 class TrainTrackVerdict:
     ok: bool
     witness: Turn | None  # an illegal taken turn when not ok
@@ -204,7 +204,7 @@ def stable_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
 # --- generators and fold decompositions --------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Generator:
     """A proper full fold of roses: the oriented edge with initial
     direction u maps over (edge of a)(edge of u); all other edges map
@@ -256,7 +256,7 @@ def permutation_rose_map(rank: int, perm: Sequence[int]) -> RoseMap:
     return RoseMap(rank, tuple((perm[forward_direction(i) - 1],) for i in range(1, rank + 1)))
 
 
-@dataclass(frozen=True)
+@record
 class FoldDecomposition:
     """A factorization m = perm o g_n o ... o g_1 into proper full folds
     of roses followed by an edge-index homeomorphism."""
@@ -383,7 +383,7 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
     return FoldDecomposition(m.rank, tuple(gens), perm)
 
 
-@dataclass(frozen=True)
+@record
 class IdealDecompositionReport:
     """Clause-by-clause check of the ideal decomposition conditions."""
 

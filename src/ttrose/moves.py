@@ -14,14 +14,14 @@ birecurrent.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 
+from ._record import record
 from .ltt import LttStructure
 from .maps import Generator
 from .rose import Direction, Turn, bar, turn
 
 
-@dataclass(frozen=True)
+@record
 class GeneratingTriple:
     """(generator fold, source structure, destination structure)."""
 

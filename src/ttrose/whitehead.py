@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable, Iterable, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
+
+from ._record import record
 
 Vertex = Hashable
 
@@ -32,7 +32,7 @@ def _norm_edge(u: Vertex, v: Vertex) -> tuple:
     return (a, b)
 
 
-@dataclass(frozen=True)
+@record
 class WhiteheadGraph:
     """A finite simple graph on labeled vertices."""
 
@@ -123,6 +123,8 @@ def index_list(graph: WhiteheadGraph) -> list[Fraction]:
 
     Sorted ascending so lists compare as multisets.
     """
+    # imported here: fractions loads decimal, and of the CLI only analyze-map calls this
+    from fractions import Fraction
     return sorted(Fraction(1) - Fraction(len(c), 2) for c in graph.components())
 
 

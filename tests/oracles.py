@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
@@ -725,3 +725,13 @@ EXAMPLE_MAP = RoseMap.from_strings(3, {
     "b": "bac'",
     "c": "ca'b'a'b'a'b'c'a'b'a'c",
 })
+
+
+def dataclass_twin(cls: type) -> type:
+    """The @dataclass(frozen=True) class a record stands in for: its name,
+    fields, defaults and __post_init__."""
+    own = vars(cls)
+    namespace = {"__post_init__": own["__post_init__"]} if "__post_init__" in own else {}
+    spec = [(name, object, field(default=own[name])) if name in own else (name, object)
+            for name in cls.__match_args__]
+    return make_dataclass(cls.__qualname__, spec, frozen=True, namespace=namespace)

@@ -193,6 +193,15 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"edges": [[0, 1]], "vertices": 5}))
     assert main(["check-graph", str(path), "--rank", "3"]) == 2
     assert capsys.readouterr() == ("", 'invalid target graph: "vertices" must be a list\n')
+    # a misspelt key is refused: with "vertex" ignored, the 3-vertex path
+    # would be decided at rank 2
+    for payload, key in (({"edges": [[0, 1], [1, 2]], "vertex": [0, 1, 2, 3, 4]}, "vertex"),
+                         ({"edge": [[0, 1], [1, 2]]}, "edge"),
+                         ({"edges": [[0, 1], [1, 2]], "vertices": [0, 1, 2], "name": "p3",
+                           "id": 1}, "id")):
+        path.write_text(json.dumps(payload))
+        assert main(["check-graph", str(path), "--rank", "2"]) == 2
+        assert capsys.readouterr() == ("", f'invalid target graph: unknown key "{key}"\n')
     # true == 1 in Python: [0, true] would merge into a 5-vertex path,
     # and [1, true] would read as a loop edge at 1
     for payload in ({"edges": [[0, True], [1, 2], [2, 3], [3, 4]]}, {"edges": [[0, 1], [1, True]]},

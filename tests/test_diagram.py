@@ -2,7 +2,6 @@
 irreducibility potential test, EPP reduction, and loop verification."""
 
 import copy
-import dataclasses
 import itertools
 import random
 
@@ -32,6 +31,7 @@ from ttrose.diagram import (
     INCONCLUSIVE,
     UNACHIEVED_BIRECURRENCY,
     UNACHIEVED_IRREDUCIBILITY,
+    IdDiagram,
     InvalidTargetGraph,
     _base_slice,
     _k_generators,
@@ -305,7 +305,7 @@ def test_verdict_decodes_no_node_and_builds_no_move(monkeypatch, name):
     assert (calls["decode"], calls["move"]) == (0, 0)
     assert calls["structure"] == 0
     # nothing is cached: the diagram holds only its fields
-    assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
+    assert set(vars(prelim)) == set(prelim.__match_args__)
     # the structures are decoded once, when first read
     assert len(prelim.nodes) == len(prelim.keys) == result.num_admissible
     assert prelim.nodes is prelim.nodes and calls["decode"] == 1
@@ -363,7 +363,7 @@ def test_find_loops_reads_no_cached_view(monkeypatch):
         loops = find_loops(prelim, comp, 2)
         edges += len({id(e) for lp in loops for e in lp})
     assert built[0] == edges > 0
-    assert set(vars(prelim)) == {f.name for f in dataclasses.fields(prelim)}
+    assert set(vars(prelim)) == set(prelim.__match_args__)
 
 
 def _rank3_and_rank4_targets(catalog5):
@@ -724,7 +724,8 @@ def test_epp_classes_match_node_set_orbits_rank4():
 def test_epp_classes_refuse_a_diagram_not_closed_under_epp(squeeze):
     diagram = squeeze["G5.02"].diagram
     assert (len(diagram.components), len(epp_classes(diagram))) == (12, 1)
-    broken = dataclasses.replace(diagram, components=diagram.components[1:])
+    broken = IdDiagram(diagram.rank, diagram.target, diagram.preliminary,
+                       diagram.components[1:], diagram.over)
     with pytest.raises(RuntimeError, match="lies in no component"):
         epp_classes(broken)
 
