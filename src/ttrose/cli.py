@@ -20,10 +20,10 @@ import contextlib
 import errno
 import json
 import os
-import random
 import sys
-from pathlib import Path
 
+# pathlib (for output paths) and random (for --oracle-samples) are imported
+# where they are used, so a call that takes neither path loads neither
 from . import __version__
 from .catalog import connected_simplicial_graphs
 from .diagram import (
@@ -66,15 +66,17 @@ from .rose import format_direction
 from .whitehead import WhiteheadGraph, index_list
 
 
-def _out_dir(args) -> Path | None:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    env = os.environ.get("TTROSE_CACHE_DIR")
-    return Path(env) if env else None
+def _out_dir(args) -> pathlib.Path | None:
+    out = getattr(args, "out", None) or os.environ.get("TTROSE_CACHE_DIR")
+    if not out:
+        return None
+    import pathlib  # here, not at the top: most calls write no artifact
+
+    return pathlib.Path(out)
 
 
 @contextlib.contextmanager
-def _writing(path: Path):
+def _writing(path: pathlib.Path):
     """An OSError inside is a one-line error naming path."""
     try:
         yield
@@ -82,7 +84,7 @@ def _writing(path: Path):
         raise SystemExit(f"error: cannot write {path}: {exc}")
 
 
-def _check_writable(path: Path) -> None:
+def _check_writable(path: pathlib.Path) -> None:
     """Fail as writing path would if it is a directory or its nearest
     existing ancestor is not a directory this process may write, so an
     unwritable output fails before the work that fills it; creates nothing."""
@@ -99,7 +101,7 @@ def _check_writable(path: Path) -> None:
 
 
 @contextlib.contextmanager
-def _output(path: Path):
+def _output(path: pathlib.Path):
     """The file at path, open for writing; an OSError is a one-line error."""
     with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -108,18 +110,18 @@ def _output(path: Path):
     print(f"wrote {path}")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: pathlib.Path, text: str) -> None:
     with _output(path) as f:
         f.write(text)
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_json(path: pathlib.Path, payload) -> None:
     with _output(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _write_json_list(path: Path, payloads) -> None:
+def _write_json_list(path: pathlib.Path, payloads) -> None:
     """The list as _write_json writes it, each item encoded as it is
     produced, so no two items' payloads are held at once."""
     with _output(path) as f:
@@ -134,11 +136,12 @@ def _load_json(source: str) -> dict:
     try:
         if source == "-":
             return json.load(sys.stdin)
-        return json.loads(Path(source).read_text())
+        with open(source, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
+            return json.load(f)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: invalid JSON in {source}: line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"error: cannot read {source}: {exc}")
 
 
@@ -216,12 +219,12 @@ def cmd_analyze_map(args) -> int:
     return 0
 
 
-def _artifact_paths(out: Path, fmt: str | None, stem: str) -> list[Path]:
+def _artifact_paths(out: pathlib.Path, fmt: str | None, stem: str) -> list[pathlib.Path]:
     """The diagram's JSON and DOT files under out, or only the one fmt names."""
     return [out / f"{stem}.{ext}" for ext in ("json", "dot") if fmt in (None, ext)]
 
 
-def _artifact(out: Path | None, fmt: str | None, diagram, stem: str) -> None:
+def _artifact(out: pathlib.Path | None, fmt: str | None, diagram, stem: str) -> None:
     if out is None or diagram is None:
         return
     for path in _artifact_paths(out, fmt, stem):
@@ -280,6 +283,8 @@ def _oracle_check(result, args) -> bool:
     """Does the brute-force oracle agree with the birecurrency the verdict
     decided on the samples?  They are drawn from the verdict's base slice
     by structures_at, so only they are decoded."""
+    import random  # here, not at the top: only an oracle sample draws
+
     n = result.num_structures
     positions = range(n) if n <= args.oracle_samples \
         else random.Random(args.seed or 0).sample(range(n), args.oracle_samples)
@@ -332,9 +337,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _export_path(args, stem: str) -> Path:
+def _export_path(args, stem: str) -> pathlib.Path:
     """The one file an export writes, checked before it is built."""
-    path = (_out_dir(args) or Path(".")) / f"{stem}.{args.format}"
+    import pathlib
+
+    path = (_out_dir(args) or pathlib.Path(".")) / f"{stem}.{args.format}"
     _check_writable(path)
     return path
 

@@ -32,7 +32,6 @@ reuse them from target to target, a lone `check-graph` builds them once.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from collections.abc import Iterable, Iterator, Sequence
@@ -48,7 +47,7 @@ from .maps import (
     is_train_track,
     validate_ideal_decomposition,
 )
-from .moves import GeneratingTriple, entering_generator, move_kind, sources_into
+from .moves import GeneratingTriple, entering_generator, sources_into
 from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
                    turn)
 from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, pair_bits, relabeling_generators,
@@ -743,6 +742,8 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
 
 
 def _node_id(G: LttStructure) -> str:
+    import hashlib  # here, not at the top: only the DOT export hashes
+
     digest = hashlib.sha256(json.dumps(G.to_json(), sort_keys=True).encode()).hexdigest()
     return digest[:10]
 
@@ -750,13 +751,17 @@ def _node_id(G: LttStructure) -> str:
 def _labeled_edges(prelim: PreliminaryDiagram, ends: Iterable[tuple[int, int]]
                    ) -> Iterator[tuple[int, int, str | None, Generator, Turn]]:
     """Each edge's source and destination positions, kind, generator and
-    determining edge, as its GeneratingTriple gives them, read off the
-    generators entering its two nodes: the source's red vertex is its
-    generator's u, and its red edge's purple end is bar of its a."""
+    determining edge, read off the generators entering its two nodes: a
+    node's red vertex is its entering generator's u, and its red edge's
+    purple end is bar of its a.  The edge is an extension when the
+    source's red vertex is the edge generator's u and a switch when it is
+    its a; its determining edge joins that a to the source's red edge's
+    purple end."""
     entering = prelim.entering
     for i, j in ends:
         gen, source = entering[j], entering[i]
-        yield i, j, move_kind(gen, source.u), gen, turn(gen.a, bar(source.a))
+        kind = "extension" if source.u == gen.u else "switch" if source.u == gen.a else None
+        yield i, j, kind, gen, turn(gen.a, bar(source.a))
 
 
 def diagram_to_json(diagram: IdDiagram) -> dict:

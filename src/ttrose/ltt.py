@@ -20,7 +20,7 @@ transition digraph is the oracle it is tested against.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ._record import record
 from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
@@ -44,14 +44,6 @@ class LttStructure:
     rank: int
     red_vertex: Direction
     colored: frozenset[Turn]
-
-    @staticmethod
-    def make(rank: int, red_vertex: Direction, red_edge: Sequence[int],
-             purple_edges: Iterable[Sequence[int]]) -> "LttStructure":
-        """Build a structure in the usual (r;3/2-r) shape: one red edge
-        at the red vertex plus a purple graph on the other directions."""
-        colored = frozenset(tuple(sorted(e)) for e in (red_edge, *purple_edges))
-        return LttStructure(rank, red_vertex, colored)
 
     # --- derived pieces -------------------------------------------------
 

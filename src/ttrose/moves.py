@@ -6,9 +6,8 @@ direction then determines one extension and one switch producing a
 candidate source structure.  sources_into, the one move generator, gives
 every move's source that is a valid structure, from the destination's
 red vertex, twice-achieved direction and purple turns, so it needs no
-structure; move_sources reads those off a structure.  A triple is
-admissible exactly when it is such a move and both of its structures are
-birecurrent.
+structure.  A triple is admissible exactly when it is such a move and
+both of its structures are birecurrent.
 """
 
 from __future__ import annotations
@@ -29,27 +28,6 @@ class GeneratingTriple:
     source: LttStructure
     dest: LttStructure
 
-    @property
-    def kind(self) -> str | None:
-        return move_kind(self.gen, self.source.red_vertex)
-
-    @property
-    def det(self) -> Turn:
-        """The destination's determining purple edge that yields this
-        triple: from the twice-achieved direction to the purple end of the
-        source's red edge (the endpoint both moves attach the red edge to)."""
-        return turn(self.dest.twice_achieved, self.source.attach_vertex)
-
-
-def move_kind(gen: Generator, source_red: Direction) -> str | None:
-    """'extension' when the source's red vertex is the pre-unachieved
-    direction u, 'switch' when it is the pre-twice-achieved one a."""
-    if source_red == gen.u:
-        return "extension"
-    if source_red == gen.a:
-        return "switch"
-    return None
-
 
 def entering_generator(G: LttStructure) -> Generator:
     """The generator determined by the red vertex and red edge of G:
@@ -66,14 +44,6 @@ def _determining(u: Direction, a: Direction, purple: Collection[Turn]) -> list[T
     if a == u:
         raise ValueError("red edge joins a bar pair; run validate_ltt on this structure")
     return sorted(e for e in purple if a in e)
-
-
-def move_sources(G: LttStructure) -> list[tuple[Direction, Direction, frozenset[Turn]]]:
-    """The source of every move into G, which must pass validate_ltt, as
-    its red vertex, the purple end of its red edge and its colored edges,
-    in the order of sources_into."""
-    return [(red, end, part | {turn(red, end)})
-            for red, end, part in sources_into(G.red_vertex, G.twice_achieved, G.purple_edges)]
 
 
 def sources_into(u: Direction, a: Direction, purple: Collection[Turn]

@@ -24,8 +24,8 @@ from ttrose.maps import (
     _fold_candidates,
     apply_map,
 )
-from ttrose.moves import GeneratingTriple, entering_generator, move_sources
-from ttrose.rose import Turn, all_directions, bar, turn, turns_of
+from ttrose.moves import GeneratingTriple, entering_generator, sources_into
+from ttrose.rose import Direction, Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph, tarjan_scc
 
 
@@ -118,6 +118,14 @@ def substitute_and_reduce(outer: RoseMap, word) -> tuple:
     return tuple(letters)
 
 
+def make_structure(rank: int, red_vertex: Direction, red_edge: Sequence[int],
+                   purple_edges: Iterable[Sequence[int]]) -> LttStructure:
+    """A structure in the usual (r;3/2-r) shape: one red edge at the red
+    vertex plus a purple graph on the other directions."""
+    colored = frozenset(tuple(sorted(e)) for e in (red_edge, *purple_edges))
+    return LttStructure(rank, red_vertex, colored)
+
+
 def assignment_oracle_structures(target: WhiteheadGraph, rank: int) -> set[LttStructure]:
     """Every structure for the target, produced by brute force over all
     injections of direction labels onto the target's vertices."""
@@ -131,7 +139,7 @@ def assignment_oracle_structures(target: WhiteheadGraph, rank: int) -> set[LttSt
         for attach in labels:
             if attach == bar(red):
                 continue
-            out.add(LttStructure.make(rank, red, turn(red, attach), purple))
+            out.add(make_structure(rank, red, turn(red, attach), purple))
     return out
 
 
@@ -363,6 +371,32 @@ def preliminary_of(rank: int, nodes: Sequence[LttStructure],
     rows = edge_rows(nodes, edges)
     return PreliminaryDiagram(rank, tuple(map(node_key, nodes)), rows, tuple(range(len(nodes))),
                               rows)
+
+
+def move_sources(G: LttStructure) -> list[tuple[Direction, Direction, frozenset[Turn]]]:
+    """The source of every move into G, which must pass validate_ltt, as
+    its red vertex, the purple end of its red edge and its colored edges,
+    in the order of sources_into."""
+    return [(red, end, part | {turn(red, end)})
+            for red, end, part in sources_into(G.red_vertex, G.twice_achieved, G.purple_edges)]
+
+
+def move_kind(t: GeneratingTriple) -> str | None:
+    """'extension' when the source's red vertex is the generator's
+    pre-unachieved direction u, 'switch' when it is the pre-twice-achieved
+    one a."""
+    if t.source.red_vertex == t.gen.u:
+        return "extension"
+    if t.source.red_vertex == t.gen.a:
+        return "switch"
+    return None
+
+
+def move_det(t: GeneratingTriple) -> Turn:
+    """The destination's determining purple edge that yields the triple:
+    from the twice-achieved direction to the purple end of the source's
+    red edge (the endpoint both moves attach the red edge to)."""
+    return turn(t.dest.twice_achieved, t.source.attach_vertex)
 
 
 def generating_triples(G: LttStructure) -> list[GeneratingTriple]:
@@ -717,7 +751,7 @@ def random_structure(rng: random.Random, target: WhiteheadGraph, rank: int) -> L
     label_of = dict(zip(sorted(target.vertices, key=repr), labels))
     purple = [turn(label_of[u], label_of[v]) for u, v in target.edges]
     attach = rng.choice([d for d in labels if d != bar(red)])
-    return LttStructure.make(rank, red, turn(red, attach), purple)
+    return make_structure(rank, red, turn(red, attach), purple)
 
 
 EXAMPLE_MAP = RoseMap.from_strings(3, {

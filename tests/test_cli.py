@@ -140,6 +140,12 @@ def test_analyze_map_parse_error(tmp_path, capsys):
         main(["analyze-map", str(missing)])
     assert str(exc.value) == \
         f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"
+    # JSON is UTF-8, so other bytes are unreadable input, not a traceback
+    path.write_bytes(b'\xff\xfe{"rank": 2, "images": {}}')
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze-map", str(path)])
+    assert str(exc.value) == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+                              "in position 0: invalid start byte")
     assert capsys.readouterr().out == ""
 
 
@@ -209,19 +215,28 @@ def test_check_graph_invalid_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(payload))
         assert main(["check-graph", str(path), "--rank", "3"]) == 2
         assert capsys.readouterr() == ("", "invalid target graph: a vertex must not be a boolean\n")
+    # NaN != NaN, but json gives every NaN one object, so [NaN, NaN] is a loop
+    path.write_text('{"edges": [[NaN, NaN], [NaN, 1], [1, 2]]}')
+    assert main(["check-graph", str(path), "--rank", "2"]) == 2
+    assert capsys.readouterr() == ("", "invalid target graph: loop edge at nan\n")
 
 
 @pytest.mark.parametrize("command", [["check-graph"], ["export", "diagram"],
                                      ["export", "structures"]])
 def test_unreadable_target_exits_1(command, tmp_path):
     # a target that cannot be read or is not JSON is an input error, exit 1;
-    # exit 2 is for JSON that is not a connected simple graph on 2r-1 vertices
+    # exit 2 is for JSON that is not a connected simple graph on 2r-1 vertices.
+    # JSON is UTF-8, so a file in another encoding cannot be read
     missing, out = tmp_path / "missing.json", tmp_path / "out"
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'\xff\xfe{"edges": []}')
     for source, stdin, error in (
             ("-", "{bad", "invalid JSON in -: line 1, column 2: "
                           "Expecting property name enclosed in double quotes"),
             (str(missing), "", f"cannot read {missing}: "
-                               f"[Errno 2] No such file or directory: '{missing}'")):
+                               f"[Errno 2] No such file or directory: '{missing}'"),
+            (str(latin), "", f"cannot read {latin}: 'utf-8' codec can't decode byte 0xff "
+                             "in position 0: invalid start byte")):
         run = subprocess.run([sys.executable, "-m", "ttrose.cli", *command, source,
                               "--rank", "3", "--out", str(out)],
                              input=stdin, capture_output=True, text=True, timeout=60)
@@ -253,18 +268,31 @@ def test_catalog_past_rank_4_is_one_line_error(tmp_path):
 
 
 def test_import_does_not_load_typing():
-    # every CLI call and benchmark worker pays for `import ttrose`; -S
-    # keeps site's own imports (a .pth hook may load typing) out of the
-    # modules the import is charged with
-    import ttrose
-    code = ("import sys; before = set(sys.modules); import ttrose; "
+    # every CLI call pays for `import ttrose.cli`; -S keeps site's own
+    # imports (a .pth hook may load typing) out of the modules the import
+    # is charged with
+    import ttrose.cli
+    code = ("import sys; before = set(sys.modules); import ttrose.cli; "
             "print(*sorted(set(sys.modules) - before))")
     run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          timeout=60, env={**os.environ,
-                                          "PYTHONPATH": str(Path(ttrose.__file__).parents[1])})
+                                          "PYTHONPATH": str(Path(ttrose.cli.__file__).parents[1])})
     assert run.returncode == 0, run.stderr
     loaded = run.stdout.split()
     assert "ttrose.diagram" in loaded and "typing" not in loaded
+
+
+def test_python_m_ttrose_runs_the_cli():
+    # the package runs as `python -m ttrose`, with no installed script
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv: str) -> str:
+        return subprocess.run([sys.executable, "-m", "ttrose", *argv], env=env, check=True,
+                              capture_output=True, text=True, timeout=60).stdout
+
+    assert run("--version") == "ttrose 0.1.0\n"
+    assert run("check-graph", "--star", "--rank", "3").splitlines()[-1] \
+        == "verdict: UnachievedByBirecurrency"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

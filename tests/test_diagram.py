@@ -19,6 +19,10 @@ from oracles import (
     generating_triples,
     group_closure,
     is_admissible,
+    make_structure,
+    move_det,
+    move_kind,
+    move_sources,
     orbits_by_elements,
     preliminary_by_destination,
     preliminary_of,
@@ -54,7 +58,7 @@ from ttrose.diagram import (
 )
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
 from ttrose.maps import Generator
-from ttrose.moves import GeneratingTriple, entering_generator, move_sources
+from ttrose.moves import GeneratingTriple, entering_generator
 from ttrose.rose import all_directions, bar, format_direction, turn
 from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
                               pair_bits, tarjan_scc)
@@ -158,7 +162,7 @@ def test_preliminary_diagram_edges_are_admissible(catalog5):
         assert is_admissible(e)
         assert check_am(e).all_pass()
         assert [t for t in generating_triples(e.dest)
-                if (t.kind, t.det) == (e.kind, e.det)] == [e]
+                if (move_kind(t), move_det(t)) == (move_kind(e), move_det(e))] == [e]
     # edges are in node-position order, source first, and no pair repeats
     ends = [(position[id(e.source)], position[id(e.dest)]) for e in prelim.edges]
     assert all(p < q for p, q in zip(ends, ends[1:]))
@@ -318,9 +322,9 @@ def test_json_edges_read_kind_and_det_off_the_generators(catalog5):
         diagram = id_diagram(target, rank, build_preliminary(target, rank))
         prelim = diagram.preliminary
         assert all(e.gen == entering_generator(e.dest) for e in prelim.edges)
-        expected = [{"source": i, "dest": j, "kind": e.kind,
+        expected = [{"source": i, "dest": j, "kind": move_kind(e),
                      "gen": {"a": format_direction(e.gen.a), "u": format_direction(e.gen.u)},
-                     "det": list(map(format_direction, e.det))}
+                     "det": list(map(format_direction, move_det(e)))}
                     for (i, j), e in zip(prelim.edge_ends(), prelim.edges)]
         assert diagram_to_json(diagram)["edges"] == expected
 
@@ -630,7 +634,7 @@ def test_verdict_is_invariant_under_target_relabeling(catalog5):
 
 def test_diagram_commutes_with_epp(squeeze):
     prelim = squeeze["G5.02"].diagram.preliminary
-    edges = {(e.source, e.dest, e.gen.a, e.gen.u, e.kind, e.det)
+    edges = {(e.source, e.dest, e.gen.a, e.gen.u, move_kind(e), move_det(e))
              for e in prelim.edges}
     for sigma in epp_elements(3)[:6]:
         mapped = {(epp_structure(sigma, s), epp_structure(sigma, d),
@@ -940,7 +944,7 @@ def test_loops_and_reports(squeeze):
 
 
 def test_verify_loop_reports_each_composite_fault_once():
-    G = LttStructure.make(2, 1, (1, 3), [(2, 3), (2, 4)])
+    G = make_structure(2, 1, (1, 3), [(2, 3), (2, 4)])
     first = GeneratingTriple(Generator(2, a=3, u=1), G, G)  # a -> ba
     # then b -> a'b: a -> a'ba is not a train track, and nothing asks for its structure
     report = verify_loop([first, GeneratingTriple(Generator(2, a=2, u=3), G, G)])

@@ -13,6 +13,7 @@ from oracles import (
     EXAMPLE_MAP,
     birecurrent_by_every_scc,
     epp_structure,
+    make_structure,
     map_realizes_images_smoothly,
     matches_target,
     node_head,
@@ -82,13 +83,12 @@ def test_validation_flags():
     assert any("loop" in v for v in rep.violations)
 
     # red edge joining a bar pair: the twice-achieved direction would be red
-    G = LttStructure.make(3, B_, (B, B_),
-                          [(1, 5), (2, 3), (2, 5), (2, 6), (3, 6)])
+    G = make_structure(3, B_, (B, B_), [(1, 5), (2, 3), (2, 5), (2, 6), (3, 6)])
     rep = validate_ltt(G)
     assert any(v.startswith("red_pair") for v in rep.violations)
 
     # a direction met by no colored edge (here c = 5)
-    G = LttStructure.make(3, B_, (A, B_), [(2, 3), (2, 6), (3, 6)])
+    G = make_structure(3, B_, (A, B_), [(2, 3), (2, 6), (3, 6)])
     rep = validate_ltt(G)
     assert any(v.startswith("tt1/tt3") for v in rep.violations)
 
@@ -136,7 +136,7 @@ def test_trapped_structures_are_not_birecurrent():
 
 def test_single_pair_toy_cycle():
     # one black and one colored edge on a single bar pair support a 2-cycle
-    toy = LttStructure.make(1, 1, (1, 2), [])
+    toy = make_structure(1, 1, (1, 2), [])
     assert brute_force_birecurrent(toy)
     assert is_birecurrent(toy)
 

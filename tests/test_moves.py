@@ -6,9 +6,9 @@ import random
 import pytest
 
 from oracles import (EXAMPLE_MAP, MissingImageEdge, check_am, generating_triples,
-                     induced_colored_map, is_admissible)
+                     induced_colored_map, is_admissible, make_structure, move_det, move_kind)
 from ttrose.diagram import build_preliminary, enumerate_structures, star_target
-from ttrose.ltt import LttStructure, ltt_of_map, validate_ltt
+from ttrose.ltt import ltt_of_map, validate_ltt
 from ttrose.maps import Generator
 from ttrose.moves import GeneratingTriple, determining_edges, entering_generator
 from ttrose.rose import bar, turn
@@ -25,7 +25,7 @@ def example_structure():
 def _move(G, kind, det):
     """The move of that kind and determining edge into G, None when its
     source would be invalid."""
-    found = [t for t in generating_triples(G) if (t.kind, t.det) == (kind, det)]
+    found = [t for t in generating_triples(G) if (move_kind(t), move_det(t)) == (kind, det)]
     assert len(found) <= 1
     return found[0] if found else None
 
@@ -37,7 +37,7 @@ def test_determining_edges_of_example(example_structure):
 
 
 def test_determining_edges_reject_bar_pair_red_edge():
-    G = LttStructure.make(3, B_, (B, B_), [(1, 5), (2, 3), (2, 5), (2, 6), (3, 6)])
+    G = make_structure(3, B_, (B, B_), [(1, 5), (2, 3), (2, 5), (2, 6), (3, 6)])
     with pytest.raises(ValueError):
         determining_edges(G)
 
@@ -45,7 +45,7 @@ def test_determining_edges_reject_bar_pair_red_edge():
 def test_extension_moves_only_the_red_edge(example_structure):
     det = turn(A_, C)
     t = _move(example_structure, "extension", det)
-    assert t.kind == "extension"
+    assert move_kind(t) == "extension"
     assert t.gen == Generator(3, a=A_, u=B_)
     assert t.source.red_vertex == example_structure.red_vertex
     assert t.source.purple_edges == example_structure.purple_edges
@@ -62,7 +62,7 @@ def test_extension_rejects_bar_partner_attachment(example_structure):
 def test_switch_relabels_and_recolors(example_structure):
     det = turn(A_, C)
     t = _move(example_structure, "switch", det)
-    assert t.kind == "switch"
+    assert move_kind(t) == "switch"
     assert t.gen == Generator(3, a=A_, u=B_)
     assert t.source.red_vertex == A_   # the old twice-achieved direction
     assert t.source.red_edge == turn(A_, C)
@@ -74,8 +74,7 @@ def test_switch_relabels_and_recolors(example_structure):
 
 def test_switch_rejects_bar_partner_attachment():
     # structure whose twice-achieved direction has a purple edge to its bar
-    G = LttStructure.make(3, B_, (A, B_),
-                          [(A_, A), (A_, B), (A_, C), (A_, C_), (B, C)])
+    G = make_structure(3, B_, (A, B_), [(A_, A), (A_, B), (A_, C), (A_, C_), (B, C)])
     assert _move(G, "switch", turn(A_, A)) is None
     # the extension for the same determining edge exists and is a self-loop
     t = _move(G, "extension", turn(A_, A))
@@ -85,8 +84,7 @@ def test_switch_rejects_bar_partner_attachment():
 def test_fold_example_triple_reconstruction():
     # the x -> xz fold: with x=a, y=b, z=c the destination has red vertex a',
     # red edge [a',c], and purple edges [c',b],[c',b'],[c',c],[a,b]
-    dest = LttStructure.make(3, A_, (A_, C),
-                             [(C_, B), (C_, B_), (C_, C), (A, B)])
+    dest = make_structure(3, A_, (A_, C), [(C_, B), (C_, B_), (C_, C), (A, B)])
     assert dest.twice_achieved == C_
     det = turn(C_, B_)
     t = _move(dest, "switch", det)
@@ -107,10 +105,9 @@ def test_fold_example_triple_reconstruction():
 
 
 def test_induced_map_missing_edge():
-    dest = LttStructure.make(3, A_, (A_, C),
-                             [(C_, B), (C_, B_), (C_, C), (A, B)])
+    dest = make_structure(3, A_, (A_, C), [(C_, B), (C_, B_), (C_, C), (A, B)])
     t = _move(dest, "switch", turn(C_, B_))
-    corrupted = LttStructure.make(3, A_, (A_, C), [(C_, B), (C_, C), (A, B)])
+    corrupted = make_structure(3, A_, (A_, C), [(C_, B), (C_, C), (A, B)])
     bad = GeneratingTriple(t.gen, t.source, corrupted)
     with pytest.raises(MissingImageEdge):
         induced_colored_map(bad)
@@ -183,8 +180,8 @@ def _expected_sources(G, det):
     u, a = G.red_vertex, G.twice_achieved
     d_l = det[1] if det[0] == a else det[0]
     renamed = [tuple(u if x == a else x for x in e) for e in G.purple_edges]
-    return {"extension": LttStructure.make(G.rank, u, (u, d_l), G.purple_edges),
-            "switch": LttStructure.make(G.rank, a, (a, d_l), renamed)}
+    return {"extension": make_structure(G.rank, u, (u, d_l), G.purple_edges),
+            "switch": make_structure(G.rank, a, (a, d_l), renamed)}
 
 
 def _check_moves(G):
@@ -225,7 +222,7 @@ def test_moves_refuse_exactly_the_invalid_sources_at_rank_4():
         others = [d for d in range(1, 9) if d != red]
         attach = rng.choice([d for d in others if d != bar(red)])
         purple = [e for e in itertools.combinations(others, 2) if rng.random() < 0.3]
-        G = LttStructure.make(4, red, (red, attach), purple)
+        G = make_structure(4, red, (red, attach), purple)
         if not validate_ltt(G).ok:
             continue
         built, invalid = _check_moves(G)
@@ -239,7 +236,7 @@ def test_moves_refuse_exactly_the_invalid_sources_at_rank_4():
 def test_moves_refuse_a_bare_old_red_end():
     # valid, but no purple edge meets a, the red edge's purple end: every
     # move takes the red edge off a and leaves it bare
-    G = LttStructure.make(3, B_, (A, B_), [(A_, B), (A_, C), (A_, C_), (B, C)])
+    G = make_structure(3, B_, (A, B_), [(A_, B), (A_, C), (A_, C_), (B, C)])
     assert validate_ltt(G).ok
     dets = determining_edges(G)
     assert dets == [turn(A_, B), turn(A_, C), turn(A_, C_)]

@@ -137,10 +137,15 @@ def test_post_init_refuses_as_the_dataclass(cls, args):
 
 def test_import_loads_only_what_the_library_runs():
     # dataclasses loads inspect, and fractions loads decimal; the library
-    # needs neither to start, and `python -S` keeps site's imports out
-    heavy = ("dataclasses", "inspect", "fractions", "decimal")
-    code = f"import sys, ttrose, ttrose.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # needs neither to start, and `python -S` keeps site's imports out.
+    # hashlib, random and pathlib serve the DOT export, --oracle-samples
+    # and output paths alone, so a CLI call that takes none of them loads
+    # none; `import ttrose` alone loads no submodule
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "random", "pathlib")
+    code = ("import sys; before = set(sys.modules); import ttrose; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('ttrose.'))); "
+            f"import ttrose.cli; print([m for m in {heavy!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "[]\n[]\n"
