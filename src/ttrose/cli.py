@@ -22,8 +22,9 @@ import json
 import os
 import sys
 
-# pathlib (for output paths) and random (for --oracle-samples) are imported
-# where they are used, so a call that takes neither path loads neither
+# pathlib and random are imported where used, so a call that writes no
+# artifact and draws no sample loads neither (the pathlib.Path annotations
+# are strings, never evaluated)
 from . import __version__
 from .catalog import connected_simplicial_graphs
 from .diagram import (
@@ -66,11 +67,11 @@ from .rose import format_direction
 from .whitehead import WhiteheadGraph, index_list
 
 
-def _out_dir(args) -> pathlib.Path | None:
-    out = getattr(args, "out", None) or os.environ.get("TTROSE_CACHE_DIR")
+def _out_dir(args, default: str | None = None) -> pathlib.Path | None:
+    out = getattr(args, "out", None) or os.environ.get("TTROSE_CACHE_DIR") or default
     if not out:
         return None
-    import pathlib  # here, not at the top: most calls write no artifact
+    import pathlib
 
     return pathlib.Path(out)
 
@@ -283,7 +284,7 @@ def _oracle_check(result, args) -> bool:
     """Does the brute-force oracle agree with the birecurrency the verdict
     decided on the samples?  They are drawn from the verdict's base slice
     by structures_at, so only they are decoded."""
-    import random  # here, not at the top: only an oracle sample draws
+    import random
 
     n = result.num_structures
     positions = range(n) if n <= args.oracle_samples \
@@ -339,9 +340,7 @@ def cmd_sweep(args) -> int:
 
 def _export_path(args, stem: str) -> pathlib.Path:
     """The one file an export writes, checked before it is built."""
-    import pathlib
-
-    path = (_out_dir(args) or pathlib.Path(".")) / f"{stem}.{args.format}"
+    path = _out_dir(args, ".") / f"{stem}.{args.format}"
     _check_writable(path)
     return path
 
@@ -473,7 +472,3 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -93,9 +93,14 @@ def target_from_json(data: dict) -> WhiteheadGraph:
     if not all(isinstance(e, list) and len(e) == 2 for e in data["edges"]):
         raise InvalidTargetGraph("every edge must be a list of two vertices")
     edges = [tuple(e) for e in data["edges"]]
+    named = [*data.get("vertices", ()), *itertools.chain(*edges)]
     # True == 1, so a boolean vertex would merge silently with 1 (or 0)
-    if any(isinstance(v, bool) for v in [*data.get("vertices", ()), *itertools.chain(*edges)]):
+    if any(isinstance(v, bool) for v in named):
         raise InvalidTargetGraph("a vertex must not be a boolean")
+    # NaN != NaN, so [NaN, NaN] would pass the loop check and [NaN, 1],
+    # [1, NaN] would be two edges
+    if any(isinstance(v, float) and v != v for v in named):
+        raise InvalidTargetGraph("a vertex must not be NaN")
     try:
         vertices = set(data.get("vertices", ()))
         for e in edges:
@@ -742,7 +747,7 @@ def target_verdict(target: WhiteheadGraph, rank: int) -> VerdictResult:
 
 
 def _node_id(G: LttStructure) -> str:
-    import hashlib  # here, not at the top: only the DOT export hashes
+    import hashlib
 
     digest = hashlib.sha256(json.dumps(G.to_json(), sort_keys=True).encode()).hexdigest()
     return digest[:10]

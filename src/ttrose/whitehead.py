@@ -23,7 +23,7 @@ Vertex = Hashable
 
 
 def _norm_edge(u: Vertex, v: Vertex) -> tuple:
-    if u is v or u == v:  # NaN != NaN, and json gives every NaN one float object
+    if u == v:
         raise ValueError(f"loop edge at {u!r}")
     try:
         a, b = sorted((u, v))

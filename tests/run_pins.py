@@ -2,7 +2,7 @@
 
 Each record runs as a process group of its own, killed at its cap; one line per
 record, exit 1 on any miss.  Children import ttrose from this checkout's src, and
-a `ttrose` running `python -m ttrose.cli` comes last on PATH, after any installed one.
+a `ttrose` running `python -m ttrose` comes last on PATH, after any installed one.
 """
 
 import hashlib
@@ -60,7 +60,7 @@ def main(records: list[dict]) -> int:
     missed = 0
     with tempfile.TemporaryDirectory() as bin_dir:
         shim = Path(bin_dir) / "ttrose"
-        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ttrose.cli "$@"\n')
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m ttrose "$@"\n')
         shim.chmod(0o755)
         env = {k: v for k, v in os.environ.items() if k != "TTROSE_CACHE_DIR"}
         env.update(PATH=env["PATH"] + os.pathsep + bin_dir, PYTHONPATH=str(ROOT / "src"))

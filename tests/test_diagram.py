@@ -52,6 +52,7 @@ from ttrose.diagram import (
     id_diagram,
     irreducibility_potential_test,
     star_target,
+    target_from_json,
     target_verdict,
     validate_target,
     verify_loop,
@@ -111,6 +112,20 @@ def test_target_validation():
     with pytest.raises(InvalidTargetGraph):
         validate_target(WhiteheadGraph.build(range(5), [(0, 1), (2, 3), (3, 4)]), 3)
     validate_target(star_target(3), 3)
+
+
+def test_target_from_json_refuses_a_nan_vertex():
+    # NaN != NaN: json gives every NaN in a document one float object, so
+    # [NaN, NaN] would pass a loop check by equality, and [NaN, 1] and
+    # [1, NaN] would sort apart into two edges
+    nan = float("nan")
+    for data in ({"edges": [[nan, nan], [nan, 1], [1, 2]]},
+                 {"edges": [[nan, 1], [1, nan], [1, 2]]},
+                 {"vertices": [nan], "edges": [[0, 1]]}):
+        with pytest.raises(InvalidTargetGraph, match="^a vertex must not be NaN$"):
+            target_from_json(data)
+    inf = float("inf")  # inf == inf, so it is an ordinary vertex
+    assert len(target_from_json({"edges": [[inf, 1], [1, inf], [1, 2]]}).edges) == 2
 
 
 def test_star_enumeration_counts():
