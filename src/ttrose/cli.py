@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import itertools
 import json
 import os
 import sys
@@ -67,13 +68,22 @@ from .rose import format_direction
 from .whitehead import WhiteheadGraph, index_list
 
 
-def _out_dir(args, default: str | None = None) -> pathlib.Path | None:
-    out = getattr(args, "out", None) or os.environ.get("TTROSE_CACHE_DIR") or default
-    if not out:
-        return None
+def _out_dir(args, default: str | None = None) -> str | None:
+    return getattr(args, "out", None) or os.environ.get("TTROSE_CACHE_DIR") or default
+
+
+def _paths(args, stem: str, formats, default: str | None = None) -> list[pathlib.Path]:
+    """The file stem.FMT for each of formats in the output directory, each
+    checked writable; none when there is no output directory."""
+    out = _out_dir(args, default)
+    if out is None:
+        return []
     import pathlib
 
-    return pathlib.Path(out)
+    paths = [pathlib.Path(out) / f"{stem}.{fmt}" for fmt in formats]
+    for path in paths:
+        _check_writable(path)
+    return paths
 
 
 @contextlib.contextmanager
@@ -101,36 +111,32 @@ def _check_writable(path: pathlib.Path) -> None:
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(found))
 
 
-@contextlib.contextmanager
-def _output(path: pathlib.Path):
-    """The file at path, open for writing; an OSError is a one-line error."""
+def _write(path: pathlib.Path, chunks) -> None:
+    """Write the text chunks to path as they come, making its directory."""
     with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as f:
-            yield f
+            f.writelines(chunks)
     print(f"wrote {path}")
 
 
-def _write(path: pathlib.Path, text: str) -> None:
-    with _output(path) as f:
-        f.write(text)
+def _json(payload):
+    """The text of json.dump(payload, indent=2, sort_keys=True) and a
+    newline, in chunks.  An iterator is the list of its items, each encoded
+    as it is drawn, so no two items are held at once."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).iterencode
+    if not hasattr(payload, "__next__"):
+        # a chain, not a generator: a diagram is millions of chunks
+        return itertools.chain(encode(payload), "\n")
 
-
-def _write_json(path: pathlib.Path, payload) -> None:
-    with _output(path) as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_json_list(path: pathlib.Path, payloads) -> None:
-    """The list as _write_json writes it, each item encoded as it is
-    produced, so no two items' payloads are held at once."""
-    with _output(path) as f:
+    def items():
         sep = "[\n  "
-        for payload in payloads:
-            f.write(sep + json.dumps(payload, indent=2, sort_keys=True).replace("\n", "\n  "))
+        for item in payload:
+            # JSON text holds a raw newline only between tokens
+            yield sep + "".join(encode(item)).replace("\n", "\n  ")
             sep = ",\n  "
-        f.write("[]\n" if sep == "[\n  " else "\n]\n")
+        yield "[]\n" if sep == "[\n  " else "\n]\n"
+    return items()
 
 
 def _load_json(source: str) -> dict:
@@ -144,6 +150,9 @@ def _load_json(source: str) -> dict:
                          f"column {exc.colno}: {exc.msg}")
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(f"error: cannot read {source}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        # an integer past int's digit limit, or nesting deeper than the stack
+        raise SystemExit(f"error: invalid JSON in {source}: {exc}")
 
 
 def _load_map(source: str) -> RoseMap:
@@ -220,19 +229,10 @@ def cmd_analyze_map(args) -> int:
     return 0
 
 
-def _artifact_paths(out: pathlib.Path, fmt: str | None, stem: str) -> list[pathlib.Path]:
-    """The diagram's JSON and DOT files under out, or only the one fmt names."""
-    return [out / f"{stem}.{ext}" for ext in ("json", "dot") if fmt in (None, ext)]
-
-
-def _artifact(out: pathlib.Path | None, fmt: str | None, diagram, stem: str) -> None:
-    if out is None or diagram is None:
-        return
-    for path in _artifact_paths(out, fmt, stem):
-        if path.suffix == ".json":
-            _write_json(path, diagram_to_json(diagram))
-        else:
-            _write(path, diagram_to_dot(diagram, stem))
+def _write_diagram(paths: list[pathlib.Path], diagram) -> None:
+    for path in paths:
+        _write(path, _json(diagram_to_json(diagram)) if path.suffix == ".json"
+               else [diagram_to_dot(diagram, path.stem)])
 
 
 def cmd_check_graph(args) -> int:
@@ -242,10 +242,8 @@ def cmd_check_graph(args) -> int:
     if args.seed is not None and not args.oracle_samples:
         raise SystemExit("error: --seed seeds the oracle's samples; give --oracle-samples")
     target = _load_target(args)
-    out = _out_dir(args)
-    if out is not None:
-        for path in _artifact_paths(out, args.format, f"diagram_r{args.rank}"):
-            _check_writable(path)
+    formats = [args.format] if args.format else ["json", "dot"]
+    paths = _paths(args, f"diagram_r{args.rank}", formats)
     result = target_verdict(target, args.rank)
     if args.seed is not None and args.oracle_samples >= result.num_structures:
         raise SystemExit(f"error: --oracle-samples {args.oracle_samples} checks all "
@@ -268,7 +266,8 @@ def cmd_check_graph(args) -> int:
             _report_loops(result.diagram, args.max_loop_len)
     print(f"verdict: {result.verdict}")
     agree = _oracle_check(result, args) if args.oracle_samples else True
-    _artifact(out, args.format, result.diagram, f"diagram_r{args.rank}")
+    if result.diagram is not None:
+        _write_diagram(paths, result.diagram)
     return 0 if agree else 1
 
 
@@ -320,70 +319,59 @@ def _sweep_row(name: str, graph: WhiteheadGraph, rank: int) -> dict:
 
 def cmd_sweep(args) -> int:
     n = 2 * args.rank - 1
-    out = _out_dir(args)
-    if out is not None:
-        _check_writable(out / f"sweep_r{args.rank}.json")
+    paths = _paths(args, f"sweep_r{args.rank}", ["json"])
     entries = _catalog(n)
     print(f"catalog: {len(entries)} connected simplicial {n}-vertex graphs")
-    rows = [_sweep_row(e.id, e.graph(), args.rank) for e in entries]
-    width = max((len(r["id"]) for r in rows), default=len("id"))
+    # each row is printed once it is decided, so the width is the IDs'
+    width = max((len(e.id) for e in entries), default=len("id"))
     print(f"{'id':<{width}}  edges  structures  admissible  components  verdict")
-    for r in rows:
+    rows = []
+    for e in entries:
+        r = _sweep_row(e.id, e.graph(), args.rank)
         print(f"{r['id']:<{width}}  {r['edges']:>5}  {r['structures']:>10}  "
-              f"{r['admissible']:>10}  {r['components']:>10}  {r['verdict']}")
+              f"{r['admissible']:>10}  {r['components']:>10}  {r['verdict']}", flush=True)
+        rows.append(r)
     flagged = [r for r in rows if r["verdict"] != INCONCLUSIVE]
     print(f"unachieved: {len(flagged)} of {len(rows)}")
-    if out is not None:
-        _write_json(out / f"sweep_r{args.rank}.json", {"rank": args.rank, "results": rows})
+    for path in paths:
+        _write(path, _json({"rank": args.rank, "results": rows}))
     return 0
-
-
-def _export_path(args, stem: str) -> pathlib.Path:
-    """The one file an export writes, checked before it is built."""
-    path = _out_dir(args, ".") / f"{stem}.{args.format}"
-    _check_writable(path)
-    return path
 
 
 def cmd_export_diagram(args) -> int:
     target = _load_target(args)
-    path = _export_path(args, f"diagram_r{args.rank}")
-    diagram = id_diagram(target, args.rank, build_preliminary(target, args.rank))
-    _artifact(path.parent, args.format, diagram, path.stem)
+    paths = _paths(args, f"diagram_r{args.rank}", [args.format], ".")
+    _write_diagram(paths, id_diagram(target, args.rank, build_preliminary(target, args.rank)))
     return 0
 
 
 def cmd_export_structures(args) -> int:
     target = _load_target(args)
-    path = _export_path(args, f"structures_r{args.rank}"
-                              + ("_admissible" if args.admissible_only else ""))
+    suffix = "_admissible" if args.admissible_only else ""
+    [path] = _paths(args, f"structures_r{args.rank}{suffix}", [args.format], ".")
     structures = iter_structures(target, args.rank, admissible_only=args.admissible_only)
     if args.format == "json":
-        _write_json_list(path, (G.to_json() for G in structures))
+        _write(path, _json(G.to_json() for G in structures))
     else:
-        with _output(path) as f:
-            for i, G in enumerate(structures):
-                f.write(("\n" if i else "") + ltt_to_dot(G, f"ltt_{i}"))
+        _write(path, (("\n" if i else "") + ltt_to_dot(G, f"ltt_{i}")
+                      for i, G in enumerate(structures)))
     return 0
 
 
 def cmd_export_catalog(args) -> int:
-    path = _export_path(args, f"catalog_n{2 * args.rank - 1}")
-    _write_json_list(path, (e.to_json() for e in _catalog(2 * args.rank - 1)))
+    [path] = _paths(args, f"catalog_n{2 * args.rank - 1}", [args.format], ".")
+    _write(path, _json(e.to_json() for e in _catalog(2 * args.rank - 1)))
     return 0
 
 
 def cmd_export_map_ltt(args) -> int:
     m = _load_map(args.input)
-    path = _export_path(args, "ltt")
+    [path] = _paths(args, "ltt", [args.format], ".")
     try:
         G = ltt_of_map(m)
     except LttRegimeError as exc:
         raise SystemExit(f"error: {exc}")
-    if args.format == "json":
-        _write_json(path, G.to_json())
-    else:
-        _write(path, ltt_to_dot(G))
+    _write(path, _json(G.to_json()) if args.format == "json" else [ltt_to_dot(G)])
     return 0
 
 

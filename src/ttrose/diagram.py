@@ -754,18 +754,18 @@ def _node_id(G: LttStructure) -> str:
 
 
 def _labeled_edges(prelim: PreliminaryDiagram, ends: Iterable[tuple[int, int]]
-                   ) -> Iterator[tuple[int, int, str | None, Generator, Turn]]:
+                   ) -> Iterator[tuple[int, int, str, Generator, Turn]]:
     """Each edge's source and destination positions, kind, generator and
     determining edge, read off the generators entering its two nodes: a
     node's red vertex is its entering generator's u, and its red edge's
     purple end is bar of its a.  The edge is an extension when the
     source's red vertex is the edge generator's u and a switch when it is
-    its a; its determining edge joins that a to the source's red edge's
-    purple end."""
+    its a (moves.sources_into gives every source one of the two); its
+    determining edge joins that a to the source's red edge's purple end."""
     entering = prelim.entering
     for i, j in ends:
         gen, source = entering[j], entering[i]
-        kind = "extension" if source.u == gen.u else "switch" if source.u == gen.a else None
+        kind = "extension" if source.u == gen.u else "switch"
         yield i, j, kind, gen, turn(gen.a, bar(source.a))
 
 

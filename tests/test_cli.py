@@ -146,6 +146,18 @@ def test_analyze_map_parse_error(tmp_path, capsys):
         main(["analyze-map", str(path)])
     assert str(exc.value) == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
                               "in position 0: invalid start byte")
+    # json raises ValueError past int's digit limit (its text differs between
+    # Pythons) and RecursionError past the stack; neither is a traceback
+    for text, reason in (('{"rank": 1' + "1" * 5000 + ', "images": {}}', None),
+                         ("[" * 100_000, "maximum recursion depth exceeded while decoding "
+                                         "a JSON array from a unicode string")):
+        path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-map", str(path)])
+        assert str(exc.value).startswith(f"error: invalid JSON in {path}: ")
+        assert "\n" not in str(exc.value)
+        if reason:
+            assert str(exc.value) == f"error: invalid JSON in {path}: {reason}"
     assert capsys.readouterr().out == ""
 
 
@@ -239,11 +251,20 @@ def test_unreadable_target_exits_1(command, tmp_path):
             (str(missing), "", f"cannot read {missing}: "
                                f"[Errno 2] No such file or directory: '{missing}'"),
             (str(latin), "", f"cannot read {latin}: 'utf-8' codec can't decode byte 0xff "
-                             "in position 0: invalid start byte")):
+                             "in position 0: invalid start byte"),
+            ("-", "[" * 100_000, "invalid JSON in -: maximum recursion depth exceeded "
+                                 "while decoding a JSON array from a unicode string"),
+            # past int's digit limit; the message differs between Pythons
+            ("-", '{"edges": [[1' + "1" * 5000 + ", 2]]}", None)):
         run = subprocess.run([sys.executable, "-m", "ttrose", *command, source,
                               "--rank", "3", "--out", str(out)],
                              input=stdin, capture_output=True, text=True, timeout=60)
-        assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {error}\n")
+        assert (run.returncode, run.stdout) == (1, "")
+        if error is None:
+            assert run.stderr.startswith("error: invalid JSON in -: ")
+            assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+        else:
+            assert run.stderr == f"error: {error}\n"
     assert not out.exists()
 
 
@@ -721,6 +742,44 @@ def test_sweep_holds_one_diagram_at_a_time(monkeypatch, capsys):
     monkeypatch.setattr(ttrose.cli, "target_verdict", recording)
     assert main(["sweep", "--rank", "3"]) == 0
     assert alive == [0] * 21
+
+
+def test_sweep_prints_each_row_once_it_is_decided(monkeypatch, capsys):
+    # the width comes from the catalog's IDs, so the header and each row
+    # need no later verdict; a rank-4 sweep shows its progress row by row
+    import ttrose.cli
+    from ttrose.diagram import target_verdict
+
+    printed = []
+
+    def recording(target, rank):
+        printed.append(capsys.readouterr().out)
+        return target_verdict(target, rank)
+
+    monkeypatch.setattr(ttrose.cli, "target_verdict", recording)
+    assert main(["sweep", "--rank", "3"]) == 0
+    lines = "".join(printed + [capsys.readouterr().out]).splitlines()
+    assert printed[0].splitlines() == lines[:2]
+    assert printed[1].splitlines() == lines[2:3]
+    assert all(text.count("\n") == 1 for text in printed[1:])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(json_values, max_size=5))
+def test_json_chunks_are_json_dump(items):
+    # one encoder writes every JSON file: a payload whole, or an iterator
+    # as the list of its items, byte for byte as json.dump would
+    from ttrose.cli import _json
+
+    for payload in (items, *items):
+        assert "".join(_json(payload)) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert "".join(_json(iter(items))) == json.dumps(items, indent=2, sort_keys=True) + "\n"
+    assert "".join(_json(iter([]))) == "[]\n"
 
 
 def test_export_structures_and_catalog(tmp_path, capsys):
