@@ -23,9 +23,10 @@ import json
 import os
 import sys
 
-# pathlib and random are imported where used, so a call that writes no
-# artifact and draws no sample loads neither (the pathlib.Path annotations
-# are strings, never evaluated)
+# pathlib, random and the map layer are imported where used: a call that
+# writes no artifact loads no pathlib, one that draws no sample no random,
+# and only analyze-map, export map-ltt and --max-loop-len load maps (the
+# pathlib.Path and RoseMap annotations are strings, never evaluated)
 from . import __version__
 from .catalog import connected_simplicial_graphs
 from .diagram import (
@@ -44,26 +45,8 @@ from .diagram import (
     target_from_json,
     target_verdict,
     validate_target,
-    verify_loop,
 )
-from .ltt import (
-    LttRegimeError,
-    brute_force_birecurrent,
-    is_birecurrent,
-    ltt_of_map,
-    ltt_to_dot,
-    validate_ltt,
-)
-from .maps import (
-    NotProperFullFolds,
-    RoseMap,
-    gates,
-    is_train_track,
-    local_whitehead_graph,
-    periodic_and_fixed_directions,
-    stable_whitehead_graph,
-    stallings_fold_decomposition,
-)
+from .ltt import brute_force_birecurrent, is_birecurrent, ltt_to_dot, validate_ltt
 from .rose import format_direction
 from .whitehead import WhiteheadGraph, index_list
 
@@ -156,6 +139,8 @@ def _load_json(source: str) -> dict:
 
 
 def _load_map(source: str) -> RoseMap:
+    from .maps import RoseMap
+
     data = _load_json(source)
     try:
         if not isinstance(data, dict):
@@ -185,6 +170,10 @@ def _fmt_turns(turns) -> str:
 
 
 def cmd_analyze_map(args) -> int:
+    from .maps import (LttRegimeError, NotProperFullFolds, gates, is_train_track,
+                       local_whitehead_graph, ltt_of_map, periodic_and_fixed_directions,
+                       stable_whitehead_graph, stallings_fold_decomposition)
+
     m = _load_map(args.input)
     print(f"map: {m}")
     verdict = is_train_track(m)
@@ -272,6 +261,8 @@ def cmd_check_graph(args) -> int:
 
 
 def _report_loops(diagram, max_len: int) -> None:
+    from .maps import verify_loop
+
     for i, comp in enumerate(diagram.components):
         loops = find_loops(diagram.preliminary, comp, max_len)
         ok = sum(1 for lp in loops if verify_loop(lp).ok)
@@ -365,6 +356,8 @@ def cmd_export_catalog(args) -> int:
 
 
 def cmd_export_map_ltt(args) -> int:
+    from .maps import LttRegimeError, ltt_of_map
+
     m = _load_map(args.input)
     [path] = _paths(args, "ltt", [args.format], ".")
     try:

@@ -38,18 +38,10 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property
 
 from ._record import record
-from .ltt import LttRegimeError, LttStructure, birecurrent_turns, ltt_of_map
-from .maps import (
-    FoldDecomposition,
-    Generator,
-    IdealDecompositionReport,
-    identity_permutation,
-    is_train_track,
-    validate_ideal_decomposition,
-)
+from .ltt import LttStructure, birecurrent_turns
 from .moves import GeneratingTriple, entering_generator, sources_into
-from .rose import (MAX_RANK, Turn, all_directions, bar, check_rank, edge_index, format_direction,
-                   turn)
+from .rose import (MAX_RANK, Generator, Turn, all_directions, bar, check_rank, edge_index,
+                   format_direction, turn)
 from .whitehead import (WhiteheadGraph, mask_action, mask_orbit, pair_bits, relabeling_generators,
                         tarjan_scc)
 
@@ -669,50 +661,6 @@ def find_loops(preliminary: PreliminaryDiagram, comp: DiagramComponent,
     moves = {(i, j): GeneratingTriple(entering_generator(structure[j]), structure[i], structure[j])
              for i, j in edges}
     return [tuple(map(moves.__getitem__, loop)) for loop in loops]
-
-
-@record
-class LoopReport:
-    train_track: bool
-    ideal: IdealDecompositionReport
-    basepoint_matches: bool
-    details: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.train_track and self.ideal.ok and self.basepoint_matches
-
-
-def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
-    """Compose the loop's generators and check the composite: train track,
-    ideal decomposition clauses (including the loop-level property VIII and
-    the rotationless proxy), and that its structure is the basepoint."""
-    if not edges:
-        raise ValueError("empty loop")
-    for e1, e2 in zip(edges, edges[1:]):
-        if e1.dest != e2.source:
-            raise ValueError("loop edges are not consecutive")
-    if edges[-1].dest != edges[0].source:
-        raise ValueError("edge sequence is not closed")
-    rank = edges[0].gen.rank
-    gens = tuple(e.gen for e in edges)
-    dec = FoldDecomposition(rank, gens, identity_permutation(rank))
-    composite = dec.compose_all()
-    details: list[str] = []
-    tt = is_train_track(composite)
-    if not tt.ok:
-        details.append(f"composite is not a train track (illegal turn {tt.witness})")
-    ideal = validate_ideal_decomposition(dec)
-    details.extend(ideal.details)
-    matches = False
-    if tt.ok:  # else ltt_of_map would report the illegal turn again
-        try:
-            matches = ltt_of_map(composite) == edges[0].source
-            if not matches:
-                details.append("structure of the composite differs from the basepoint")
-        except LttRegimeError as exc:
-            details.append(f"composite has no structure: {exc}")
-    return LoopReport(tt.ok, ideal, matches, tuple(details))
 
 
 # --- verdicts ---------------------------------------------------------------

@@ -15,7 +15,8 @@ strongly connected component of H decides it, the one of direction 1:
 bar carries H onto its reverse, so the components of 1 and of bar(1)
 cover alike, and a covering one holds one of them (see
 birecurrent_turns).  A brute-force covering-cycle search on the full
-transition digraph is the oracle it is tested against.
+transition digraph is the oracle it is tested against.  Nothing here
+reads a map: the structure of a train track map is maps.ltt_of_map.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from ._record import record
-from .maps import RoseMap, is_train_track, periodic_and_fixed_directions, turns_taken_closure
 from .rose import Direction, Turn, all_directions, bar, format_direction
 
 PURPLE = "purple"
@@ -144,31 +144,6 @@ def validate_ltt(G: LttStructure) -> LttValidation:
     if bare:
         v.append(f"tt1/tt3: directions {bare} meet no colored edge")
     return LttValidation(not v, tuple(v))
-
-
-# --- construction from a train track map --------------------------------
-
-
-class LttRegimeError(ValueError):
-    """The map is outside the one-nonperiodic-direction regime."""
-
-
-def ltt_of_map(m: RoseMap) -> LttStructure:
-    """The structure G(g): colored edges are the taken turns and the red
-    vertex is the nonperiodic direction, so an edge is purple exactly when
-    both its endpoints are periodic; black edges by bar pairing.
-
-    Requires a train track map with exactly one nonperiodic direction.
-    """
-    verdict = is_train_track(m)
-    if not verdict.ok:
-        raise LttRegimeError(f"not a train track map (illegal turn {verdict.witness})")
-    periodic, _ = periodic_and_fixed_directions(m)
-    nonperiodic = sorted(set(all_directions(m.rank)) - set(periodic))
-    if len(nonperiodic) != 1:
-        raise LttRegimeError(
-            f"expected exactly 1 nonperiodic direction, found {len(nonperiodic)}: {nonperiodic}")
-    return LttStructure(m.rank, nonperiodic[0], frozenset(turns_taken_closure(m)))
 
 
 # --- transition digraph and birecurrency --------------------------------

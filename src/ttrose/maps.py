@@ -1,10 +1,14 @@
-"""Tight self-maps of roses and their combinatorial analysis.
+"""Tight self-maps of roses and their combinatorial analysis, the one
+module that knows them.
 
 A map is stored by the image words of the positively oriented petals;
 images of reversed petals are derived.  On top of that sit the direction
 map, gates, the closure of taken turns, the train track test, Whitehead
-graphs, and Stallings fold decompositions into proper full folds of
-roses (the generators of ideal decompositions).
+graphs, Stallings fold decompositions into proper full folds of roses
+(the generators of ideal decompositions), the structure of a train
+track map and the check of a diagram loop's composite.  No verdict
+module imports this one, so only analyze-map, export map-ltt and
+check-graph --max-loop-len load it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import itertools
 from collections.abc import Mapping, Sequence
 
 from ._record import record
+from .ltt import LttStructure
 from .rose import (
     Direction,
+    Generator,
     Turn,
     Word,
     all_directions,
@@ -204,39 +210,11 @@ def stable_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
 # --- generators and fold decompositions --------------------------------
 
 
-@record
-class Generator:
-    """A proper full fold of roses: the oriented edge with initial
-    direction u maps over (edge of a)(edge of u); all other edges map
-    identically."""
-
-    rank: int
-    a: Direction
-    u: Direction
-
-    def __post_init__(self) -> None:
-        check_rank(self.rank)
-        check_direction(self.a, self.rank)
-        check_direction(self.u, self.rank)
-        if self.a == self.u or self.a == bar(self.u):
-            raise ValueError(f"generator needs a independent of u, got a={self.a}, u={self.u}")
-
-    def as_rose_map(self) -> RoseMap:
-        images = []
-        for i in range(1, self.rank + 1):
-            fwd = forward_direction(i)
-            if i == edge_index(self.u):
-                if is_forward(self.u):
-                    images.append((self.a, self.u))
-                else:
-                    images.append((bar(self.u), bar(self.a)))
-            else:
-                images.append((fwd,))
-        return RoseMap(self.rank, tuple(images))
-
-    def __str__(self) -> str:
-        u_txt, a_txt = format_direction(self.u), format_direction(self.a)
-        return f"{u_txt} -> {a_txt}{u_txt}"
+def generator_map(g: Generator) -> RoseMap:
+    """The fold g as a self-map of the rose."""
+    images = [(forward_direction(i),) for i in range(1, g.rank + 1)]
+    images[edge_index(g.u) - 1] = (g.a, g.u) if is_forward(g.u) else (bar(g.u), bar(g.a))
+    return RoseMap(g.rank, tuple(images))
 
 
 def is_direction_permutation(rank: int, perm: Sequence[int]) -> bool:
@@ -276,7 +254,7 @@ class FoldDecomposition:
     def compose_all(self) -> RoseMap:
         current = RoseMap.identity(self.rank)
         for g in self.generators:
-            current = compose(g.as_rose_map(), current)
+            current = compose(generator_map(g), current)
         return compose(permutation_rose_map(self.rank, self.final_permutation), current)
 
     def has_trivial_permutation(self) -> bool:
@@ -439,3 +417,70 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
 
     return IdealDecompositionReport(True, trivial_perm, fixes, rotationless,
                                     viii_a, viii_b, tuple(details))
+
+
+class LttRegimeError(ValueError):
+    """The map is outside the one-nonperiodic-direction regime."""
+
+
+def ltt_of_map(m: RoseMap) -> LttStructure:
+    """The structure G(g): colored edges are the taken turns and the red
+    vertex is the nonperiodic direction, so an edge is purple exactly when
+    both its endpoints are periodic; black edges by bar pairing.
+
+    Requires a train track map with exactly one nonperiodic direction.
+    """
+    verdict = is_train_track(m)
+    if not verdict.ok:
+        raise LttRegimeError(f"not a train track map (illegal turn {verdict.witness})")
+    periodic, _ = periodic_and_fixed_directions(m)
+    nonperiodic = sorted(set(all_directions(m.rank)) - set(periodic))
+    if len(nonperiodic) != 1:
+        raise LttRegimeError(
+            f"expected exactly 1 nonperiodic direction, found {len(nonperiodic)}: {nonperiodic}")
+    return LttStructure(m.rank, nonperiodic[0], frozenset(turns_taken_closure(m)))
+
+
+@record
+class LoopReport:
+    train_track: bool
+    ideal: IdealDecompositionReport
+    basepoint_matches: bool
+    details: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.train_track and self.ideal.ok and self.basepoint_matches
+
+
+def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
+    """Compose the loop's generators and check the composite: train track,
+    ideal decomposition clauses (including the loop-level property VIII and
+    the rotationless proxy), and that its structure is the basepoint.  The
+    moves.GeneratingTriple annotation is a string, never evaluated."""
+    if not edges:
+        raise ValueError("empty loop")
+    for e1, e2 in zip(edges, edges[1:]):
+        if e1.dest != e2.source:
+            raise ValueError("loop edges are not consecutive")
+    if edges[-1].dest != edges[0].source:
+        raise ValueError("edge sequence is not closed")
+    rank = edges[0].gen.rank
+    gens = tuple(e.gen for e in edges)
+    dec = FoldDecomposition(rank, gens, identity_permutation(rank))
+    composite = dec.compose_all()
+    details: list[str] = []
+    tt = is_train_track(composite)
+    if not tt.ok:
+        details.append(f"composite is not a train track (illegal turn {tt.witness})")
+    ideal = validate_ideal_decomposition(dec)
+    details.extend(ideal.details)
+    matches = False
+    if tt.ok:  # else ltt_of_map would report the illegal turn again
+        try:
+            matches = ltt_of_map(composite) == edges[0].source
+            if not matches:
+                details.append("structure of the composite differs from the basepoint")
+        except LttRegimeError as exc:
+            details.append(f"composite has no structure: {exc}")
+    return LoopReport(tt.ok, ideal, matches, tuple(details))

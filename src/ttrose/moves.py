@@ -16,8 +16,7 @@ from collections.abc import Collection
 
 from ._record import record
 from .ltt import LttStructure
-from .maps import Generator
-from .rose import Direction, Turn, bar, turn
+from .rose import Direction, Generator, Turn, bar, turn
 
 
 @record

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ._record import record
+
 Direction = int
 Turn = tuple[int, int]
 Word = tuple[int, ...]
@@ -65,6 +67,28 @@ def turn(d1: Direction, d2: Direction) -> Turn:
     if d1 == d2:
         raise ValueError(f"degenerate turn {{{d1},{d2}}}")
     return (d1, d2) if d1 < d2 else (d2, d1)
+
+
+@record
+class Generator:
+    """A proper full fold of roses: the oriented edge with initial
+    direction u maps over (edge of a)(edge of u); all other edges map
+    identically."""
+
+    rank: int
+    a: Direction
+    u: Direction
+
+    def __post_init__(self) -> None:
+        check_rank(self.rank)
+        check_direction(self.a, self.rank)
+        check_direction(self.u, self.rank)
+        if self.a == self.u or self.a == bar(self.u):
+            raise ValueError(f"generator needs a independent of u, got a={self.a}, u={self.u}")
+
+    def __str__(self) -> str:
+        u_txt, a_txt = format_direction(self.u), format_direction(self.a)
+        return f"{u_txt} -> {a_txt}{u_txt}"
 
 
 def reverse_word(word: Sequence[int]) -> Word:

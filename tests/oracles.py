@@ -15,17 +15,9 @@ from dataclasses import dataclass, field, make_dataclass
 
 from ttrose.diagram import PreliminaryDiagram, enumerate_structures, epp_elements
 from ttrose.ltt import BLACK, LttStructure, TransitionDigraph, is_birecurrent
-from ttrose.maps import (
-    FoldDecomposition,
-    Generator,
-    NotProperFullFolds,
-    RoseMap,
-    _finish_permutation,
-    _fold_candidates,
-    apply_map,
-)
+from ttrose.maps import FoldDecomposition, NotProperFullFolds, RoseMap, apply_map, generator_map
 from ttrose.moves import GeneratingTriple, entering_generator, sources_into
-from ttrose.rose import Direction, Turn, all_directions, bar, turn, turns_of
+from ttrose.rose import Direction, Generator, Turn, all_directions, bar, turn, turns_of
 from ttrose.whitehead import WhiteheadGraph, tarjan_scc
 
 
@@ -660,7 +652,7 @@ def compose_generators(gens, rank: int) -> tuple[RoseMap, bool]:
     current = RoseMap.identity(rank)
     cancelled = False
     for g in gens:
-        gm = g.as_rose_map()
+        gm = generator_map(g)
         images = []
         for word in current.images:
             image, flag = apply_map(gm, word)
@@ -682,6 +674,33 @@ def random_clean_composite(rng: random.Random, rank: int, length: int,
     raise AssertionError("could not sample a cancellation-free composite")
 
 
+def fold_moves(residual: RoseMap):
+    """(turn, kind, generator, folded map) for each pair of directions
+    whose images share a first letter, in canonical turn order.  The kind
+    comes from the common prefix of the two image words: equal words make
+    an improper fold, one word a proper prefix of the other a proper full
+    fold, and anything else a partial one; only a proper full fold has a
+    generator and a folded map, the others have None."""
+    words = {d: residual.word_of(d) for d in all_directions(residual.rank)}
+    for d1, d2 in itertools.combinations(words, 2):
+        w1, w2 = words[d1], words[d2]
+        common = next((i for i, (x, y) in enumerate(zip(w1, w2)) if x != y), min(len(w1), len(w2)))
+        if common == 0:
+            continue
+        if w1 == w2:
+            yield (d1, d2), "improper", None, None
+        elif common < min(len(w1), len(w2)):
+            yield (d1, d2), "partial", None, None
+        else:
+            # the shorter word W(full) folds off the front of W(part)
+            full, part = (d1, d2) if len(w1) < len(w2) else (d2, d1)
+            rest = words[part][common:]
+            folded = {**words, part: rest, bar(part): tuple(bar(x) for x in reversed(rest))}
+            images = tuple(folded[d] for d in range(1, 2 * residual.rank + 1, 2))
+            yield (d1, d2), "proper", Generator(residual.rank, a=full, u=part), \
+                RoseMap(residual.rank, images)
+
+
 def fold_decomposition_by_search(m: RoseMap) -> FoldDecomposition:
     """Greedily fold illegal turns into proper full folds of roses: the
     depth-first search over every fold order that
@@ -700,21 +719,21 @@ def fold_decomposition_by_search(m: RoseMap) -> FoldDecomposition:
             failure.append((step, description))
 
     def search(residual: RoseMap, gens: list[Generator], step: int) -> FoldDecomposition | None:
-        candidates = list(_fold_candidates(residual))
+        candidates = list(fold_moves(residual))
         if not candidates:
-            perm = _finish_permutation(residual.rank, residual.images)
-            if perm is None:
+            if any(len(w) != 1 for w in residual.images):
                 note_failure(step, "residual map has no foldable turn but is not a homeomorphism; "
                                    "input is not a homotopy equivalence")
                 return None
+            # no two one-letter images start alike, so they permute the directions
+            perm = tuple(residual.word_of(d)[0] for d in all_directions(m.rank))
             return FoldDecomposition(m.rank, tuple(gens), perm)
         proper = [c for c in candidates if c[1] == "proper"]
         if not proper:
-            t, kind, _ = candidates[0]
+            t, kind, _, _ = candidates[0]
             note_failure(step, f"maximal fold of turn {t} is {kind}; quotient would not be a rose")
             return None
-        for _, _, data in proper:
-            gen, folded = data
+        for _, _, gen, folded in proper:
             gens.append(gen)
             result = search(folded, gens, step + 1)
             if result is not None:

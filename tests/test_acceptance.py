@@ -41,15 +41,12 @@ from ttrose.diagram import (
     star_target,
     target_verdict,
 )
-from ttrose.ltt import (
-    LttRegimeError,
-    brute_force_birecurrent,
-    is_birecurrent,
-    ltt_of_map,
-)
+from ttrose.ltt import brute_force_birecurrent, is_birecurrent
 from ttrose.maps import (
+    LttRegimeError,
     direction_map,
     local_whitehead_graph,
+    ltt_of_map,
     periodic_and_fixed_directions,
     stable_whitehead_graph,
     stallings_fold_decomposition,

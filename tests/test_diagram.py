@@ -55,12 +55,11 @@ from ttrose.diagram import (
     target_from_json,
     target_verdict,
     validate_target,
-    verify_loop,
 )
 from ttrose.ltt import LttStructure, is_birecurrent, validate_ltt
-from ttrose.maps import Generator
+from ttrose.maps import verify_loop
 from ttrose.moves import GeneratingTriple, entering_generator
-from ttrose.rose import all_directions, bar, format_direction, turn
+from ttrose.rose import Generator, all_directions, bar, format_direction, turn
 from ttrose.whitehead import (WhiteheadGraph, mask_action, mask_image, mask_orbit, mask_pairs,
                               pair_bits, tarjan_scc)
 
@@ -1030,10 +1029,9 @@ def test_example_decomposition_realizes_a_diagram_loop():
     # admissible edges in the diagram of its own stable Whitehead graph,
     # and verify_loop must confirm the whole report
     from oracles import EXAMPLE_MAP
-    from ttrose.maps import (FoldDecomposition, identity_permutation,
+    from ttrose.maps import (FoldDecomposition, identity_permutation, ltt_of_map,
                              stable_whitehead_graph, stallings_fold_decomposition,
                              validate_ideal_decomposition)
-    from ttrose.ltt import ltt_of_map
 
     dec = stallings_fold_decomposition(EXAMPLE_MAP)
     assert validate_ideal_decomposition(dec).ok

@@ -13,21 +13,21 @@ from oracles import (
 )
 from ttrose.maps import (
     FoldDecomposition,
-    Generator,
     NotProperFullFolds,
     RoseMap,
     compose,
+    generator_map,
     identity_permutation,
     permutation_rose_map,
     stallings_fold_decomposition,
     validate_ideal_decomposition,
 )
-from ttrose.rose import all_directions, bar, is_tight
+from ttrose.rose import Generator, all_directions, bar, is_tight
 
 
 def test_single_generator_decomposes_to_itself():
     gen = Generator(3, a=1, u=3)  # b -> ab
-    dec = stallings_fold_decomposition(gen.as_rose_map())
+    dec = stallings_fold_decomposition(generator_map(gen))
     assert dec.generators == (gen,)
     assert dec.has_trivial_permutation()
 
@@ -71,15 +71,18 @@ def test_genuinely_partial_fold_is_rejected():
 
 
 def test_non_homotopy_equivalence_is_rejected():
-    m = RoseMap.from_strings(2, {"a": "ab", "b": "ab"})
-    with pytest.raises(NotProperFullFolds):
-        stallings_fold_decomposition(m)
+    # a and b have one image, so folding turn {a, b} identifies whole edges
+    for images in ({"a": "ab", "b": "ab"}, {"a": "b", "b": "b"}):
+        with pytest.raises(NotProperFullFolds) as exc:
+            stallings_fold_decomposition(RoseMap.from_strings(2, images))
+        assert exc.value.description == ("maximal fold of turn (1, 3) is improper; "
+                                         "quotient would not be a rose")
 
 
 def test_final_permutation_recovered():
     sigma = (3, 4, 1, 2)  # swap the two petals of a rank-2 rose
     gen = Generator(2, a=1, u=3)
-    m = compose(permutation_rose_map(2, sigma), gen.as_rose_map())
+    m = compose(permutation_rose_map(2, sigma), generator_map(gen))
     dec = stallings_fold_decomposition(m)
     assert dec.compose_all() == m
     assert not dec.has_trivial_permutation()
@@ -187,3 +190,9 @@ def test_ideal_validation_composite_fix_clause():
     report_single = validate_ideal_decomposition(
         FoldDecomposition(2, (g1,), identity_permutation(2)))
     assert report_single.composite_fixes_all_but_last_u
+    # a -> ba, then a -> b'a: the composite is the identity, so it fixes
+    # the last unachieved direction too
+    report_identity = validate_ideal_decomposition(
+        FoldDecomposition(2, (g2, Generator(2, a=4, u=1)), identity_permutation(2)))
+    assert not report_identity.composite_fixes_all_but_last_u
+    assert "composite fixes the last unachieved direction 1 as well" in report_identity.details

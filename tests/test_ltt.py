@@ -27,16 +27,14 @@ from ttrose.catalog import connected_simplicial_graphs
 from ttrose.diagram import epp_elements, star_target, enumerate_structures
 from ttrose.ltt import (
     BLACK,
-    LttRegimeError,
     LttStructure,
     brute_force_birecurrent,
     is_birecurrent,
-    ltt_of_map,
     ltt_to_dot,
     transition_digraph,
     validate_ltt,
 )
-from ttrose.maps import RoseMap
+from ttrose.maps import LttRegimeError, RoseMap, ltt_of_map
 from ttrose.rose import parse_word, turn
 
 A, A_, B, B_, C, C_ = 1, 2, 3, 4, 5, 6

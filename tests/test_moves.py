@@ -8,10 +8,10 @@ import pytest
 from oracles import (EXAMPLE_MAP, MissingImageEdge, check_am, generating_triples,
                      induced_colored_map, is_admissible, make_structure, move_det, move_kind)
 from ttrose.diagram import build_preliminary, enumerate_structures, star_target
-from ttrose.ltt import ltt_of_map, validate_ltt
-from ttrose.maps import Generator
+from ttrose.ltt import validate_ltt
+from ttrose.maps import ltt_of_map
 from ttrose.moves import GeneratingTriple, determining_edges, entering_generator
-from ttrose.rose import bar, turn
+from ttrose.rose import Generator, bar, turn
 from ttrose.catalog import connected_simplicial_graphs
 
 A, A_, B, B_, C, C_ = 1, 2, 3, 4, 5, 6

@@ -14,17 +14,19 @@ import ttrose
 from oracles import EXAMPLE_MAP, dataclass_twin
 from ttrose._record import record
 from ttrose.catalog import connected_simplicial_graphs
-from ttrose.diagram import find_loops, star_target, target_verdict, verify_loop
-from ttrose.ltt import ltt_of_map, transition_digraph, validate_ltt
+from ttrose.diagram import find_loops, star_target, target_verdict
+from ttrose.ltt import transition_digraph, validate_ltt
 from ttrose.maps import (
     FoldDecomposition,
-    Generator,
     RoseMap,
     identity_permutation,
     is_train_track,
+    ltt_of_map,
     stallings_fold_decomposition,
     validate_ideal_decomposition,
+    verify_loop,
 )
+from ttrose.rose import Generator
 from ttrose.whitehead import WhiteheadGraph
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -138,13 +140,16 @@ def test_post_init_refuses_as_the_dataclass(cls, args):
 def test_import_loads_only_what_the_library_runs():
     # dataclasses loads inspect, and fractions loads decimal; the library
     # needs neither to start, and `python -S` keeps site's imports out.
-    # hashlib, random and pathlib serve the DOT export, --oracle-samples
-    # and output paths alone, so a CLI call that takes none of them loads
-    # none; `import ttrose` alone loads no submodule
-    heavy = ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "random", "pathlib")
+    # hashlib, random, pathlib and ttrose.maps serve the DOT export,
+    # --oracle-samples, output paths and rose maps alone, so a CLI call
+    # that takes none of them loads none, nor do the modules the verdict
+    # runs on; `import ttrose` alone loads no submodule
+    heavy = ("dataclasses", "inspect", "fractions", "decimal", "hashlib", "random", "pathlib",
+             "ttrose.maps")
     code = ("import sys; before = set(sys.modules); import ttrose; "
             "print(sorted(m for m in set(sys.modules) - before if m.startswith('ttrose.'))); "
-            f"import ttrose.cli; print([m for m in {heavy!r} if m in sys.modules])")
+            "import ttrose.cli, ttrose.catalog, ttrose.diagram; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
