@@ -143,13 +143,7 @@ def _load_map(source: str) -> RoseMap:
 
     data = _load_json(source)
     try:
-        if not isinstance(data, dict):
-            raise ValueError('expected an object with "rank" and "images"')
-        if unknown := sorted(data.keys() - {"rank", "images"}):
-            raise ValueError(f'unknown key "{unknown[0]}"')
-        if missing := [key for key in ("rank", "images") if key not in data]:
-            raise ValueError(f'missing key "{missing[0]}"')
-        return RoseMap.from_strings(data["rank"], data["images"])
+        return RoseMap.from_json(data)
     except ValueError as exc:
         raise SystemExit(f"error: bad rose map input: {exc}")
 
@@ -211,7 +205,7 @@ def cmd_analyze_map(args) -> int:
                 f"{format_direction(2 * i - 1)}->{format_direction(dec.final_permutation[2 * i - 2])}"
                 for i in range(1, m.rank + 1))
             print(f"final homeomorphism: {perm}")
-        rt = dec.compose_all()
+        rt = dec.composite
         print(f"decomposition round-trip: {'exact' if rt == m else 'MISMATCH'}")
     except NotProperFullFolds as exc:
         print(f"fold decomposition: failed at step {exc.step}: {exc.description}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping, Sequence
+from functools import cached_property
 
 from ._record import record
 from .ltt import LttStructure
@@ -84,6 +85,18 @@ class RoseMap:
             if not isinstance(word, str):
                 raise ValueError(f"the image of petal {letter!r} is not a string: {word!r}")
         return RoseMap(rank, tuple(parse_word(w, rank) for w in words))
+
+    @staticmethod
+    def from_json(data) -> "RoseMap":
+        """The map of an object {"rank": r, "images": {letter: word}};
+        any other value, an unknown or a missing key is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError('expected an object with "rank" and "images"')
+        if unknown := sorted(data.keys() - {"rank", "images"}):
+            raise ValueError(f'unknown key "{unknown[0]}"')
+        if missing := [key for key in ("rank", "images") if key not in data]:
+            raise ValueError(f'missing key "{missing[0]}"')
+        return RoseMap.from_strings(data["rank"], data["images"])
 
     @staticmethod
     def identity(rank: int) -> "RoseMap":
@@ -251,7 +264,9 @@ class FoldDecomposition:
         if not is_direction_permutation(self.rank, self.final_permutation):
             raise ValueError("final permutation is not a bar-equivariant direction bijection")
 
-    def compose_all(self) -> RoseMap:
+    @cached_property
+    def composite(self) -> RoseMap:
+        """perm o g_n o ... o g_1, composed on first read."""
         current = RoseMap.identity(self.rank)
         for g in self.generators:
             current = compose(generator_map(g), current)
@@ -271,57 +286,6 @@ class NotProperFullFolds(Exception):
         super().__init__(f"fold step {step}: {description}")
 
 
-def _common_prefix_len(w1: Sequence[int], w2: Sequence[int]) -> int:
-    n = min(len(w1), len(w2))
-    for i in range(n):
-        if w1[i] != w2[i]:
-            return i
-    return n
-
-
-def _fold_candidates(residual: RoseMap):
-    """Foldable turns of the residual map, classified.
-
-    Yields (turn, kind, data) in canonical turn order, where kind is
-    'proper' (data is the Generator plus the folded residual map),
-    'partial' or 'improper'.
-    """
-    first: dict[int, list[int]] = {}
-    for d in all_directions(residual.rank):
-        first.setdefault(residual.word_of(d)[0], []).append(d)
-    turns = []
-    for group in first.values():
-        for d1, d2 in itertools.combinations(sorted(group), 2):
-            turns.append(turn(d1, d2))
-    for t in sorted(turns):
-        d1, d2 = t
-        w1, w2 = residual.word_of(d1), residual.word_of(d2)
-        p = _common_prefix_len(w1, w2)
-        if p == len(w1) and p == len(w2):
-            yield t, "improper", None
-        elif p < len(w1) and p < len(w2):
-            yield t, "partial", None
-        else:
-            full, part = (d1, d2) if p == len(w1) else (d2, d1)
-            remainder = residual.word_of(part)[p:]
-            new_images = list(residual.images)
-            j = edge_index(part)
-            new_images[j - 1] = remainder if is_forward(part) else reverse_word(remainder)
-            gen = Generator(residual.rank, a=full, u=part)
-            yield t, "proper", (gen, RoseMap(residual.rank, tuple(new_images)))
-
-
-def _finish_permutation(rank: int, images: tuple[Word, ...]) -> tuple[int, ...] | None:
-    if any(len(w) != 1 for w in images):
-        return None
-    perm = [0] * (2 * rank)
-    for i in range(1, rank + 1):
-        d = images[i - 1][0]
-        perm[forward_direction(i) - 1] = d
-        perm[forward_direction(i)] = bar(d)
-    return tuple(perm) if is_direction_permutation(rank, perm) else None
-
-
 def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
     """Fold m along the first proper full fold in canonical turn order
     until no turn is foldable, then read the final permutation off the
@@ -329,7 +293,9 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
 
     Raises NotProperFullFolds at the first foldable state with no proper
     full fold (its first turn is partial or improper), or when the images
-    left are not one letter per petal.
+    left are not one letter per petal.  With no turn foldable the 2r
+    first letters are distinct, so one-letter images are a bar-equivariant
+    permutation of the directions.
 
     The order of the folds cannot change the outcome.  A proper full fold
     at {x, y}, where W(x) is a proper prefix of W(y), replaces W(y) by
@@ -343,22 +309,35 @@ def stallings_fold_decomposition(m: RoseMap) -> FoldDecomposition:
     order ends at the same words: whether they are one letter per petal
     does not depend on the order.
     """
-    residual, gens = m, []
-    while (first := next(candidates := _fold_candidates(residual), None)) is not None:
-        # the generator folds lazily, so only the proper fold taken is built
-        proper = next((data for _, kind, data in itertools.chain([first], candidates)
-                       if kind == "proper"), None)
-        if proper is None:
-            t, kind, _ = first
-            raise NotProperFullFolds(len(gens), f"maximal fold of turn {t} is {kind}; "
+    rank, residual, gens = m.rank, m, []
+    while True:
+        first: dict[Direction, list[Direction]] = {}
+        for d in all_directions(rank):
+            first.setdefault(residual.word_of(d)[0], []).append(d)
+        # each group is in ascending order, so its pairs are turns
+        turns = sorted(t for group in first.values() for t in itertools.combinations(group, 2))
+        if not turns:
+            break
+        for t in turns:
+            full, part = sorted(t, key=lambda d: len(residual.word_of(d)))
+            short, long = residual.word_of(full), residual.word_of(part)
+            if len(short) < len(long) and long[:len(short)] == short:
+                break
+        else:
+            d1, d2 = turns[0]
+            kind = "improper" if residual.word_of(d1) == residual.word_of(d2) else "partial"
+            raise NotProperFullFolds(len(gens), f"maximal fold of turn {turns[0]} is {kind}; "
                                                 "quotient would not be a rose")
-        gen, residual = proper
-        gens.append(gen)
-    perm = _finish_permutation(residual.rank, residual.images)
-    if perm is None:
+        remainder = long[len(short):]
+        images = list(residual.images)
+        images[edge_index(part) - 1] = remainder if is_forward(part) else reverse_word(remainder)
+        gens.append(Generator(rank, a=full, u=part))
+        residual = RoseMap(rank, tuple(images))
+    if any(len(w) != 1 for w in residual.images):
         raise NotProperFullFolds(len(gens), "residual map has no foldable turn but is not a "
                                             "homeomorphism; input is not a homotopy equivalence")
-    return FoldDecomposition(m.rank, tuple(gens), perm)
+    return FoldDecomposition(rank, tuple(gens),
+                             tuple(residual.word_of(d)[0] for d in all_directions(rank)))
 
 
 @record
@@ -389,7 +368,7 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
     if not trivial_perm:
         details.append("final homeomorphism permutes edge indices")
 
-    composite = dec.compose_all()
+    composite = dec.composite
     dg = direction_map(composite)
     last_u = dec.generators[-1].u
     fixes = all(dg[d] == d for d in all_directions(dec.rank) if d != last_u)
@@ -468,7 +447,7 @@ def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
     rank = edges[0].gen.rank
     gens = tuple(e.gen for e in edges)
     dec = FoldDecomposition(rank, gens, identity_permutation(rank))
-    composite = dec.compose_all()
+    composite = dec.composite
     details: list[str] = []
     tt = is_train_track(composite)
     if not tt.ok:

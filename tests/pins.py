@@ -144,6 +144,11 @@ RECORDS = [
                                                  "c": "a'dc'ba'cd'a", "d": "d"}}) + "\n",
          lines=["fold decomposition: failed at step 12: maximal fold of turn (3, 5) is partial;"
                 " quotient would not be a rose"]),
+    # the whole fold report of oracles.EXAMPLE_MAP, its 9 generators among it
+    dict(name="example map report", cmd="ttrose analyze-map -".split(), cap=10,
+         stdin=json.dumps({"rank": 3, "images": {"a": "abacbabac'abacbaba", "b": "bac'",
+                                                 "c": "ca'b'a'b'a'b'c'a'b'a'c"}}) + "\n",
+         files={"stdout": "1c1ffc4449f7fb932fd75215508b75086a8a8b95a49812b570d889818bd39473"}),
     dict(name="P7", cmd=CHECK4, stdin=P7, cap=120, rss=300),
     # P7's oracle sample checks the birecurrency the verdict decided, reading
     # the verdict's own base slice and decoding only its 20 structures, so its

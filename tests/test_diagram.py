@@ -1040,7 +1040,7 @@ def test_example_decomposition_realizes_a_diagram_loop():
     structures = []
     for k in range(n + 1):
         rotated = gens[k:] + gens[:k]
-        f_k = FoldDecomposition(3, rotated, identity_permutation(3)).compose_all()
+        f_k = FoldDecomposition(3, rotated, identity_permutation(3)).composite
         structures.append(ltt_of_map(f_k))
     assert structures[0] == structures[n]
 

@@ -11,6 +11,7 @@ from oracles import (
     random_clean_composite,
     random_generator,
 )
+from ttrose.diagram import find_loops, target_verdict
 from ttrose.maps import (
     FoldDecomposition,
     NotProperFullFolds,
@@ -21,8 +22,10 @@ from ttrose.maps import (
     permutation_rose_map,
     stallings_fold_decomposition,
     validate_ideal_decomposition,
+    verify_loop,
 )
 from ttrose.rose import Generator, all_directions, bar, is_tight
+from ttrose.whitehead import WhiteheadGraph
 
 
 def test_single_generator_decomposes_to_itself():
@@ -40,7 +43,7 @@ def test_two_generator_composite_recovered_in_order():
     assert not cancelled
     dec = stallings_fold_decomposition(m)
     assert dec.generators == (g1, g2)
-    assert dec.compose_all() == m
+    assert dec.composite == m
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -49,7 +52,7 @@ def test_fold_round_trip_random(seed):
     rank = rng.choice((3, 4, 5))
     m, _ = random_clean_composite(rng, rank, rng.randrange(2, 9))
     dec = stallings_fold_decomposition(m)
-    assert dec.compose_all() == m
+    assert dec.composite == m
 
 
 def test_shared_prefix_needs_non_lexicographic_fold_choice():
@@ -57,7 +60,7 @@ def test_shared_prefix_needs_non_lexicographic_fold_choice():
     # is a proper full fold
     m = RoseMap.from_strings(3, {"a": "ca", "b": "cb", "c": "c"})
     dec = stallings_fold_decomposition(m)
-    assert dec.compose_all() == m
+    assert dec.composite == m
     assert {str(g) for g in dec.generators} == {"a -> ca", "b -> cb"}
 
 
@@ -84,7 +87,7 @@ def test_final_permutation_recovered():
     gen = Generator(2, a=1, u=3)
     m = compose(permutation_rose_map(2, sigma), generator_map(gen))
     dec = stallings_fold_decomposition(m)
-    assert dec.compose_all() == m
+    assert dec.composite == m
     assert not dec.has_trivial_permutation()
 
 
@@ -139,8 +142,8 @@ def test_first_fold_path_matches_the_search_over_every_order(maps):
 
 
 def test_folding_builds_one_map_per_generator_taken(monkeypatch):
-    # the fold candidates are read lazily, so the only folded map built at a
-    # step is the one of the proper fold taken there
+    # a step scans its turns and builds only the map of the proper fold it
+    # takes, and the final permutation is read off the images without a map
     maps = _all_maps(3, 2)
     built = [0]
     post_init = RoseMap.__post_init__
@@ -155,6 +158,28 @@ def test_folding_builds_one_map_per_generator_taken(monkeypatch):
         done, _ = _fold_outcome(stallings_fold_decomposition, m)
         taken += done if isinstance(done, int) else len(done)
     assert built[0] == taken > 0
+
+
+def test_a_loop_check_composes_each_generator_once(monkeypatch):
+    # the composite is composed on first read and shared by the train track,
+    # ideal decomposition and basepoint checks: one compose per generator of
+    # the loop, and one for the final permutation
+    g504 = WhiteheadGraph.build(range(5), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    diagram = target_verdict(g504, 3).diagram
+    calls = [0]
+
+    def counted(outer, inner):
+        calls[0] += 1
+        return compose(outer, inner)
+
+    monkeypatch.setattr("ttrose.maps.compose", counted)
+    lengths = set()
+    for loop in find_loops(diagram.preliminary, diagram.components[0], 3):
+        calls[0] = 0
+        verify_loop(loop)
+        assert calls[0] == len(loop) + 1
+        lengths.add(len(loop))
+    assert lengths == {1, 2, 3}
 
 
 def test_ideal_validation_rejects_empty():

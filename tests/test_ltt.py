@@ -74,6 +74,19 @@ def test_validation_flags():
     G = LttStructure(3, B_, frozenset({(1, 4), (4, 5), (2, 3), (2, 5), (2, 6), (3, 6), (1, 5)}))
     rep = validate_ltt(G)
     assert not rep.ok and any(v.startswith("ltt4") for v in rep.violations)
+    with pytest.raises(ValueError, match=r"^structure has 2 red edges, expected exactly 1$"):
+        G.red_edge
+
+    # no red edge
+    G = LttStructure(3, B_, frozenset({(1, 3), (2, 5), (3, 6)}))
+    with pytest.raises(ValueError, match=r"^structure has 0 red edges, expected exactly 1$"):
+        G.red_edge
+
+    # a red vertex, and an edge, past the 2r directions
+    rep = validate_ltt(LttStructure(2, 5, frozenset({(1, 2), (2, 3)})))
+    assert rep.violations == ("rank: red vertex 5 out of range 1..4",)
+    rep = validate_ltt(LttStructure(2, 1, frozenset({(1, 3), (2, 9), (3, 4)})))
+    assert "rank: edge (2,9) out of range" in rep.violations
 
     # colored loop
     G = LttStructure(3, B_, frozenset({(1, 4), (3, 3), (2, 5)}))

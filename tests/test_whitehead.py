@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ def test_components():
     assert sorted(map(sorted, g.components())) == [[0, 1], [2, 3], [4]]
     assert not g.is_connected()
     assert WhiteheadGraph.build(range(3), [(0, 1), (1, 2)]).is_connected()
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) uses a vertex outside the vertex set$"):
+        WhiteheadGraph.build([0, 1], [(0, 2)])
 
 
 def test_components_match_breadth_first_search():
