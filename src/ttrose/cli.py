@@ -164,21 +164,18 @@ def _fmt_turns(turns) -> str:
 
 
 def cmd_analyze_map(args) -> int:
-    from .maps import (LttRegimeError, NotProperFullFolds, gates, is_train_track,
-                       local_whitehead_graph, ltt_of_map, periodic_and_fixed_directions,
+    from .maps import (LttRegimeError, NotProperFullFolds, local_whitehead_graph, ltt_of_map,
                        stable_whitehead_graph, stallings_fold_decomposition)
 
     m = _load_map(args.input)
     print(f"map: {m}")
-    verdict = is_train_track(m)
-    print(f"train track: {'yes' if verdict.ok else f'no (illegal taken turn {_fmt_turn(verdict.witness)})'}")
-    gs = gates(m)
+    illegal = m.illegal_turn
+    print(f"train track: {'yes' if illegal is None else f'no (illegal taken turn {_fmt_turn(illegal)})'}")
     print("gates: " + " ".join("{" + ",".join(format_direction(d) for d in sorted(g)) + "}"
-                               for g in gs))
-    periodic, fixed = periodic_and_fixed_directions(m)
-    print("fixed directions: " + " ".join(format_direction(d) for d in sorted(fixed)))
-    print("periodic directions: " + " ".join(format_direction(d) for d in sorted(periodic)))
-    if verdict.ok:
+                               for g in m.gates))
+    print("fixed directions: " + " ".join(format_direction(d) for d in sorted(m.fixed)))
+    print("periodic directions: " + " ".join(format_direction(d) for d in sorted(m.periodic)))
+    if illegal is None:
         lw = local_whitehead_graph(m)
         sw = stable_whitehead_graph(m)
         print(f"LW edges: {_fmt_turns(lw.edges)}")

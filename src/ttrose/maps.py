@@ -2,11 +2,12 @@
 module that knows them.
 
 A map is stored by the image words of the positively oriented petals;
-images of reversed petals are derived.  On top of that sit the direction
-map, gates, the closure of taken turns, the train track test, Whitehead
-graphs, Stallings fold decompositions into proper full folds of roses
-(the generators of ideal decompositions), the structure of a train
-track map and the check of a diagram loop's composite.  No verdict
+images of reversed petals are derived.  Its direction map, gates,
+periodic and fixed directions, closure of taken turns and illegal turn
+are read on first use and cached on the map.  On top of them sit the
+Whitehead graphs, Stallings fold decompositions into proper full folds
+of roses (the generators of ideal decompositions), the structure of a
+train track map and the check of a diagram loop's composite.  No verdict
 module imports this one, so only analyze-map, export map-ltt and
 check-graph --max-loop-len load it.
 """
@@ -49,7 +50,9 @@ class RoseMap:
 
     ``images[i-1]`` is the edge-path word of g(E_i).  Every image must
     be nontrivial and tight; the image of a reversed petal is the
-    reversed bar-word and is never stored.
+    reversed bar-word and is never stored.  The train track data derived
+    from the images are cached properties, each computed on first read;
+    equality, hash and repr see only the fields.
     """
 
     rank: int
@@ -113,6 +116,63 @@ class RoseMap:
             parts.append(f"{format_direction(forward_direction(i))} -> {format_word(word)}")
         return ", ".join(parts)
 
+    @cached_property
+    def direction_map(self) -> dict[Direction, Direction]:
+        """Dg: each direction to the initial direction of its image."""
+        return {d: self.word_of(d)[0] for d in all_directions(self.rank)}
+
+    @cached_property
+    def _stable_power(self) -> dict[Direction, Direction]:
+        """Dg^n on the n = 2r directions.  Within n steps every direction
+        reaches its cycle of Dg, so the image is the periodic directions; the
+        fibers of Dg^k only coarsen as k grows, and their number, the size of
+        the image, stops falling by k = n, so the fibers are the gates."""
+        dg = self.direction_map
+        power = {d: d for d in dg}
+        for _ in range(len(dg)):
+            power = {d: dg[x] for d, x in power.items()}
+        return power
+
+    @cached_property
+    def periodic(self) -> frozenset[Direction]:
+        """The image of Dg^(2r)."""
+        return frozenset(self._stable_power.values())
+
+    @cached_property
+    def fixed(self) -> frozenset[Direction]:
+        """The directions Dg fixes."""
+        return frozenset(d for d, x in self.direction_map.items() if x == d)
+
+    @cached_property
+    def gates(self) -> tuple[frozenset[Direction], ...]:
+        """The fibers of Dg^(2r)."""
+        fibers: dict[Direction, set[Direction]] = {}
+        for d, x in self._stable_power.items():
+            fibers.setdefault(x, set()).add(d)
+        return tuple(sorted((frozenset(f) for f in fibers.values()), key=min))
+
+    @cached_property
+    def taken_turns(self) -> frozenset[Turn]:
+        """Least set of turns containing those of the edge images and closed
+        under the induced turn map.  A turn whose directions Dg identifies
+        has no image; it lies in one gate, so it is an illegal turn."""
+        dg = self.direction_map
+        current: set[Turn] = set()
+        for word in self.images:
+            current |= turns_of(word)
+        frontier = set(current)
+        while frontier:
+            frontier = {turn(dg[d1], dg[d2]) for d1, d2 in frontier if dg[d1] != dg[d2]} - current
+            current |= frontier
+        return frozenset(current)
+
+    @cached_property
+    def illegal_turn(self) -> Turn | None:
+        """The least taken turn whose two directions share a gate, that is
+        a Dg^(2r) image; None exactly for a train track map."""
+        power = self._stable_power
+        return next((t for t in sorted(self.taken_turns) if power[t[0]] == power[t[1]]), None)
+
 
 def apply_map(m: RoseMap, path: Sequence[int]) -> tuple[Word, bool]:
     """Image of a tight path under m, tightened; the flag records whether
@@ -136,85 +196,18 @@ def compose(outer: RoseMap, inner: RoseMap) -> RoseMap:
     return RoseMap(inner.rank, tuple(images))
 
 
-def direction_map(m: RoseMap) -> dict[Direction, Direction]:
-    """Dg: each direction to the initial direction of its image."""
-    return {d: m.word_of(d)[0] for d in all_directions(m.rank)}
-
-
-def _stable_power(dg: Mapping[Direction, Direction]) -> dict[Direction, Direction]:
-    """Dg^n on the n = 2r directions.  Within n steps every direction
-    reaches its cycle of Dg, so the image is the periodic directions; the
-    fibers of Dg^k only coarsen as k grows, and their number, the size of
-    the image, stops falling by k = n, so the fibers are the gates."""
-    power = {d: d for d in dg}
-    for _ in range(len(dg)):
-        power = {d: dg[x] for d, x in power.items()}
-    return power
-
-
-def periodic_and_fixed_directions(m: RoseMap) -> tuple[frozenset[int], frozenset[int]]:
-    dg = direction_map(m)
-    fixed = frozenset(d for d, x in dg.items() if x == d)
-    return frozenset(_stable_power(dg).values()), fixed
-
-
-def gates(m: RoseMap) -> tuple[frozenset[int], ...]:
-    """The fibers of Dg^(2r)."""
-    fibers: dict[int, set[int]] = {}
-    for d, x in _stable_power(direction_map(m)).items():
-        fibers.setdefault(x, set()).add(d)
-    return tuple(sorted((frozenset(f) for f in fibers.values()), key=min))
-
-
-def turns_taken_closure(m: RoseMap) -> frozenset[Turn]:
-    """Least set of turns containing those of the edge images and closed
-    under the induced turn map.  A turn whose directions Dg identifies has
-    no image; it lies in one gate, so is_train_track reports it illegal."""
-    dg = direction_map(m)
-    current: set[Turn] = set()
-    for word in m.images:
-        current |= turns_of(word)
-    frontier = set(current)
-    while frontier:
-        frontier = {turn(dg[d1], dg[d2]) for d1, d2 in frontier if dg[d1] != dg[d2]} - current
-        current |= frontier
-    return frozenset(current)
-
-
-@record
-class TrainTrackVerdict:
-    ok: bool
-    witness: Turn | None  # an illegal taken turn when not ok
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_train_track(m: RoseMap) -> TrainTrackVerdict:
-    """True iff no taken turn is illegal (its two directions share a gate)."""
-    gate_of: dict[int, int] = {}
-    for i, g in enumerate(gates(m)):
-        for d in g:
-            gate_of[d] = i
-    for t in sorted(turns_taken_closure(m)):
-        if gate_of[t[0]] == gate_of[t[1]]:
-            return TrainTrackVerdict(False, t)
-    return TrainTrackVerdict(True, None)
-
-
 def local_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
     """Vertices are the directions meeting a taken turn; edges the taken
     turns themselves."""
-    verdict = is_train_track(m)
-    if not verdict.ok:
-        raise ValueError(f"not a train track map (illegal turn {verdict.witness})")
-    closure = turns_taken_closure(m)
+    if m.illegal_turn is not None:
+        raise ValueError(f"not a train track map (illegal turn {m.illegal_turn})")
+    closure = m.taken_turns
     return WhiteheadGraph.build({d for t in closure for d in t}, closure)
 
 
 def stable_whitehead_graph(m: RoseMap) -> WhiteheadGraph:
     lw = local_whitehead_graph(m)
-    periodic, _ = periodic_and_fixed_directions(m)
+    periodic = m.periodic
     vertices = lw.vertices & periodic
     edges = [e for e in lw.edges if e[0] in periodic and e[1] in periodic]
     return WhiteheadGraph.build(vertices, edges)
@@ -369,7 +362,7 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
         details.append("final homeomorphism permutes edge indices")
 
     composite = dec.composite
-    dg = direction_map(composite)
+    dg = composite.direction_map
     last_u = dec.generators[-1].u
     fixes = all(dg[d] == d for d in all_directions(dec.rank) if d != last_u)
     if fixes and dg[last_u] == last_u:
@@ -379,7 +372,7 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
         moved = sorted(d for d in all_directions(dec.rank) if d != last_u and dg[d] != d)
         details.append(f"composite moves directions {moved} besides the last u={last_u}")
 
-    periodic, fixed = periodic_and_fixed_directions(composite)
+    periodic, fixed = composite.periodic, composite.fixed
     rotationless = periodic == fixed
     if not rotationless:
         details.append(f"periodic but unfixed directions: {sorted(periodic - fixed)}")
@@ -409,15 +402,13 @@ def ltt_of_map(m: RoseMap) -> LttStructure:
 
     Requires a train track map with exactly one nonperiodic direction.
     """
-    verdict = is_train_track(m)
-    if not verdict.ok:
-        raise LttRegimeError(f"not a train track map (illegal turn {verdict.witness})")
-    periodic, _ = periodic_and_fixed_directions(m)
-    nonperiodic = sorted(set(all_directions(m.rank)) - set(periodic))
+    if m.illegal_turn is not None:
+        raise LttRegimeError(f"not a train track map (illegal turn {m.illegal_turn})")
+    nonperiodic = sorted(set(all_directions(m.rank)) - m.periodic)
     if len(nonperiodic) != 1:
         raise LttRegimeError(
             f"expected exactly 1 nonperiodic direction, found {len(nonperiodic)}: {nonperiodic}")
-    return LttStructure(m.rank, nonperiodic[0], frozenset(turns_taken_closure(m)))
+    return LttStructure(m.rank, nonperiodic[0], m.taken_turns)
 
 
 @record
@@ -449,17 +440,17 @@ def verify_loop(edges: Sequence[GeneratingTriple]) -> LoopReport:
     dec = FoldDecomposition(rank, gens, identity_permutation(rank))
     composite = dec.composite
     details: list[str] = []
-    tt = is_train_track(composite)
-    if not tt.ok:
-        details.append(f"composite is not a train track (illegal turn {tt.witness})")
+    train_track = composite.illegal_turn is None
+    if not train_track:
+        details.append(f"composite is not a train track (illegal turn {composite.illegal_turn})")
     ideal = validate_ideal_decomposition(dec)
     details.extend(ideal.details)
     matches = False
-    if tt.ok:  # else ltt_of_map would report the illegal turn again
+    if train_track:  # else ltt_of_map would report the illegal turn again
         try:
             matches = ltt_of_map(composite) == edges[0].source
             if not matches:
                 details.append("structure of the composite differs from the basepoint")
         except LttRegimeError as exc:
             details.append(f"composite has no structure: {exc}")
-    return LoopReport(tt.ok, ideal, matches, tuple(details))
+    return LoopReport(train_track, ideal, matches, tuple(details))

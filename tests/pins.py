@@ -166,6 +166,12 @@ RECORDS = [
     dict(name="P7 loops", cmd=[*CHECK4, "--max-loop-len", "2"], stdin=P7, cap=60,
          lines=["verdict: Inconclusive"],
          files={"stdout": "d92880786c65efa858ae205df574a1c12c24c2ed24762ff17cde1c5011231044"}),
+    # P7's loops are all "0 fully ideal"; at P5, 12 components have a loop
+    # whose composite verify_loop accepts
+    dict(name="P5 loops", cmd=[*CHECK3, "--max-loop-len", "4"], cap=10,
+         stdin='{"edges": [[0,1],[1,2],[2,3],[3,4]]}\n',
+         lines=["  component 2: 9 loop(s) of length <= 4 at its first node; 1 fully ideal"],
+         files={"stdout": "bc6f884d2186f0045f3a1c77d15690c58440564511cbcfcdd7ea4268edb607e7"}),
     *(dict(name=f"P7 admissible structures {fmt}", stdin=P7, cap=60,
            cmd=[*STRUCTURES, fmt, "--admissible-only"],
            files={f"structures_r4_admissible.{fmt}": digest}) for fmt, digest in (

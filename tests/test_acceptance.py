@@ -44,10 +44,8 @@ from ttrose.diagram import (
 from ttrose.ltt import brute_force_birecurrent, is_birecurrent
 from ttrose.maps import (
     LttRegimeError,
-    direction_map,
     local_whitehead_graph,
     ltt_of_map,
-    periodic_and_fixed_directions,
     stable_whitehead_graph,
     stallings_fold_decomposition,
 )
@@ -81,8 +79,8 @@ def sweep3(catalog5):
 def test_a1_golden_map_analysis():
     def body():
         start = time.perf_counter()
-        _, fixed = periodic_and_fixed_directions(EXAMPLE_MAP)
-        dg = direction_map(EXAMPLE_MAP)
+        fixed = EXAMPLE_MAP.fixed
+        dg = EXAMPLE_MAP.direction_map
         lw = local_whitehead_graph(EXAMPLE_MAP)
         sw = stable_whitehead_graph(EXAMPLE_MAP)
         G = ltt_of_map(EXAMPLE_MAP)

@@ -34,8 +34,19 @@ def example_map_file(tmp_path):
     return str(path)
 
 
-def test_analyze_map_report(example_map_file, capsys):
+def test_analyze_map_report(example_map_file, capsys, monkeypatch):
+    # the map read from the file closes its taken turns once, reading the
+    # turns of each of its 3 petal images
+    from ttrose.rose import turns_of
+    calls = [0]
+
+    def counted(word):
+        calls[0] += 1
+        return turns_of(word)
+
+    monkeypatch.setattr("ttrose.maps.turns_of", counted)
     assert main(["analyze-map", example_map_file]) == 0
+    assert calls[0] == 3
     out = capsys.readouterr().out
     assert "train track: yes" in out
     assert "gates: {a} {a'} {b} {b',c} {c'}" in out
@@ -93,9 +104,15 @@ def test_analyze_map_non_train_track(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"rank": 2, "images": {"a": "ab", "b": "b'a'"}}))
     assert main(["analyze-map", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "train track: no" in out
-    assert "gates:" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "map: a -> ab, b -> b'a'",
+        "train track: no (illegal taken turn {a',b})",
+        "gates: {a,a',b,b'}",
+        "fixed directions: a",
+        "periodic directions: a",
+        "fold decomposition: failed at step 0: maximal fold of turn (1, 4) is improper; "
+        "quotient would not be a rose",
+    ]
 
 
 def test_analyze_map_parse_error(tmp_path, capsys):

@@ -24,7 +24,7 @@ from ttrose.maps import (
     validate_ideal_decomposition,
     verify_loop,
 )
-from ttrose.rose import Generator, all_directions, bar, is_tight
+from ttrose.rose import Generator, all_directions, bar, is_tight, turns_of
 from ttrose.whitehead import WhiteheadGraph
 
 
@@ -163,21 +163,25 @@ def test_folding_builds_one_map_per_generator_taken(monkeypatch):
 def test_a_loop_check_composes_each_generator_once(monkeypatch):
     # the composite is composed on first read and shared by the train track,
     # ideal decomposition and basepoint checks: one compose per generator of
-    # the loop, and one for the final permutation
+    # the loop, and one for the final permutation; its taken turns are closed
+    # once, reading the turns of each of its 3 petal images
     g504 = WhiteheadGraph.build(range(5), [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     diagram = target_verdict(g504, 3).diagram
-    calls = [0]
+    calls = {"compose": 0, "turns_of": 0}
 
-    def counted(outer, inner):
-        calls[0] += 1
-        return compose(outer, inner)
+    def counted(name, call):
+        def wrapped(*args):
+            calls[name] += 1
+            return call(*args)
+        return wrapped
 
-    monkeypatch.setattr("ttrose.maps.compose", counted)
+    monkeypatch.setattr("ttrose.maps.compose", counted("compose", compose))
+    monkeypatch.setattr("ttrose.maps.turns_of", counted("turns_of", turns_of))
     lengths = set()
     for loop in find_loops(diagram.preliminary, diagram.components[0], 3):
-        calls[0] = 0
+        calls.update(compose=0, turns_of=0)
         verify_loop(loop)
-        assert calls[0] == len(loop) + 1
+        assert calls == {"compose": len(loop) + 1, "turns_of": 3}
         lengths.add(len(loop))
     assert lengths == {1, 2, 3}
 

@@ -22,16 +22,11 @@ from ttrose.maps import (
     RoseMap,
     apply_map,
     compose,
-    direction_map,
-    gates,
     generator_map,
     identity_permutation,
-    is_train_track,
     local_whitehead_graph,
-    periodic_and_fixed_directions,
     permutation_rose_map,
     stable_whitehead_graph,
-    turns_taken_closure,
 )
 from ttrose.rose import Generator, parse_word, turn
 from ttrose.whitehead import index_list, WhiteheadGraph
@@ -56,50 +51,50 @@ def test_apply_identity_and_reversal():
 
 
 def test_direction_map_of_example():
-    dg = direction_map(EXAMPLE_MAP)
+    dg = EXAMPLE_MAP.direction_map
     assert dg[B_] == C
     assert dg[A] == A
     assert dg == {A: A, A_: A_, B: B, B_: C, C: C, C_: C_}
 
 
 def test_identity_direction_map():
-    dg = direction_map(RoseMap.identity(4))
+    dg = RoseMap.identity(4).direction_map
     assert all(dg[d] == d for d in range(1, 9))
 
 
 def test_periodic_and_fixed_of_example():
-    periodic, fixed = periodic_and_fixed_directions(EXAMPLE_MAP)
+    periodic, fixed = EXAMPLE_MAP.periodic, EXAMPLE_MAP.fixed
     assert periodic == fixed == {A, A_, B, C, C_}
 
 
 def test_direction_cycle_map_is_periodic_not_fixed():
     m = permutation_rose_map(2, (3, 4, 2, 1))  # one 4-cycle on directions
-    periodic, fixed = periodic_and_fixed_directions(m)
+    periodic, fixed = m.periodic, m.fixed
     assert periodic == {1, 2, 3, 4}
     assert fixed == frozenset()
 
 
 def test_gates_of_example():
-    assert gates(EXAMPLE_MAP) == (
+    assert EXAMPLE_MAP.gates == (
         frozenset({A}), frozenset({A_}), frozenset({B}),
         frozenset({B_, C}), frozenset({C_}))
 
 
 def test_gates_identity_and_generator():
-    assert all(len(g) == 1 for g in gates(RoseMap.identity(3)))
+    assert all(len(g) == 1 for g in RoseMap.identity(3).gates)
     gen = Generator(3, a=C, u=A)
-    non_singleton = [g for g in gates(generator_map(gen)) if len(g) > 1]
+    non_singleton = [g for g in generator_map(gen).gates if len(g) > 1]
     assert non_singleton == [frozenset({A, C})]
 
 
 def test_closure_of_example():
-    closure = turns_taken_closure(EXAMPLE_MAP)
+    closure = EXAMPLE_MAP.taken_turns
     assert closure == {turn(A, B_), turn(A_, C_), turn(B, A_),
                        turn(B, C_), turn(C, A_), turn(A, C)}
 
 
 def test_closure_matches_iteration_oracle_on_example():
-    assert turns_taken_closure(EXAMPLE_MAP) == closure_by_iteration(EXAMPLE_MAP)
+    assert EXAMPLE_MAP.taken_turns == closure_by_iteration(EXAMPLE_MAP)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,18 +103,16 @@ def test_closure_matches_iteration_oracle_on_random_composites(seed):
     rank = rng.choice((3, 4))
     while True:
         m, _ = random_clean_composite(rng, rank, rng.randrange(2, 7))
-        if is_train_track(m).ok:
+        if m.illegal_turn is None:
             break
-    assert turns_taken_closure(m) == closure_by_iteration(m)
+    assert m.taken_turns == closure_by_iteration(m)
 
 
 def test_train_track_verdicts():
-    assert is_train_track(EXAMPLE_MAP).ok
-    assert is_train_track(RoseMap.identity(3)).ok
+    assert EXAMPLE_MAP.illegal_turn is None
+    assert RoseMap.identity(3).illegal_turn is None
     bad = RoseMap.from_strings(2, {"a": "ab", "b": "b'a'"})
-    verdict = is_train_track(bad)
-    assert not verdict.ok
-    assert verdict.witness == turn(A_, B)
+    assert bad.illegal_turn == turn(A_, B)
     # the witness is real: the second iterate cancels
     _, cancelled = apply_map(bad, apply_map(bad, [A])[0])
     assert cancelled
@@ -130,7 +123,7 @@ def test_train_track_maps_do_not_cancel_under_iteration():
     checked = 0
     while checked < 10:
         m, _ = random_clean_composite(rng, 3, rng.randrange(2, 6))
-        if not is_train_track(m).ok:
+        if m.illegal_turn is not None:
             continue
         checked += 1
         for d in range(1, 7):
@@ -198,8 +191,8 @@ def test_gates_are_stable_under_one_more_refinement():
     rng = random.Random(3)
     for _ in range(12):
         m, _ = random_clean_composite(rng, 3, rng.randrange(2, 7))
-        parts = gates(m)
-        dg = direction_map(m)
+        parts = m.gates
+        dg = m.direction_map
         gate_of = {d: i for i, g in enumerate(parts) for d in g}
         refined = {}
         for d in range(1, 7):
@@ -216,14 +209,14 @@ def test_gates_match_their_definition():
         rank = rng.choice((2, 3, 4))
         maps.append(random_clean_composite(rng, rank, rng.randrange(1, 8))[0])
     for m in maps:
-        assert gates(m) == gates_by_definition(m)
-        assert periodic_and_fixed_directions(m)[0] == periodic_by_definition(m)
+        assert m.gates == gates_by_definition(m)
+        assert m.periodic == periodic_by_definition(m)
 
 
 def test_closure_identity_and_single_generator():
-    assert turns_taken_closure(RoseMap.identity(3)) == frozenset()
+    assert RoseMap.identity(3).taken_turns == frozenset()
     gen = generator_map(Generator(3, a=C, u=A))
-    assert turns_taken_closure(gen) == closure_by_iteration(gen)
+    assert gen.taken_turns == closure_by_iteration(gen)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -20,7 +20,6 @@ from ttrose.maps import (
     FoldDecomposition,
     RoseMap,
     identity_permutation,
-    is_train_track,
     ltt_of_map,
     stallings_fold_decomposition,
     validate_ideal_decomposition,
@@ -57,12 +56,18 @@ def samples() -> dict[type, list]:
     report = verify_loop(loop)
     G = ltt_of_map(EXAMPLE_MAP)
     dec = stallings_fold_decomposition(EXAMPLE_MAP)
+    # the map is sampled with every derived property cached: they are kept
+    # out of its repr, equality and hash
+    derived = ("direction_map", "_stable_power", "periodic", "fixed", "gates", "taken_turns",
+               "illegal_turn")
+    for name in derived:
+        getattr(EXAMPLE_MAP, name)
+    assert set(derived) <= vars(EXAMPLE_MAP).keys()
     found: dict[type, list] = {}
     for x in (g504, *connected_simplicial_graphs(3), G, validate_ltt(G), transition_digraph(G),
               result, target_verdict(star_target(3), 3), result.base, diagram,
               diagram.preliminary, *diagram.components[:2], result.ip, *loop[:2], loop[0].gen,
-              EXAMPLE_MAP, is_train_track(EXAMPLE_MAP),
-              is_train_track(RoseMap.from_strings(2, {"a": "ab", "b": "ab"})), dec,
+              EXAMPLE_MAP, dec,
               validate_ideal_decomposition(dec), report, report.ideal):
         found.setdefault(type(x), []).append(x)
     return found
@@ -81,7 +86,7 @@ def _outcome(call, *args, **kwargs) -> tuple[str, str]:
 
 
 def test_the_scan_finds_every_record(samples):
-    assert len(RECORDS) >= 18
+    assert len(RECORDS) >= 17
     assert set(samples) == set(RECORDS)
 
 
