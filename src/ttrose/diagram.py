@@ -20,13 +20,17 @@ of its two nodes, kept as each node's sorted row of destinations, and
 structures and moves are decoded only when a caller reads them; the
 verdict itself decodes none, since birecurrency and the moves read each
 representative's turns.  A base structure is carried as the positions
-of its turns' bits, and its images' turn masks are sums of per-rank
-table entries at those positions; only the preliminary diagram, their
-one reader, tables the images' positions among the sorted keys.  The
-tables that depend on the rank alone (the turn bits, the slice maps,
-their inverses and weights by position, the generator actions, and the
-products of the 2(2r-3) slices a move source can lie in) are each built
-whole once per rank per process, and no verdict writes to them: `ttrose sweep` and the tests
+of its turns' bits, and the keys of all its images are one integer, a
+lane of whole 8-byte words per slice map: per-rank high bits less the
+sum of per-rank lane entries at those positions.  The integers are
+written in native byte order and read back at once, with one memoryview
+cast while a key fits one word (rank 5 and below) and int.from_bytes
+per lane past that; only the preliminary diagram, their one reader,
+tables the images' positions among the sorted keys.  The tables that
+depend on the rank alone (the turn bits, the slice maps, their inverses
+and lanes, the generator actions, and the products of the 2(2r-3)
+slices a move source can lie in) are each built whole once per rank per
+process, and no verdict writes to them: `ttrose sweep` and the tests
 reuse them from target to target, a lone `check-graph` builds them once.
 """
 
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cache, cached_property
 
@@ -155,8 +160,8 @@ class _RankTables:
     birecurrency builds no slice map.  One factoring, g o sigma_k' =
     sigma_k'' o kappa, builds the products and serves the lifts in K.  A
     turn is carried by its position p, the exponent of its bit 1 << p, so
-    a member is the tuple of its turns' positions and its image's turn
-    mask the sum of a table's entries at them."""
+    a member is the tuple of its turns' positions and its images' turn
+    masks, lane by lane, the sum of the lanes' entries at them."""
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -205,12 +210,25 @@ class _RankTables:
         return tuple(key for key in self.maps if key[0] in (1, 4) and key[1] not in (1, 4))
 
     @cached_property
-    def weights(self) -> list[tuple[int, list[int]]]:
-        """For each slice map, in the order of maps: the high bits of its
-        image's key (its red vertex above the full turn mask) and the bit
-        of its image of the turn at each position."""
-        return [(sigma[0] << self.width | self.full, self.image_bits(sigma))
-                for sigma in self.maps.values()]
+    def lanes(self) -> tuple[int, list[int], int]:
+        """The slice maps' images side by side in one integer, lane k for
+        slice map k in the order of maps: the high bits (slice map k's red
+        vertex above the full turn mask in lane k), each position's image
+        bit (slice map k's image of the turn there, in lane k) and the lane
+        size in bytes.  A lane is whole 8-byte words wide enough for a key,
+        and lane k is bytes k*size to (k+1)*size of the integer written in
+        native byte order.  Every lane's high bits exceed any turn mask, so
+        taking a member's image bits off them borrows from no other lane."""
+        size = 8 * -(-(self.width + (2 * self.rank).bit_length()) // 64)
+        shifts = [8 * size * k for k in range(len(self.maps))]
+        if sys.byteorder == "big":
+            shifts.reverse()
+        high, bits = 0, [0] * self.width
+        for shift, sigma in zip(shifts, self.maps.values()):
+            high |= (sigma[0] << self.width | self.full) << shift
+            for p, bit in enumerate(self.image_bits(sigma)):
+                bits[p] |= bit << shift
+        return high, bits, size
 
     @cached_property
     def products(self) -> dict[tuple[int, int], list[tuple[tuple[int, int], tuple]]]:
@@ -309,13 +327,18 @@ def _decode(rank: int, keys: Iterable[int]) -> Iterator[LttStructure]:
 
 def _carry(rank: int, members: Sequence[tuple[int, ...]]) -> list[int]:
     """The key of each slice map's image of each base-slice structure,
-    given by its turns' positions, slice by slice in the order of maps;
+    given by its turns' positions, member by member and each member's
+    slice by slice in the order of maps: slice k of member b at b*S + k,
+    for S slice maps.  A member's S keys are one subtraction on the lanes;
     the slices are disjoint, so no two keys are equal."""
-    keys: list[int] = []
-    for high, weights in _rank_tables(rank).weights:
-        weight = weights.__getitem__
-        keys.extend(high - sum(map(weight, P)) for P in members)
-    return keys
+    tables = _rank_tables(rank)
+    high, bits, size = tables.lanes
+    bit, length, order = bits.__getitem__, size * len(tables.maps), sys.byteorder
+    packed = memoryview(b"".join([(high - sum(map(bit, P))).to_bytes(length, order)
+                                  for P in members]))
+    if size == 8:
+        return packed.cast("Q").tolist()
+    return [int.from_bytes(packed[i:i + size], order) for i in range(0, len(packed), size)]
 
 
 def _members(base: BaseSlice, admissible_only: bool) -> list[tuple[int, ...]]:
@@ -345,13 +368,18 @@ def iter_structures(target: WhiteheadGraph, rank: int,
 
 def structures_at(base: BaseSlice, rank: int,
                   positions: Iterable[int]) -> list[tuple[LttStructure, bool]]:
-    """Slice map k's image of base member b of m at each position k*m + b, as
-    _carry orders them, decoded alone, with base.birecurrent[b]: EPP carries it."""
-    weights, m = _rank_tables(rank).weights, len(base.masks)
+    """Slice map k's image of base member b of m at each position k*m + b,
+    decoded alone, with base.birecurrent[b]: EPP carries it.  The
+    numbering is slice-major, where _carry's is member-major: each sample
+    carries its one member and reads lane k.  A position outside 0 to
+    S*m - 1, for S slice maps, raises IndexError."""
+    m, count = len(base.masks), len(_rank_tables(rank).maps)
     at = [divmod(p, m) for p in positions]
-    keys = [weights[k][0] - sum(map(weights[k][1].__getitem__, _positions(base.masks[b])))
-            for k, b in at]
-    return list(zip(_decode(rank, keys), [base.birecurrent[b] for _, b in at]))
+    if not all(0 <= k < count for k, _ in at):
+        raise IndexError("structure position out of range")
+    keys = _carry(rank, [_positions(base.masks[b]) for _, b in at])
+    return list(zip(_decode(rank, [keys[i * count + k] for i, (k, _) in enumerate(at)]),
+                    [base.birecurrent[b] for _, b in at]))
 
 
 # --- edge pair permutations (EPP) -----------------------------------------
@@ -471,8 +499,9 @@ def _preliminary(rank: int, base: BaseSlice) -> PreliminaryDiagram:
     position = {key: [0] * n for key in tables.maps}
     by_slice = list(position.values())
     orbit = [0] * len(keys)
+    count = len(tables.maps)
     for i, x in enumerate(order):
-        k, b = divmod(x, n)
+        b, k = divmod(x, count)
         by_slice[k][b] = i
         orbit[i] = orbit_of[b]
     del carried, order

@@ -362,17 +362,15 @@ def validate_ideal_decomposition(dec: FoldDecomposition) -> IdealDecompositionRe
         details.append("final homeomorphism permutes edge indices")
 
     composite = dec.composite
-    dg = composite.direction_map
-    last_u = dec.generators[-1].u
-    fixes = all(dg[d] == d for d in all_directions(dec.rank) if d != last_u)
-    if fixes and dg[last_u] == last_u:
-        fixes = False
-        details.append(f"composite fixes the last unachieved direction {last_u} as well")
-    elif not fixes:
-        moved = sorted(d for d in all_directions(dec.rank) if d != last_u and dg[d] != d)
+    fixed, last_u = composite.fixed, dec.generators[-1].u
+    moved = [d for d in all_directions(dec.rank) if d != last_u and d not in fixed]
+    fixes = not moved and last_u not in fixed
+    if moved:
         details.append(f"composite moves directions {moved} besides the last u={last_u}")
+    elif not fixes:
+        details.append(f"composite fixes the last unachieved direction {last_u} as well")
 
-    periodic, fixed = composite.periodic, composite.fixed
+    periodic = composite.periodic
     rotationless = periodic == fixed
     if not rotationless:
         details.append(f"periodic but unfixed directions: {sorted(periodic - fixed)}")

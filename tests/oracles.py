@@ -266,7 +266,7 @@ def epp_structure(sigma: Sequence[int], G: LttStructure) -> LttStructure:
 
 def edge_table(sigma: Sequence[int], edges: Iterable[Turn]) -> dict[Turn, Turn]:
     """sigma's image of each of the edges, sorted: the tuple route the
-    library's per-rank weight and inverse tables are checked against."""
+    library's per-rank lanes and inverse tables are checked against."""
     table = {}
     for u, v in edges:
         a, b = sigma[u - 1], sigma[v - 1]

@@ -4,6 +4,7 @@ irreducibility potential test, EPP reduction, and loop verification."""
 import copy
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -38,6 +39,7 @@ from ttrose.diagram import (
     IdDiagram,
     InvalidTargetGraph,
     _base_slice,
+    _carry,
     _k_generators,
     _members,
     _rank_tables,
@@ -51,7 +53,9 @@ from ttrose.diagram import (
     find_loops,
     id_diagram,
     irreducibility_potential_test,
+    iter_structures,
     star_target,
+    structures_at,
     target_from_json,
     target_verdict,
     validate_target,
@@ -80,6 +84,8 @@ RANK4 = {name: WhiteheadGraph.build(range(7), edges) for name, edges in {
 }.items()}
 K5_2PEND, C7, STAR_P2 = RANK4["k5_2pend"], RANK4["c7"], RANK4["star_p2"]
 P7 = WhiteheadGraph.build(range(7), [(i, i + 1) for i in range(6)])
+# the complete graphs at ranks 6 and 7, whose keys take two words
+K11, K13 = (WhiteheadGraph.build(range(n), itertools.combinations(range(n), 2)) for n in (11, 13))
 # the spider S(2,2,1^4): two legs of length 2 and four of length 1 at
 # vertex 0, a rank-5 target IP flags outside the paper's families
 SPIDER = WhiteheadGraph.build(range(9), [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (0, 6), (0, 7),
@@ -501,23 +507,31 @@ def test_edge_tables_image_structures_as_epp_does(catalog5):
 
 
 def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
-    # on fresh tables: each slice's weights against edge_table over every
-    # turn, each turn's pair_bit entries against its bit, and each member's
-    # positions against its mask's pairs, on the star at ranks 2-5, the 21
-    # rank-3 targets and the 7-cycle
-    for rank in range(2, 6):
+    # on fresh tables at ranks 2-7: each slice map's lane of the high bits
+    # and of each position's image bit against edge_table over every turn,
+    # lanes of whole 8-byte words just wide enough for a key, each turn's
+    # pair_bit entries against its bit; on the star at ranks 2-7, the 21
+    # rank-3 targets, the 7-cycle and the complete graphs at ranks 6 and 7,
+    # each member's positions against its mask's pairs and _carry's keys,
+    # member by member, against the per-slice sums of image bits
+    for rank in range(2, 8):
         tables = _RankTables(rank)
         turns, bits, width, full = tables.turns, tables.bits, tables.width, tables.full
         assert [bits[e] for e in turns] == [1 << p for p in range(width)]
-        assert len(tables.weights) == len(tables.maps)
-        for (high, weights), sigma in zip(tables.weights, tables.maps.values()):
+        high, position_bits, size = tables.lanes
+        assert size % 8 == 0 and size * 8 - 64 < width + (2 * rank).bit_length() <= size * 8
+        assert len(position_bits) == width
+        count = len(tables.maps)
+        lanes = [p.to_bytes(size * count, sys.byteorder) for p in (high, *position_bits)]
+        for k, sigma in enumerate(tables.maps.values()):
+            lane = [int.from_bytes(p[k * size:(k + 1) * size], sys.byteorder) for p in lanes]
             image = edge_table(sigma, turns)
-            assert high == sigma[0] << width | full
-            assert weights == [bits[image[e]] for e in turns]
+            assert lane[0] == sigma[0] << width | full
+            assert lane[1:] == [bits[image[e]] for e in turns]
         pair_bit = tables.pair_bit
         assert all(pair_bit[a][b] == pair_bit[b][a] == bits[a, b] for a, b in turns)
-    targets = [(star_target(rank), rank) for rank in range(2, 6)]
-    targets += [(e.graph(), 3) for e in catalog5] + [(C7, 4)]
+    targets = [(star_target(rank), rank) for rank in range(2, 8)]
+    targets += [(e.graph(), 3) for e in catalog5] + [(C7, 4), (K11, 6), (K13, 7)]
     for target, rank in targets:
         tables, base = _rank_tables(rank), _base_slice(target, rank)
         members = _members(base, admissible_only=False)
@@ -526,6 +540,32 @@ def test_rank_tables_carry_turn_positions_as_the_tuple_route_does(catalog5):
             assert tuple(map(tables.turns.__getitem__, positions)) == mask_pairs(mask, tables.bits)
         admissible = [m for m, birecurrent in zip(members, base.birecurrent) if birecurrent]
         assert _members(base, admissible_only=True) == admissible
+        slices = [(sigma[0] << tables.width | tables.full, tables.image_bits(sigma))
+                  for sigma in tables.maps.values()]
+        assert _carry(rank, members) == [top - sum(map(image.__getitem__, P))
+                                         for P in members for top, image in slices]
+
+
+def test_structures_at_decodes_each_position_as_the_slice_maps_carry_it(catalog5):
+    # structures_at numbers slice k's image of base member b of m at
+    # k*m + b: at every position it decodes epp_structure's image of the
+    # member under slice map k, with the member's birecurrency, and its
+    # admissible structures, sorted, are iter_structures' admissible ones;
+    # a position outside the slices raises
+    targets = [(catalog5[1].graph(), 3), (C7, 4), (K11, 6)]
+    assert catalog5[1].id == "G5.02"
+    for target, rank in targets:
+        base = _base_slice(target, rank)
+        members, m = _slice_structures(base, rank), len(base.masks)
+        maps = list(_rank_tables(rank).maps.values())
+        samples = structures_at(base, rank, range(len(maps) * m))
+        assert samples == [(epp_structure(sigma, G), birecurrent) for sigma in maps
+                           for G, birecurrent in zip(members, base.birecurrent)]
+        admissible = sorted((G for G, birecurrent in samples if birecurrent), key=sort_key)
+        assert admissible == list(iter_structures(target, rank, admissible_only=True))
+        for outside in (-1, len(maps) * m):
+            with pytest.raises(IndexError):
+                structures_at(base, rank, [0, outside])
 
 
 def test_components_are_the_arc_bearing_sccs_of_the_whole_diagram(catalog5):
@@ -926,8 +966,7 @@ def test_epp_classes_map_r_images_per_component(monkeypatch):
     # no orbit is walked and no turn mask imaged
     import ttrose.diagram
     import ttrose.whitehead
-    k11 = WhiteheadGraph.build(range(11), itertools.combinations(range(11), 2))
-    diagram = target_verdict(k11, 6).diagram
+    diagram = target_verdict(K11, 6).diagram
     images = []
 
     def counting(mask, action):
